@@ -5,11 +5,9 @@
 //! method-coverage row. Then summarize with the paper's geometric
 //! statistics into the Table II quantities `μg`, `σg`, `μg(V)`, `μg(M)`.
 
-use crate::exec::{run_indexed, ExecPolicy};
 use crate::sampling::{
     detail_config, pilot_config, PhaseSampling, SamplePlan, SamplingPolicy, SamplingStats,
 };
-use crate::suite::CoreError;
 use alberta_benchmarks::{run_guarded, BenchError, Benchmark, RunOutput};
 use alberta_profile::{PathTable, Profile, Profiler, SampleConfig};
 use alberta_stats::variation::TopDownRatios;
@@ -311,24 +309,15 @@ fn run_workload_sampled(
 }
 
 /// Summarizes a set of (surviving) runs into a [`Characterization`] —
-/// the entry the characterization service uses to rebuild a benchmark
-/// summary from individually executed (or cached) workload runs.
-/// Returns `None` when `runs` is empty — there is nothing to summarize.
+/// what every suite sweep applies per benchmark, and the entry the
+/// characterization service uses to rebuild a benchmark summary from
+/// individually executed (or cached) workload runs. Returns `None`
+/// when `runs` is empty — there is nothing to summarize.
 ///
 /// Summarization is a pure function of the runs, so a summary rebuilt
 /// from runs that crossed a wire or a cache is bit-identical to one
 /// computed in-process, provided the runs round-tripped losslessly.
 pub fn summarize_runs(
-    spec_id: &str,
-    short_name: &str,
-    runs: Vec<WorkloadRun>,
-) -> Option<Characterization> {
-    summarize(spec_id, short_name, runs)
-}
-
-/// Summarizes a set of (surviving) runs into a [`Characterization`].
-/// Returns `None` when `runs` is empty — there is nothing to summarize.
-pub(crate) fn summarize(
     spec_id: &str,
     short_name: &str,
     runs: Vec<WorkloadRun>,
@@ -363,94 +352,17 @@ pub(crate) fn summarize(
     })
 }
 
-/// Runs the full pipeline for one benchmark, stopping at the first
-/// failure.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Run`] if any workload fails — including panics
-/// caught at the trait boundary and profiles that fail validation.
-pub fn characterize_benchmark(
-    benchmark: &dyn Benchmark,
-    model: &TopDownModel,
-    sampling: SampleConfig,
-) -> Result<Characterization, CoreError> {
-    characterize_benchmark_with(benchmark, model, sampling, ExecPolicy::Serial)
-}
-
-/// [`characterize_benchmark`] under an explicit [`ExecPolicy`]: the
-/// benchmark's workloads fan out to worker threads and the result is
-/// bit-identical to the serial run.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Run`] for the first failing workload in
-/// canonical workload order (the same error the serial pipeline stops
-/// at — parallel execution may run workloads the serial one never
-/// reached, but their outcomes are discarded).
-pub fn characterize_benchmark_with(
-    benchmark: &dyn Benchmark,
-    model: &TopDownModel,
-    sampling: SampleConfig,
-    policy: ExecPolicy,
-) -> Result<Characterization, CoreError> {
-    characterize_benchmark_sampled(benchmark, model, sampling, policy, &SamplingPolicy::Full)
-}
-
-/// [`characterize_benchmark_with`] under an explicit [`SamplingPolicy`]:
-/// every workload is measured through [`run_workload_with`], so a
-/// [`SamplingPolicy::Phase`] sweep estimates each run from its medoid
-/// intervals instead of measuring it in full.
-///
-/// # Errors
-///
-/// Same contract as [`characterize_benchmark_with`].
-pub fn characterize_benchmark_sampled(
-    benchmark: &dyn Benchmark,
-    model: &TopDownModel,
-    sampling: SampleConfig,
-    policy: ExecPolicy,
-    sampling_policy: &SamplingPolicy,
-) -> Result<Characterization, CoreError> {
-    let workloads = benchmark.workload_names();
-    let runs = if policy.jobs() <= 1 {
-        // Serial sweeps keep the seed behaviour of stopping at the first
-        // failing workload instead of draining the queue.
-        workloads
-            .iter()
-            .map(|workload| {
-                run_workload_with(benchmark, workload, model, sampling, sampling_policy)
-            })
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        run_indexed(policy, &workloads, |_, workload| {
-            run_workload_with(benchmark, workload, model, sampling, sampling_policy)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?
-    };
-    Ok(summarize(benchmark.name(), benchmark.short_name(), runs)
-        .expect("benchmarks have at least one workload"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alberta_benchmarks::suite;
+    use crate::{ExecPolicy, Suite};
     use alberta_workloads::Scale;
 
     fn characterize(short: &str) -> Characterization {
-        let benchmarks = suite(Scale::Test);
-        let b = benchmarks
-            .iter()
-            .find(|b| b.short_name() == short)
-            .expect("benchmark exists");
-        characterize_benchmark(
-            b.as_ref(),
-            &TopDownModel::reference(),
-            SampleConfig::default(),
-        )
-        .unwrap()
+        Suite::new(Scale::Test)
+            .with_exec(ExecPolicy::Serial)
+            .characterize(short)
+            .unwrap()
     }
 
     #[test]
@@ -504,32 +416,17 @@ mod tests {
             .cloned()
             .collect();
         let partial =
-            summarize(&c.spec_id, &c.short_name, without_refrate).expect("other runs survive");
+            summarize_runs(&c.spec_id, &c.short_name, without_refrate).expect("other runs survive");
         assert_eq!(partial.refrate_cycles, None);
     }
 
     #[test]
     fn parallel_characterization_matches_serial() {
-        let benchmarks = suite(Scale::Test);
-        let b = benchmarks
-            .iter()
-            .find(|b| b.short_name() == "xz")
-            .expect("benchmark exists");
-        let model = TopDownModel::reference();
-        let serial = characterize_benchmark_with(
-            b.as_ref(),
-            &model,
-            SampleConfig::default(),
-            ExecPolicy::Serial,
-        )
-        .unwrap();
-        let parallel = characterize_benchmark_with(
-            b.as_ref(),
-            &model,
-            SampleConfig::default(),
-            ExecPolicy::with_jobs(4),
-        )
-        .unwrap();
+        let serial = characterize("xz");
+        let parallel = Suite::new(Scale::Test)
+            .with_exec(ExecPolicy::with_jobs(4))
+            .characterize("xz")
+            .unwrap();
         assert_eq!(
             serial.topdown.mu_g_v.to_bits(),
             parallel.topdown.mu_g_v.to_bits()

@@ -25,9 +25,9 @@
 //!    the canonical (Table II / workload-list) order regardless of which
 //!    worker finished first.
 //!
-//! Worker panics are not allowed to poison the queue: [`run_indexed`]
-//! requires infallible task closures, and the suite-level callers wrap
-//! each run in a panic guard that converts an unwind into a typed
+//! Worker panics are not allowed to poison the queue: the run-queue
+//! requires infallible task closures, and the suite's sweep executor
+//! wraps each run in a panic guard that converts an unwind into a typed
 //! failure result before it reaches this layer.
 
 use crate::log::{self, Capture, LogRecord};
@@ -199,7 +199,11 @@ impl ExecPolicy {
 }
 
 /// Runs `task` over every element of `tasks` under `policy` and returns
-/// the results in input order.
+/// the results in input order, each paired with a [`RunMetrics`] whose
+/// volatile telemetry (wall-clock, worker id) the scheduler fills in.
+/// The deterministic accounting fields are left at their defaults for
+/// the caller to complete — the scheduler cannot know what a task
+/// retried or consumed.
 ///
 /// In parallel mode each worker repeatedly steals the next unclaimed
 /// index from the shared cursor, so a long-running task (gcc's 21
@@ -208,34 +212,10 @@ impl ExecPolicy {
 /// them under the lock once, when the queue is empty.
 ///
 /// `task` must be infallible and panic-free: failures must be encoded in
-/// `R` (the suite callers wrap runs in
-/// [`alberta_benchmarks::run_guarded`]-style panic guards first). If a
+/// `R` (the suite's executor wraps runs in a panic guard first). If a
 /// task panics anyway, the panic is propagated to the caller after all
 /// workers have drained — never swallowed, and never left as a poisoned
 /// queue.
-///
-/// [`ExecPolicy::Processes`] degrades to the thread pool here: an
-/// arbitrary closure cannot cross a process boundary, so only the
-/// suite-level entry points (whose tasks are fully described by the
-/// suite configuration) get true process execution via
-/// [`crate::process`].
-pub(crate) fn run_indexed<T, R, F>(policy: ExecPolicy, tasks: &[T], task: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed_metered(policy, tasks, task)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// [`run_indexed`] with per-run observability: every result is paired
-/// with a [`RunMetrics`] whose volatile telemetry (wall-clock, worker id)
-/// the scheduler fills in. The deterministic accounting fields are left
-/// at their defaults for the caller to complete — the scheduler cannot
-/// know what a task retried or consumed.
 ///
 /// The scheduler also owns *log determinism*: each task runs under a
 /// [`log::Capture`], and the buffered records are flushed to stderr in
@@ -243,6 +223,11 @@ where
 /// byte-identically to a serial one. A task that panics loses its
 /// buffered records (the capture guard discards them on unwind); the
 /// panic itself still propagates.
+///
+/// [`ExecPolicy::Processes`] degrades to the thread pool here: an
+/// arbitrary closure cannot cross a process boundary, so only the
+/// suite's executor (whose tasks are fully described by the suite
+/// configuration) gets true process execution via [`crate::process`].
 pub(crate) fn run_indexed_metered<T, R, F>(
     policy: ExecPolicy,
     tasks: &[T],
@@ -374,26 +359,29 @@ mod tests {
         assert!(policy.jobs() >= 1);
     }
 
+    /// The results of a metered run, without the metrics.
+    fn values<R: Copy>(results: &[(R, RunMetrics)]) -> Vec<R> {
+        results.iter().map(|(r, _)| *r).collect()
+    }
+
     #[test]
     fn run_indexed_preserves_input_order() {
         let tasks: Vec<u64> = (0..257).collect();
-        let serial = run_indexed(ExecPolicy::Serial, &tasks, |i, t| (i as u64) * 1000 + t);
-        let parallel = run_indexed(ExecPolicy::with_jobs(8), &tasks, |i, t| {
+        let serial = run_indexed_metered(ExecPolicy::Serial, &tasks, |i, t| (i as u64) * 1000 + t);
+        let parallel = run_indexed_metered(ExecPolicy::with_jobs(8), &tasks, |i, t| {
             (i as u64) * 1000 + t
         });
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[42], 42 * 1000 + 42);
+        assert_eq!(values(&serial), values(&parallel));
+        assert_eq!(serial[42].0, 42 * 1000 + 42);
     }
 
     #[test]
     fn run_indexed_handles_fewer_tasks_than_workers() {
         let tasks = vec![7u64];
-        assert_eq!(
-            run_indexed(ExecPolicy::with_jobs(16), &tasks, |_, t| t * 2),
-            vec![14]
-        );
+        let one = run_indexed_metered(ExecPolicy::with_jobs(16), &tasks, |_, t| t * 2);
+        assert_eq!(values(&one), vec![14]);
         let empty: Vec<u64> = Vec::new();
-        assert!(run_indexed(ExecPolicy::with_jobs(4), &empty, |_, t| *t).is_empty());
+        assert!(run_indexed_metered(ExecPolicy::with_jobs(4), &empty, |_, t| *t).is_empty());
     }
 
     #[test]
@@ -401,7 +389,6 @@ mod tests {
         let tasks: Vec<u64> = (0..64).collect();
         let serial = run_indexed_metered(ExecPolicy::Serial, &tasks, |_, t| t * 3);
         let parallel = run_indexed_metered(ExecPolicy::with_jobs(4), &tasks, |_, t| t * 3);
-        let values = |v: &[(u64, RunMetrics)]| -> Vec<u64> { v.iter().map(|(r, _)| *r).collect() };
         assert_eq!(values(&serial), values(&parallel));
         for (_, m) in &serial {
             assert_eq!(m.worker, 0, "serial runs execute on the calling thread");
@@ -418,7 +405,7 @@ mod tests {
     fn worker_panic_propagates_without_deadlock() {
         let tasks: Vec<u64> = (0..32).collect();
         let caught = std::panic::catch_unwind(|| {
-            run_indexed(ExecPolicy::with_jobs(4), &tasks, |_, t| {
+            run_indexed_metered(ExecPolicy::with_jobs(4), &tasks, |_, t| {
                 assert!(*t != 13, "injected worker panic");
                 *t
             })

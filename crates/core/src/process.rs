@@ -1,7 +1,7 @@
 //! Crash-isolated multi-process sweep execution.
 //!
 //! Under [`ExecPolicy::Processes`](crate::ExecPolicy::Processes) the
-//! suite entry points hand their `(benchmark, workload)` run queue to
+//! suite's sweep executor hands its `(benchmark, workload)` task list to
 //! the supervisor in this module, which forks worker *subprocesses* —
 //! self-execs of the current binary in a hidden worker mode (see
 //! [`maybe_worker`]) — and speaks the line-delimited canonical-JSON
@@ -44,12 +44,10 @@ use crate::protocol::{
     RemoteStatus, SupervisorMsg, TaskMsg, TaskResult, WorkerConfig, WorkerMode, WorkerMsg,
     PROTOCOL_VERSION,
 };
-use crate::suite::{run_accounting, Suite};
+use crate::suite::{run_accounting, Suite, Task, TaskRun};
 use crate::{log_error, log_warn};
-use alberta_benchmarks::{panic_message, BenchError, Benchmark};
-use alberta_uarch::TopDownModel;
+use alberta_benchmarks::BenchError;
 use std::io::{BufRead, BufReader, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -144,80 +142,22 @@ pub fn maybe_worker() {
 // Supervisor
 // =====================================================================
 
-/// One reassembled task of a process sweep, in the shape the suite
-/// entry points consume.
-pub(crate) struct TaskOutcome {
-    /// The run's fate, with remote errors rehydrated as
-    /// [`BenchError::Remote`].
-    pub(crate) status: RunStatus,
-    /// Measurements, for survivors.
-    pub(crate) run: Option<WorkloadRun>,
-    /// Scheduling metrics: dispatch count, worker slot, in-worker
-    /// retries and budget accounting.
-    pub(crate) metrics: RunMetrics,
-    /// The request label echoed back by the worker (supervisor-side
-    /// for tasks that died without a result), when the task carried
-    /// one.
-    pub(crate) request: Option<String>,
-}
-
-/// One unit of work for [`run_process_tasks`]: a benchmark paired with
-/// one of its workloads, optionally tagged with the service request
-/// label that asked for it.
-pub(crate) struct ProcessTask<'a> {
-    pub(crate) benchmark: &'a dyn Benchmark,
-    pub(crate) workload: String,
-    pub(crate) request: Option<String>,
-}
-
-/// Runs every `(benchmark, workload)` pair of `benchmarks` through a
-/// pool of `jobs` supervised worker subprocesses and returns one
-/// [`TaskOutcome`] per pair, in canonical order. Never panics the sweep
-/// for worker failures and never blocks forever: every task resolves to
-/// a status within a bounded number of dispatch attempts, and silent
-/// workers are collected by the heartbeat timeout.
-///
-/// # Panics
-///
-/// Panics when called from inside a worker process — process execution
-/// does not nest.
-pub(crate) fn run_process_sweep(
-    benchmarks: &[Box<dyn Benchmark>],
-    config: WorkerConfig,
-    jobs: usize,
-    process: &ProcessConfig,
-) -> Vec<TaskOutcome> {
-    let tasks: Vec<ProcessTask<'_>> = benchmarks
-        .iter()
-        .flat_map(|b| {
-            b.workload_names()
-                .into_iter()
-                .map(move |workload| ProcessTask {
-                    benchmark: b.as_ref(),
-                    workload,
-                    request: None,
-                })
-        })
-        .collect();
-    run_process_tasks(&tasks, config, jobs, process)
-}
-
-/// Runs an explicit task list through the supervised worker pool and
-/// returns one [`TaskOutcome`] per task, in input order. This is the
-/// generalized entry [`run_process_sweep`] delegates to; the serving
-/// layer uses it directly to execute an arbitrary subset of the suite's
-/// runs on one "host" pool.
+/// Runs a task list through a pool of `jobs` supervised worker
+/// subprocesses and returns one [`TaskRun`] per task, in input order.
+/// Never panics the sweep for worker failures and never blocks forever:
+/// every task resolves to a status within a bounded number of dispatch
+/// attempts, and silent workers are collected by the heartbeat timeout.
 ///
 /// # Panics
 ///
 /// Panics when called from inside a worker process — process execution
 /// does not nest.
 pub(crate) fn run_process_tasks(
-    tasks: &[ProcessTask<'_>],
+    tasks: &[Task<'_>],
     mut config: WorkerConfig,
     jobs: usize,
     process: &ProcessConfig,
-) -> Vec<TaskOutcome> {
+) -> Vec<TaskRun> {
     assert!(
         std::env::var_os(WORKER_ENV).is_none(),
         "process execution cannot nest inside an alberta worker"
@@ -228,7 +168,6 @@ pub(crate) fn run_process_tasks(
     let tasks: Vec<TaskSlot> = tasks
         .iter()
         .map(|t| TaskSlot {
-            benchmark: t.benchmark.short_name().to_owned(),
             spec_id: t.benchmark.name(),
             short_name: t.benchmark.short_name(),
             workload: t.workload.clone(),
@@ -271,7 +210,10 @@ pub(crate) fn run_process_tasks(
             let (status, run, metrics, logs, request) =
                 t.outcome.expect("sweep resolves every task");
             log::flush(&logs);
-            TaskOutcome {
+            TaskRun {
+                spec_id: t.spec_id.to_owned(),
+                short_name: t.short_name.to_owned(),
+                workload: t.workload,
                 status,
                 run,
                 metrics,
@@ -296,9 +238,8 @@ type ResolvedTask = (
 );
 
 struct TaskSlot {
-    /// Benchmark key sent on the wire (the short name).
-    benchmark: String,
-    /// `&'static` names for rehydrated errors and log lines.
+    /// `&'static` names for rehydrated errors and log lines; the short
+    /// name is also the benchmark key sent on the wire.
     spec_id: &'static str,
     short_name: &'static str,
     workload: String,
@@ -494,7 +435,7 @@ impl Supervisor {
         task.dispatched_at = Instant::now();
         let line = SupervisorMsg::Task(TaskMsg {
             id: t as u64,
-            benchmark: task.benchmark.clone(),
+            benchmark: task.short_name.to_owned(),
             workload: task.workload.clone(),
             attempt: task.dispatches,
             request: task.request.clone(),
@@ -719,49 +660,6 @@ fn worker_send(gate: &Mutex<()>, line: &str) {
     }
 }
 
-/// The lazily built execution state of a worker: the assembled suite
-/// plus, when the fault plan corrupts workloads, the corrupted
-/// benchmark set the resilient runs use.
-struct WorkerState {
-    suite: Suite,
-    corrupted: Option<Vec<Box<dyn Benchmark>>>,
-}
-
-impl WorkerState {
-    fn build(config: &WorkerConfig) -> Self {
-        let mut sampling = config.sampling;
-        if let Some(deadline) = config.deadline_work {
-            // The deterministic deadline clock: clamp the work budget so
-            // a runaway task aborts at a fixed retired-op count.
-            sampling.work_budget = Some(sampling.work_budget.map_or(deadline, |b| b.min(deadline)));
-        }
-        let model = TopDownModel::new(config.machine, config.predictor);
-        let suite = Suite::assemble(
-            config.scale,
-            model,
-            sampling,
-            config.policy,
-            config.faults.clone(),
-        );
-        let corrupted = match config.mode {
-            WorkerMode::Resilient => suite.malformed_benchmarks(),
-            // Strict execution ignores the fault plan entirely.
-            WorkerMode::Strict => None,
-        };
-        WorkerState { suite, corrupted }
-    }
-
-    fn benchmark(&self, name: &str) -> Option<&dyn Benchmark> {
-        match self.corrupted.as_deref() {
-            Some(set) => set
-                .iter()
-                .find(|b| b.short_name() == name || b.name() == name)
-                .map(|b| b.as_ref()),
-            None => self.suite.benchmark(name),
-        }
-    }
-}
-
 /// The worker protocol loop. Returns the exit code.
 fn worker_main() -> i32 {
     let stdin = std::io::stdin();
@@ -793,7 +691,7 @@ fn worker_main() -> i32 {
     );
     let current: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
     spawn_beat_thread(config.beat_ms, &gate, &current);
-    let mut state: Option<WorkerState> = None;
+    let mut suite: Option<Suite> = None;
     for line in lines {
         let Ok(line) = line else {
             return 0; // stdin closed mid-line: supervisor is gone
@@ -801,7 +699,7 @@ fn worker_main() -> i32 {
         match SupervisorMsg::decode(&line) {
             Ok(SupervisorMsg::Task(task)) => {
                 *current.lock().unwrap_or_else(|p| p.into_inner()) = Some(task.id);
-                let result = run_task(&config, &mut state, &task, &current, &gate);
+                let result = run_task(&config, &mut suite, &task, &current, &gate);
                 *current.lock().unwrap_or_else(|p| p.into_inner()) = None;
                 worker_send(&gate, &WorkerMsg::Result(Box::new(result)).encode());
             }
@@ -885,13 +783,13 @@ fn inject_process_fault(
 /// Executes one task and shapes its result for the wire.
 fn run_task(
     config: &WorkerConfig,
-    state: &mut Option<WorkerState>,
+    suite: &mut Option<Suite>,
     task: &TaskMsg,
     current: &Mutex<Option<u64>>,
     gate: &Mutex<()>,
 ) -> TaskResult {
-    let state = state.get_or_insert_with(|| WorkerState::build(config));
-    let Some(benchmark) = state.benchmark(&task.benchmark) else {
+    let suite = suite.get_or_insert_with(|| Suite::assemble(config));
+    let Some(benchmark) = suite.benchmark(&task.benchmark) else {
         return TaskResult {
             id: task.id,
             status: RemoteStatus::Failed {
@@ -908,45 +806,23 @@ fn run_task(
             request: task.request.clone(),
         };
     };
-    let (spec_id, short_name) = (benchmark.name(), benchmark.short_name());
-    inject_process_fault(config, spec_id, short_name, task, current, gate);
-    let level = log::max_level();
-    let suite = &state.suite;
-    let guarded = catch_unwind(AssertUnwindSafe(|| {
-        let capture = Capture::install(level);
-        let (status, run) = match config.mode {
-            WorkerMode::Strict => match suite.strict_run(benchmark, &task.workload) {
-                Ok(run) => (RunStatus::Ok, Some(run)),
-                Err(error) => (RunStatus::Failed { error }, None),
-            },
-            WorkerMode::Resilient => suite.resilient_run(benchmark, &task.workload),
-        };
-        (status, run, capture.finish())
-    }));
-    let (status, run, logs) = guarded.unwrap_or_else(|payload| {
-        // Same containment as the thread scheduler: an unwind that
-        // escapes the per-run guard fails this run alone. (The capture
-        // guard discarded the run's log records during the unwind.)
-        let status = RunStatus::Failed {
-            error: BenchError::Panicked {
-                benchmark: spec_id,
-                workload: task.workload.clone(),
-                message: panic_message(payload.as_ref()),
-            },
-        };
-        (status, None, Vec::new())
-    });
-    let (retries, budget_consumed) = run_accounting(&status, run.as_ref());
+    inject_process_fault(
+        config,
+        benchmark.name(),
+        benchmark.short_name(),
+        task,
+        current,
+        gate,
+    );
+    let capture = Capture::install(log::max_level());
+    let (status, run) = suite.guarded_run(benchmark, &task.workload, config.mode);
+    let logs = capture.finish();
+    let (retries, budget_consumed) = run_accounting(&status, run.as_ref(), config.mode);
     TaskResult {
         id: task.id,
         status: RemoteStatus::from_status(&status),
         run,
-        // The strict path never retries in-run; its accounting says so.
-        retries: if config.mode == WorkerMode::Strict {
-            0
-        } else {
-            retries
-        },
+        retries,
         budget_consumed,
         logs,
         request: task.request.clone(),

@@ -1,14 +1,12 @@
 //! The [`Suite`] orchestrator.
 
 use crate::characterize::{
-    characterize_benchmark_sampled, run_workload_with, summarize, Characterization,
-    ResilientCharacterization, RunReport, RunStatus, WorkloadRun,
+    run_workload_with, summarize_runs, Characterization, ResilientCharacterization, RunReport,
+    RunStatus, WorkloadRun,
 };
-use crate::exec::{run_indexed, run_indexed_metered, ExecPolicy, RunMetrics};
+use crate::exec::{run_indexed_metered, ExecPolicy, RunMetrics};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::process::{
-    run_process_sweep, run_process_tasks, ProcessConfig, ProcessTask, TaskOutcome,
-};
+use crate::process::{run_process_tasks, ProcessConfig};
 use crate::protocol::{WorkerConfig, WorkerMode};
 use crate::sampling::SamplingPolicy;
 use crate::{log_debug, log_error, log_warn};
@@ -75,10 +73,10 @@ impl From<BenchError> for CoreError {
     }
 }
 
-/// One executed task of an explicit task-list characterization
-/// ([`Suite::characterize_tasks_metered`]): the resolved benchmark
-/// names, the run's fate under the resilient pipeline, its measurements
-/// (for survivors), and the execution layer's metrics.
+/// One executed task of a characterization — what
+/// [`Suite::characterize_tasks_labeled`] returns per task: the resolved
+/// benchmark names, the run's fate, its measurements (for survivors),
+/// and the execution layer's metrics.
 #[derive(Debug)]
 pub struct TaskRun {
     /// SPEC-style id, e.g. `505.mcf_r`.
@@ -111,6 +109,15 @@ pub struct LabeledTask {
     pub workload: String,
     /// Originating request label, if any.
     pub request: Option<String>,
+}
+
+/// One resolved unit of work for the sweep executor: a benchmark of the
+/// suite's stored set, one of its workloads, and the request label to
+/// echo on the resulting [`TaskRun`].
+pub(crate) struct Task<'a> {
+    pub(crate) benchmark: &'a dyn Benchmark,
+    pub(crate) workload: String,
+    pub(crate) request: Option<String>,
 }
 
 /// The full benchmark suite plus the measurement configuration.
@@ -154,27 +161,34 @@ impl Suite {
         }
     }
 
-    /// Assembles a suite from explicit measurement parts — the worker
-    /// side of the process executor rebuilding the supervisor's
-    /// configuration. Always executes serially: a worker is itself one
-    /// unit of a larger sweep.
-    pub(crate) fn assemble(
-        scale: Scale,
-        model: TopDownModel,
-        sampling: SampleConfig,
-        policy: SamplingPolicy,
-        faults: FaultPlan,
-    ) -> Self {
-        Suite {
-            benchmarks: build_benchmarks(scale),
-            model,
+    /// Assembles the suite a process worker runs its tasks on from the
+    /// configuration the supervisor shipped. A resilient worker corrupts
+    /// its own workloads as the fault plan asks. Always executes
+    /// serially: a worker is itself one unit of a larger sweep.
+    pub(crate) fn assemble(config: &WorkerConfig) -> Self {
+        let mut sampling = config.sampling;
+        if let Some(deadline) = config.deadline_work {
+            // The deterministic deadline clock: clamp the work budget so
+            // a runaway task aborts at a fixed retired-op count.
+            sampling.work_budget = Some(sampling.work_budget.map_or(deadline, |b| b.min(deadline)));
+        }
+        let mut suite = Suite {
+            benchmarks: build_benchmarks(config.scale),
+            model: TopDownModel::new(config.machine, config.predictor),
             sampling,
-            policy,
-            scale,
-            faults,
+            policy: config.policy,
+            scale: config.scale,
+            faults: config.faults.clone(),
             exec: ExecPolicy::Serial,
             process: ProcessConfig::default(),
+        };
+        // Strict execution ignores the fault plan entirely.
+        if config.mode == WorkerMode::Resilient {
+            if let Some(corrupted) = suite.malformed_benchmarks() {
+                suite.benchmarks = corrupted;
+            }
         }
+        suite
     }
 
     /// Overrides the execution policy (serial vs parallel workers).
@@ -255,10 +269,15 @@ impl Suite {
     /// Looks a benchmark up by short name (`"mcf"`) or SPEC id
     /// (`"505.mcf_r"`).
     pub fn benchmark(&self, name: &str) -> Option<&dyn Benchmark> {
-        self.benchmarks
-            .iter()
-            .find(|b| b.short_name() == name || b.name() == name)
-            .map(|b| b.as_ref())
+        find(&self.benchmarks, name)
+    }
+
+    /// [`Suite::benchmark`], with an unknown name as an error.
+    fn resolve(&self, name: &str) -> Result<&dyn Benchmark, CoreError> {
+        self.benchmark(name)
+            .ok_or_else(|| CoreError::UnknownBenchmark {
+                name: name.to_owned(),
+            })
     }
 
     /// Characterizes one benchmark across all of its workloads.
@@ -268,36 +287,11 @@ impl Suite {
     /// Returns [`CoreError::UnknownBenchmark`] for an unknown name or
     /// [`CoreError::Run`] when a workload fails.
     pub fn characterize(&self, name: &str) -> Result<Characterization, CoreError> {
-        let index = self
-            .benchmarks
-            .iter()
-            .position(|b| b.short_name() == name || b.name() == name)
-            .ok_or_else(|| CoreError::UnknownBenchmark {
-                name: name.to_owned(),
-            })?;
-        if matches!(self.exec, ExecPolicy::Processes { .. }) {
-            let set = &self.benchmarks[index..=index];
-            let outcomes = run_process_sweep(
-                set,
-                self.worker_config(WorkerMode::Strict),
-                self.exec.jobs(),
-                &self.process,
-            );
-            let runs = outcomes
-                .into_iter()
-                .map(strict_outcome)
-                .collect::<Result<Vec<_>, _>>()?;
-            let benchmark = self.benchmarks[index].as_ref();
-            return Ok(summarize(benchmark.name(), benchmark.short_name(), runs)
-                .expect("benchmarks have at least one workload"));
-        }
-        characterize_benchmark_sampled(
-            self.benchmarks[index].as_ref(),
-            &self.model,
-            self.sampling,
-            self.exec,
-            &self.policy,
-        )
+        let runs = self.sweep([self.resolve(name)?], WorkerMode::Strict);
+        let (characterization, _) = strict(runs)?
+            .pop()
+            .expect("one benchmark yields one result");
+        Ok(characterization)
     }
 
     /// Characterizes the whole suite in Table II order.
@@ -310,65 +304,19 @@ impl Suite {
     ///
     /// # Errors
     ///
-    /// Returns the first failure in canonical order — the same error a
-    /// serial sweep stops at.
+    /// Returns the first failure in canonical order. Every policy drains
+    /// the whole run queue first, so the error does not depend on it.
     pub fn characterize_all(&self) -> Result<Vec<Characterization>, CoreError> {
-        if matches!(self.exec, ExecPolicy::Processes { .. }) {
-            return Ok(self
-                .characterize_all_metered()?
-                .into_iter()
-                .map(|(c, _)| c)
-                .collect());
-        }
-        if self.exec.jobs() <= 1 {
-            // Serial sweeps keep the seed behaviour of stopping at the
-            // first failing workload instead of draining the queue.
-            return self
-                .benchmarks
-                .iter()
-                .map(|b| {
-                    characterize_benchmark_sampled(
-                        b.as_ref(),
-                        &self.model,
-                        self.sampling,
-                        ExecPolicy::Serial,
-                        &self.policy,
-                    )
-                })
-                .collect();
-        }
-        let tasks = run_pairs(&self.benchmarks);
-        let results = run_indexed(self.exec, &tasks, |_, (bench_index, workload)| {
-            run_workload_with(
-                self.benchmarks[*bench_index].as_ref(),
-                workload,
-                &self.model,
-                self.sampling,
-                &self.policy,
-            )
-        });
-        let mut results = results.into_iter();
-        let mut out = Vec::with_capacity(self.benchmarks.len());
-        for benchmark in &self.benchmarks {
-            let mut runs = Vec::new();
-            for _ in 0..benchmark.workload_names().len() {
-                runs.push(results.next().expect("one result per task")?);
-            }
-            out.push(
-                summarize(benchmark.name(), benchmark.short_name(), runs)
-                    .expect("benchmarks have at least one workload"),
-            );
-        }
-        Ok(out)
+        Ok(self
+            .characterize_all_metered()?
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect())
     }
 
     /// [`Suite::characterize_all`] with per-run observability: each
     /// characterization is paired with one [`RunMetrics`] per workload,
     /// in workload order.
-    ///
-    /// Unlike the serial strict sweep, the metered sweep always drains
-    /// the whole run queue; on failure the error returned is the first
-    /// one in canonical Table II order.
     ///
     /// # Errors
     ///
@@ -376,61 +324,10 @@ impl Suite {
     pub fn characterize_all_metered(
         &self,
     ) -> Result<Vec<(Characterization, Vec<RunMetrics>)>, CoreError> {
-        if matches!(self.exec, ExecPolicy::Processes { .. }) {
-            let outcomes = run_process_sweep(
-                &self.benchmarks,
-                self.worker_config(WorkerMode::Strict),
-                self.exec.jobs(),
-                &self.process,
-            );
-            let mut results = outcomes.into_iter();
-            let mut out = Vec::with_capacity(self.benchmarks.len());
-            for benchmark in &self.benchmarks {
-                let mut runs = Vec::new();
-                let mut metrics = Vec::new();
-                for _ in 0..benchmark.workload_names().len() {
-                    let outcome = results.next().expect("one outcome per task");
-                    let m = outcome.metrics;
-                    runs.push(strict_outcome(outcome)?);
-                    metrics.push(m);
-                }
-                out.push((
-                    summarize(benchmark.name(), benchmark.short_name(), runs)
-                        .expect("benchmarks have at least one workload"),
-                    metrics,
-                ));
-            }
-            return Ok(out);
-        }
-        let tasks = run_pairs(&self.benchmarks);
-        let results = run_indexed_metered(self.exec, &tasks, |_, (bench_index, workload)| {
-            run_workload_with(
-                self.benchmarks[*bench_index].as_ref(),
-                workload,
-                &self.model,
-                self.sampling,
-                &self.policy,
-            )
-        });
-        let mut results = results.into_iter();
-        let mut out = Vec::with_capacity(self.benchmarks.len());
-        for benchmark in &self.benchmarks {
-            let mut runs = Vec::new();
-            let mut metrics = Vec::new();
-            for _ in 0..benchmark.workload_names().len() {
-                let (run, mut m) = results.next().expect("one result per task");
-                let run = run?;
-                m.budget_consumed = run.report.retired_ops;
-                runs.push(run);
-                metrics.push(m);
-            }
-            out.push((
-                summarize(benchmark.name(), benchmark.short_name(), runs)
-                    .expect("benchmarks have at least one workload"),
-                metrics,
-            ));
-        }
-        Ok(out)
+        strict(self.sweep(
+            self.benchmarks.iter().map(|b| b.as_ref()),
+            WorkerMode::Strict,
+        ))
     }
 
     /// Characterizes the whole suite with per-run fault tolerance.
@@ -459,20 +356,10 @@ impl Suite {
     pub fn characterize_all_resilient_metered(
         &self,
     ) -> Vec<(ResilientCharacterization, Vec<RunMetrics>)> {
-        if matches!(self.exec, ExecPolicy::Processes { .. }) {
-            // Workers rebuild and corrupt their own benchmark sets; the
-            // supervisor only needs the pristine set for task names.
-            return self.characterize_resilient_set(&self.benchmarks);
-        }
-        match self.malformed_benchmarks() {
-            // Corruption mutates workloads, so it runs on a rebuilt
-            // suite — the stored benchmarks stay pristine for later
-            // strict runs.
-            Some(rebuilt) => self.characterize_resilient_set(&rebuilt),
-            // No corruption faults: reuse the stored benchmarks instead
-            // of paying workload generation a second time per sweep.
-            None => self.characterize_resilient_set(&self.benchmarks),
-        }
+        self.sweep(
+            self.benchmarks.iter().map(|b| b.as_ref()),
+            WorkerMode::Resilient,
+        )
     }
 
     /// Resilient characterization of a single benchmark.
@@ -500,22 +387,129 @@ impl Suite {
         &self,
         name: &str,
     ) -> Result<(ResilientCharacterization, Vec<RunMetrics>), CoreError> {
-        let rebuilt = self.malformed_benchmarks();
-        let benchmarks = rebuilt.as_deref().unwrap_or(&self.benchmarks);
-        let benchmark = benchmarks
+        let mut runs = self.sweep([self.resolve(name)?], WorkerMode::Resilient);
+        Ok(runs.pop().expect("one benchmark yields one result"))
+    }
+
+    /// Executes an explicit list of `(benchmark, workload)` tasks —
+    /// names resolved like [`Suite::benchmark`] — under this suite's
+    /// execution policy and returns one [`TaskRun`] per task, in input
+    /// order. The runs go through the resilient pipeline (guarded,
+    /// fault-plan-aware, retry-on-retryable), so per-run failures are
+    /// reported in the returned statuses, never as an error. This is
+    /// the entry the characterization service uses to execute an
+    /// arbitrary subset of the suite's runs; because each task depends
+    /// only on its inputs, the results are bit-identical across
+    /// execution policies and across any partitioning of the list.
+    ///
+    /// Each task may carry the label of the service request that asked
+    /// for it, and the returned [`TaskRun`]s echo the label as it came
+    /// back through the execution layer — for [`ExecPolicy::Processes`],
+    /// across the worker pipe. Labels never influence execution, only
+    /// attribution.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownBenchmark`] or [`CoreError::UnknownWorkload`]
+    /// when a task names something the suite does not have — resolution
+    /// happens up front, before anything executes.
+    pub fn characterize_tasks_labeled(
+        &self,
+        tasks: &[LabeledTask],
+    ) -> Result<Vec<TaskRun>, CoreError> {
+        let tasks = tasks
             .iter()
-            .find(|b| b.short_name() == name || b.name() == name)
-            .ok_or_else(|| CoreError::UnknownBenchmark {
-                name: name.to_owned(),
-            })?;
-        let mut results = self.characterize_resilient_set(std::slice::from_ref(benchmark));
-        Ok(results.pop().expect("one benchmark yields one result"))
+            .map(|task| {
+                let benchmark = self.resolve(&task.benchmark)?;
+                if !benchmark.workload_names().contains(&task.workload) {
+                    return Err(CoreError::UnknownWorkload {
+                        benchmark: benchmark.short_name().to_owned(),
+                        workload: task.workload.clone(),
+                    });
+                }
+                Ok(Task {
+                    benchmark,
+                    workload: task.workload.clone(),
+                    request: task.request.clone(),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.execute(&tasks, WorkerMode::Resilient))
+    }
+
+    /// Runs every workload of `benchmarks` through the executor in
+    /// `mode` and groups the runs by benchmark.
+    fn sweep<'a>(
+        &'a self,
+        benchmarks: impl IntoIterator<Item = &'a dyn Benchmark>,
+        mode: WorkerMode,
+    ) -> Vec<(ResilientCharacterization, Vec<RunMetrics>)> {
+        let tasks: Vec<Task<'_>> = benchmarks
+            .into_iter()
+            .flat_map(|benchmark| {
+                benchmark
+                    .workload_names()
+                    .into_iter()
+                    .map(move |workload| Task {
+                        benchmark,
+                        workload,
+                        request: None,
+                    })
+            })
+            .collect();
+        group_by_benchmark(self.execute(&tasks, mode))
+    }
+
+    /// The sweep executor every entry point funnels through: runs
+    /// `tasks` under this suite's execution policy in `mode` and returns
+    /// one [`TaskRun`] per task, in input order. Every run resolves to a
+    /// status — a failure never stops the queue.
+    fn execute(&self, tasks: &[Task<'_>], mode: WorkerMode) -> Vec<TaskRun> {
+        if matches!(self.exec, ExecPolicy::Processes { .. }) {
+            // Workers rebuild and corrupt their own benchmark sets; the
+            // supervisor only needs the stored set for task names.
+            return run_process_tasks(
+                tasks,
+                self.worker_config(mode),
+                self.exec.jobs(),
+                &self.process,
+            );
+        }
+        // Corruption mutates workloads, so it runs on a rebuilt suite —
+        // the stored benchmarks stay pristine for later strict runs.
+        let rebuilt = match mode {
+            WorkerMode::Resilient => self.malformed_benchmarks(),
+            WorkerMode::Strict => None,
+        };
+        let runs = run_indexed_metered(self.exec, tasks, |_, task| {
+            let benchmark = match &rebuilt {
+                Some(set) => find(set, task.benchmark.name()).expect("rebuilt suites are complete"),
+                None => task.benchmark,
+            };
+            self.guarded_run(benchmark, &task.workload, mode)
+        });
+        runs.into_iter()
+            .zip(tasks)
+            .map(|(((status, run), mut metrics), task)| {
+                (metrics.retries, metrics.budget_consumed) =
+                    run_accounting(&status, run.as_ref(), mode);
+                TaskRun {
+                    spec_id: task.benchmark.name().to_owned(),
+                    short_name: task.benchmark.short_name().to_owned(),
+                    workload: task.workload.clone(),
+                    status,
+                    run,
+                    metrics,
+                    request: task.request.clone(),
+                }
+            })
+            .collect()
     }
 
     /// When the fault plan corrupts stored workloads, rebuilds the suite
     /// and applies the corruption; otherwise `None` — the pristine
     /// stored benchmarks can be shared as-is.
-    pub(crate) fn malformed_benchmarks(&self) -> Option<Vec<Box<dyn Benchmark>>> {
+    fn malformed_benchmarks(&self) -> Option<Vec<Box<dyn Benchmark>>> {
         self.faults
             .faults()
             .iter()
@@ -536,243 +530,41 @@ impl Suite {
             })
     }
 
-    /// Fans every `(benchmark, workload)` pair of `benchmarks` out under
-    /// the execution policy and reassembles per-benchmark resilient
-    /// characterizations in input order. Workers never poison the queue:
-    /// each run is wrapped in a panic guard, and an unwind that somehow
-    /// escapes the per-run guard in [`run_workload`] still becomes a
-    /// [`RunStatus::Failed`] for that run alone.
-    fn characterize_resilient_set(
-        &self,
-        benchmarks: &[Box<dyn Benchmark>],
-    ) -> Vec<(ResilientCharacterization, Vec<RunMetrics>)> {
-        if matches!(self.exec, ExecPolicy::Processes { .. }) {
-            let outcomes = run_process_sweep(
-                benchmarks,
-                self.worker_config(WorkerMode::Resilient),
-                self.exec.jobs(),
-                &self.process,
-            );
-            let mut results = outcomes.into_iter();
-            let mut out = Vec::with_capacity(benchmarks.len());
-            for benchmark in benchmarks {
-                let mut statuses = Vec::new();
-                let mut survivors = Vec::new();
-                let mut metrics = Vec::new();
-                for workload in benchmark.workload_names() {
-                    let outcome = results.next().expect("one outcome per task");
-                    metrics.push(outcome.metrics);
-                    survivors.extend(outcome.run);
-                    statuses.push(RunReport {
-                        workload,
-                        status: outcome.status,
-                    });
-                }
-                out.push((
-                    ResilientCharacterization {
-                        spec_id: benchmark.name().to_owned(),
-                        short_name: benchmark.short_name().to_owned(),
-                        statuses,
-                        characterization: summarize(
-                            benchmark.name(),
-                            benchmark.short_name(),
-                            survivors,
-                        ),
-                    },
-                    metrics,
-                ));
-            }
-            return out;
-        }
-        let tasks = run_pairs(benchmarks);
-        let mut results = run_indexed_metered(self.exec, &tasks, |_, (bench_index, workload)| {
-            let benchmark = benchmarks[*bench_index].as_ref();
-            catch_unwind(AssertUnwindSafe(|| self.resilient_run(benchmark, workload)))
-                .unwrap_or_else(|payload| {
-                    let status = RunStatus::Failed {
-                        error: BenchError::Panicked {
-                            benchmark: benchmark.name(),
-                            workload: workload.clone(),
-                            message: panic_message(payload.as_ref()),
-                        },
-                    };
-                    (status, None)
-                })
-        })
-        .into_iter();
-        let mut out = Vec::with_capacity(benchmarks.len());
-        for benchmark in benchmarks {
-            let mut statuses = Vec::new();
-            let mut survivors = Vec::new();
-            let mut metrics = Vec::new();
-            for workload in benchmark.workload_names() {
-                let ((status, run), mut m) = results.next().expect("one result per task");
-                (m.retries, m.budget_consumed) = run_accounting(&status, run.as_ref());
-                metrics.push(m);
-                survivors.extend(run);
-                statuses.push(RunReport { workload, status });
-            }
-            out.push((
-                ResilientCharacterization {
-                    spec_id: benchmark.name().to_owned(),
-                    short_name: benchmark.short_name().to_owned(),
-                    statuses,
-                    characterization: summarize(
-                        benchmark.name(),
-                        benchmark.short_name(),
-                        survivors,
-                    ),
-                },
-                metrics,
-            ));
-        }
-        out
-    }
-
-    /// Executes an explicit list of `(benchmark, workload)` tasks —
-    /// names resolved like [`Suite::benchmark`] — under this suite's
-    /// execution policy and returns one [`TaskRun`] per task, in input
-    /// order. The runs go through the resilient pipeline (guarded,
-    /// fault-plan-aware, retry-on-retryable), so per-run failures are
-    /// reported in the returned statuses, never as an error. This is
-    /// the entry the characterization service uses to execute an
-    /// arbitrary subset of the suite's runs; because each task depends
-    /// only on its inputs, the results are bit-identical across
-    /// execution policies and across any partitioning of the list.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownBenchmark`] or [`CoreError::UnknownWorkload`]
-    /// when a task names something the suite does not have — resolution
-    /// happens up front, before anything executes.
-    pub fn characterize_tasks_metered(
-        &self,
-        tasks: &[(String, String)],
-    ) -> Result<Vec<TaskRun>, CoreError> {
-        let labeled: Vec<LabeledTask> = tasks
-            .iter()
-            .map(|(benchmark, workload)| LabeledTask {
-                benchmark: benchmark.clone(),
-                workload: workload.clone(),
-                request: None,
-            })
-            .collect();
-        self.characterize_tasks_labeled(&labeled)
-    }
-
-    /// [`Suite::characterize_tasks_metered`] with request labels: each
-    /// task may carry the label of the service request that asked for
-    /// it, and the returned [`TaskRun`]s echo the label as it came back
-    /// through the execution layer — for [`ExecPolicy::Processes`],
-    /// across the worker pipe. Labels never influence execution, only
-    /// attribution.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownBenchmark`] or [`CoreError::UnknownWorkload`]
-    /// when a task names something the suite does not have — resolution
-    /// happens up front, before anything executes.
-    pub fn characterize_tasks_labeled(
-        &self,
-        tasks: &[LabeledTask],
-    ) -> Result<Vec<TaskRun>, CoreError> {
-        let rebuilt = self.malformed_benchmarks();
-        let benchmarks = rebuilt.as_deref().unwrap_or(&self.benchmarks);
-        let mut resolved: Vec<&dyn Benchmark> = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let name = &task.benchmark;
-            let benchmark = benchmarks
-                .iter()
-                .find(|b| b.short_name() == name || b.name() == name)
-                .ok_or_else(|| CoreError::UnknownBenchmark { name: name.clone() })?
-                .as_ref();
-            if !benchmark.workload_names().contains(&task.workload) {
-                return Err(CoreError::UnknownWorkload {
-                    benchmark: benchmark.short_name().to_owned(),
-                    workload: task.workload.clone(),
-                });
-            }
-            resolved.push(benchmark);
-        }
-        if matches!(self.exec, ExecPolicy::Processes { .. }) {
-            let process_tasks: Vec<ProcessTask<'_>> = resolved
-                .iter()
-                .zip(tasks)
-                .map(|(b, task)| ProcessTask {
-                    benchmark: *b,
-                    workload: task.workload.clone(),
-                    request: task.request.clone(),
-                })
-                .collect();
-            let outcomes = run_process_tasks(
-                &process_tasks,
-                self.worker_config(WorkerMode::Resilient),
-                self.exec.jobs(),
-                &self.process,
-            );
-            return Ok(resolved
-                .iter()
-                .zip(tasks)
-                .zip(outcomes)
-                .map(|((b, task), outcome)| TaskRun {
-                    spec_id: b.name().to_owned(),
-                    short_name: b.short_name().to_owned(),
-                    workload: task.workload.clone(),
-                    status: outcome.status,
-                    run: outcome.run,
-                    metrics: outcome.metrics,
-                    request: outcome.request,
-                })
-                .collect());
-        }
-        let indices: Vec<usize> = (0..tasks.len()).collect();
-        let results = run_indexed_metered(self.exec, &indices, |_, &i| {
-            let benchmark = resolved[i];
-            let workload = &tasks[i].workload;
-            catch_unwind(AssertUnwindSafe(|| self.resilient_run(benchmark, workload)))
-                .unwrap_or_else(|payload| {
-                    let status = RunStatus::Failed {
-                        error: BenchError::Panicked {
-                            benchmark: benchmark.name(),
-                            workload: workload.clone(),
-                            message: panic_message(payload.as_ref()),
-                        },
-                    };
-                    (status, None)
-                })
-        });
-        Ok(results
-            .into_iter()
-            .enumerate()
-            .map(|(i, ((status, run), mut m))| {
-                (m.retries, m.budget_consumed) = run_accounting(&status, run.as_ref());
-                TaskRun {
-                    spec_id: resolved[i].name().to_owned(),
-                    short_name: resolved[i].short_name().to_owned(),
-                    workload: tasks[i].workload.clone(),
-                    status,
-                    run,
-                    metrics: m,
-                    request: tasks[i].request.clone(),
-                }
-            })
-            .collect())
-    }
-
-    /// One strict workload run under this suite's measurement
-    /// configuration — the unit a strict process worker executes.
-    pub(crate) fn strict_run(
+    /// One workload run in `mode` — the per-run unit of both the
+    /// in-process executor and the process worker. A strict run measures
+    /// under this suite's configuration and any failure is final; a
+    /// resilient run applies the fault plan and retries retryable
+    /// failures. A panic that escapes the per-run guard fails this run
+    /// alone.
+    pub(crate) fn guarded_run(
         &self,
         benchmark: &dyn Benchmark,
         workload: &str,
-    ) -> Result<WorkloadRun, BenchError> {
-        run_workload_with(
-            benchmark,
-            workload,
-            &self.model,
-            self.sampling,
-            &self.policy,
-        )
+        mode: WorkerMode,
+    ) -> (RunStatus, Option<WorkloadRun>) {
+        catch_unwind(AssertUnwindSafe(|| match mode {
+            WorkerMode::Strict => {
+                match run_workload_with(
+                    benchmark,
+                    workload,
+                    &self.model,
+                    self.sampling,
+                    &self.policy,
+                ) {
+                    Ok(run) => (RunStatus::Ok, Some(run)),
+                    Err(error) => (RunStatus::Failed { error }, None),
+                }
+            }
+            WorkerMode::Resilient => self.resilient_run(benchmark, workload),
+        }))
+        .unwrap_or_else(|payload| {
+            let error = BenchError::Panicked {
+                benchmark: benchmark.name(),
+                workload: workload.to_owned(),
+                message: panic_message(payload.as_ref()),
+            };
+            (RunStatus::Failed { error }, None)
+        })
     }
 
     /// The worker-side configuration describing this suite's runs — what
@@ -796,7 +588,7 @@ impl Suite {
     /// One workload's resilient run: apply any planned per-run fault,
     /// run, and retry retryable failures once at reduced scale. Returns
     /// the run's fate and, for survivors, its measurements.
-    pub(crate) fn resilient_run(
+    fn resilient_run(
         &self,
         benchmark: &dyn Benchmark,
         workload: &str,
@@ -969,15 +761,29 @@ impl fmt::Debug for Suite {
     }
 }
 
+/// Looks a benchmark up in `set` by short name or SPEC id.
+fn find<'a>(set: &'a [Box<dyn Benchmark>], name: &str) -> Option<&'a dyn Benchmark> {
+    set.iter()
+        .map(|b| b.as_ref())
+        .find(|b| b.short_name() == name || b.name() == name)
+}
+
 /// Fills the deterministic accounting fields of a run's [`RunMetrics`]
 /// from its fate: retry attempts made, and the retired-op budget the run
-/// consumed. A `Failed` run with a retryable error *was* retried (the
-/// retry just failed too), so it counts one retry.
-pub(crate) fn run_accounting(status: &RunStatus, run: Option<&WorkloadRun>) -> (u32, u64) {
+/// consumed. Only the resilient pipeline retries: there a `Failed` run
+/// with a retryable error *was* retried (the retry just failed too), so
+/// it counts one retry.
+pub(crate) fn run_accounting(
+    status: &RunStatus,
+    run: Option<&WorkloadRun>,
+    mode: WorkerMode,
+) -> (u32, u64) {
     let retries = match status {
         RunStatus::Ok => 0,
         RunStatus::Degraded { .. } => 1,
-        RunStatus::Failed { error } => u32::from(error.is_retryable()),
+        RunStatus::Failed { error } => {
+            u32::from(mode == WorkerMode::Resilient && error.is_retryable())
+        }
     };
     let consumed = run.map(|r| r.report.retired_ops).unwrap_or_else(|| {
         match status.error() {
@@ -989,26 +795,60 @@ pub(crate) fn run_accounting(status: &RunStatus, run: Option<&WorkloadRun>) -> (
     (retries, consumed)
 }
 
-/// Converts a strict process-sweep outcome into the strict pipeline's
-/// `Result`: `Failed` (the only non-`Ok` fate a strict worker reports)
-/// becomes the run's error.
-fn strict_outcome(outcome: TaskOutcome) -> Result<WorkloadRun, CoreError> {
-    match outcome.status {
-        RunStatus::Failed { error } => Err(CoreError::Run(error)),
-        RunStatus::Ok | RunStatus::Degraded { .. } => Ok(outcome
-            .run
-            .expect("surviving strict runs carry measurements")),
+/// Groups executed tasks by benchmark, in task order: each run of
+/// consecutive tasks of one benchmark becomes one resilient
+/// characterization — statuses and metrics aligned with the tasks, the
+/// summary computed over the survivors.
+fn group_by_benchmark(runs: Vec<TaskRun>) -> Vec<(ResilientCharacterization, Vec<RunMetrics>)> {
+    let mut groups: Vec<(ResilientCharacterization, Vec<RunMetrics>, Vec<WorkloadRun>)> =
+        Vec::new();
+    for task in runs {
+        let open = groups.last().map(|(group, ..)| group.spec_id.as_str());
+        if open != Some(task.spec_id.as_str()) {
+            let group = ResilientCharacterization {
+                spec_id: task.spec_id,
+                short_name: task.short_name,
+                statuses: Vec::new(),
+                characterization: None,
+            };
+            groups.push((group, Vec::new(), Vec::new()));
+        }
+        let (group, metrics, survivors) = groups.last_mut().expect("a group is open");
+        group.statuses.push(RunReport {
+            workload: task.workload,
+            status: task.status,
+        });
+        metrics.push(task.metrics);
+        survivors.extend(task.run);
     }
+    groups
+        .into_iter()
+        .map(|(mut group, metrics, survivors)| {
+            group.characterization = summarize_runs(&group.spec_id, &group.short_name, survivors);
+            (group, metrics)
+        })
+        .collect()
 }
 
-/// Flattens a benchmark set into its `(benchmark index, workload)` run
-/// pairs in canonical order — the unit of work the execution layer
-/// schedules.
-fn run_pairs(benchmarks: &[Box<dyn Benchmark>]) -> Vec<(usize, String)> {
-    benchmarks
-        .iter()
-        .enumerate()
-        .flat_map(|(index, b)| b.workload_names().into_iter().map(move |w| (index, w)))
+/// The strict pipeline's view of a grouped sweep: every run must
+/// survive, and the first `Failed` run in canonical order becomes the
+/// error.
+fn strict(
+    groups: Vec<(ResilientCharacterization, Vec<RunMetrics>)>,
+) -> Result<Vec<(Characterization, Vec<RunMetrics>)>, CoreError> {
+    groups
+        .into_iter()
+        .map(|(group, metrics)| {
+            for report in group.statuses {
+                if let RunStatus::Failed { error } = report.status {
+                    return Err(CoreError::Run(error));
+                }
+            }
+            let characterization = group
+                .characterization
+                .expect("benchmarks have at least one workload");
+            Ok((characterization, metrics))
+        })
         .collect()
 }
 

@@ -12,7 +12,7 @@
 
 use alberta_core::{
     BenchError, Characterization, ExecPolicy, FaultKind, FaultPlan, ProcessConfig, RunStatus,
-    Scale, Suite,
+    SampleConfig, Scale, Suite,
 };
 
 /// Supervisor tuning for the chaos tests: hang detection and redispatch
@@ -254,6 +254,87 @@ fn single_shot_crash_accounting_is_exact() {
     }
 }
 
+/// A failing strict sweep reports the same error under every policy:
+/// the first failure in canonical order, after the whole queue drained.
+/// A 1M-op work budget fits every gcc run but trips mcf's refrate run
+/// first (and 87 of the suite's 216 runs in all).
+fn failing_strict_sweep_errs_identically_under_every_policy() {
+    let errors: Vec<String> = [
+        ExecPolicy::serial(),
+        ExecPolicy::with_jobs(4),
+        ExecPolicy::processes_with_jobs(2),
+    ]
+    .into_iter()
+    .map(|policy| {
+        Suite::new(Scale::Test)
+            .with_exec(policy)
+            .with_process_config(fast_failover())
+            .with_sampling(SampleConfig::default().with_work_budget(1_000_000))
+            .characterize_all_metered()
+            .expect_err("the work budget trips the strict sweep")
+            .to_string()
+    })
+    .collect();
+    assert!(
+        errors[0].contains("mcf") && errors[0].contains("refrate"),
+        "the first failure in canonical order is mcf/refrate: {}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1], "threads diverged from serial");
+    assert_eq!(errors[0], errors[2], "processes diverged from serial");
+}
+
+/// A status as reports render it: kind, error text, and retry scale.
+fn rendered(status: &RunStatus) -> (&'static str, Option<String>, Option<Scale>) {
+    match status {
+        RunStatus::Ok => ("ok", None, None),
+        RunStatus::Degraded { error, retried_at } => {
+            ("degraded", Some(error.to_string()), Some(*retried_at))
+        }
+        RunStatus::Failed { error } => ("failed", Some(error.to_string()), None),
+    }
+}
+
+/// The in-process fault kinds — malformed workloads, budget
+/// exhaustion, corrupt events, panics — behave the same inside process
+/// workers as in a serial sweep: the same status, error text, and retry
+/// scale per run, and bit-identical survivor summaries.
+fn in_process_faults_match_serial_under_processes() {
+    let plan = Suite::new(Scale::Test).scattered_faults(0xBEEF, 6);
+    let sweep = |policy| {
+        Suite::new(Scale::Test)
+            .with_exec(policy)
+            .with_process_config(fast_failover())
+            .with_faults(plan.clone())
+            .characterize_all_resilient()
+    };
+    let serial = sweep(ExecPolicy::serial());
+    let process = sweep(ExecPolicy::processes_with_jobs(2));
+    assert_eq!(serial.len(), process.len());
+    let mut incidents = 0;
+    for (s, p) in serial.iter().zip(&process) {
+        assert_eq!(s.statuses.len(), p.statuses.len(), "{}", s.short_name);
+        for (rs, rp) in s.statuses.iter().zip(&p.statuses) {
+            assert_eq!(rs.workload, rp.workload, "{}: run order", s.short_name);
+            assert_eq!(
+                rendered(&rs.status),
+                rendered(&rp.status),
+                "{}/{}: status diverged",
+                s.short_name,
+                rs.workload
+            );
+        }
+        match (&s.characterization, &p.characterization) {
+            (Some(cs), Some(cp)) => assert_bit_identical(cs, cp),
+            (None, None) => {}
+            _ => panic!("{}: survivor summaries diverged", s.short_name),
+        }
+        incidents += s.incidents().count();
+        assert_eq!(s.incidents().count(), p.incidents().count());
+    }
+    assert_eq!(incidents, 6, "every planned fault leaves an incident");
+}
+
 fn main() {
     // Worker-mode hook first: the sweeps below re-execute this binary
     // with the hidden worker flag.
@@ -275,6 +356,14 @@ fn main() {
         (
             "single_shot_crash_accounting_is_exact",
             single_shot_crash_accounting_is_exact,
+        ),
+        (
+            "failing_strict_sweep_errs_identically_under_every_policy",
+            failing_strict_sweep_errs_identically_under_every_policy,
+        ),
+        (
+            "in_process_faults_match_serial_under_processes",
+            in_process_faults_match_serial_under_processes,
         ),
     ];
     // libtest-style filtering so `cargo test --test process_exec NAME`

@@ -5,7 +5,7 @@
 //! request into per-workload cache keys, answers what it can from the
 //! content-addressed cache, places the misses onto the mock host pool
 //! with the deterministic work-stealing scheduler, executes each host's
-//! share through [`Suite::characterize_tasks_metered`], persists the
+//! share through [`Suite::characterize_tasks_labeled`], persists the
 //! results, and reassembles responses in canonical request order.
 //! Because every stage is deterministic given the batch contents, a
 //! response's bytes do not depend on which host computed it, whether it

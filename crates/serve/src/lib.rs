@@ -19,7 +19,7 @@
 //!   of cache misses over mock hosts;
 //! * [`engine`] — [`Engine`], batch resolution: cache pass, placement,
 //!   per-host execution through
-//!   [`Suite::characterize_tasks_metered`](alberta_core::Suite::characterize_tasks_metered),
+//!   [`Suite::characterize_tasks_labeled`](alberta_core::Suite::characterize_tasks_labeled),
 //!   and canonical-order reassembly;
 //! * [`wire`] — the line-delimited versioned message protocol;
 //! * [`daemon`] / [`client`] — the TCP daemon and its blocking client.
