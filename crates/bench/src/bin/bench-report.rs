@@ -38,14 +38,6 @@ use alberta_core::Suite;
 use alberta_report::SuiteReport;
 use std::path::PathBuf;
 
-fn scale_name(scale: alberta_workloads::Scale) -> &'static str {
-    match scale {
-        alberta_workloads::Scale::Test => "test",
-        alberta_workloads::Scale::Train => "train",
-        alberta_workloads::Scale::Ref => "ref",
-    }
-}
-
 fn main() {
     // Under --exec processes the supervisor re-executes this binary in
     // a hidden worker mode; that must be intercepted before any
@@ -55,7 +47,7 @@ fn main() {
     let exec = exec_from_args();
     let out = value_from_args("--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", scale_name(scale))));
+        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", scale.name())));
 
     let suite = Suite::new(scale)
         .with_exec(exec)
@@ -93,7 +85,7 @@ fn main() {
     println!(
         "bench-report: {benchmarks} benchmarks, {survived}/{attempted} runs ok \
          ({} scale) -> {}",
-        scale_name(scale),
+        scale.name(),
         out.display()
     );
     if survived < attempted {

@@ -32,14 +32,6 @@ use alberta_core::Suite;
 use alberta_report::{render_trace, SuiteReport, TraceMode, DEFAULT_LANES};
 use std::path::{Path, PathBuf};
 
-fn scale_name(scale: alberta_workloads::Scale) -> &'static str {
-    match scale {
-        alberta_workloads::Scale::Test => "test",
-        alberta_workloads::Scale::Train => "train",
-        alberta_workloads::Scale::Ref => "ref",
-    }
-}
-
 /// Parses a `--flag N` positive integer, with a default.
 fn count_arg(flag: &str, default: usize) -> usize {
     match value_from_args(flag) {
@@ -70,7 +62,7 @@ fn main() {
     let telemetry = flag_from_args("--telemetry");
     let out_dir = value_from_args("--out-dir")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("trace-{}", scale_name(scale))));
+        .unwrap_or_else(|| PathBuf::from(format!("trace-{}", scale.name())));
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("bench-trace: {}: {e}", out_dir.display());
         std::process::exit(1);
@@ -131,7 +123,7 @@ fn main() {
     println!(
         "bench-trace: {survived}/{attempted} runs ok ({} scale), {folded} folded stacks, \
          top-{top_k} hot paths -> {}",
-        scale_name(scale),
+        scale.name(),
         out_dir.display()
     );
     if survived < attempted {

@@ -40,14 +40,6 @@ use alberta_report::{BenchmarkReport, LatencyReport, StormReport, SuiteReport, S
 use alberta_serve::{Client, GroupInfo, RequestSpec, ResponseCounts};
 use alberta_workloads::Scale;
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
-}
-
 fn parsed_flag(flag: &str, default: u64) -> u64 {
     match value_from_args(flag) {
         None => default,
@@ -136,7 +128,7 @@ fn main() {
     let seed = parsed_flag("--seed", 42);
     let out = value_from_args("--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("STORM_{}.json", scale_name(scale))));
+        .unwrap_or_else(|| PathBuf::from(format!("STORM_{}.json", scale.name())));
 
     // The seeded mix: workload-level requests drawn from every
     // (benchmark, workload) pair at this scale with a deterministic
@@ -326,7 +318,7 @@ fn sweep(addr: &str, scale: Scale) -> Result<SuiteReport, String> {
             let body = r
                 .result
                 .map_err(|e| format!("benchmark request failed: {e}"))?;
-            BenchmarkReport::from_value(&body).map_err(|e| e.to_string())
+            BenchmarkReport::from_value(&body)
         })
         .collect::<Result<_, String>>()?;
     Ok(SuiteReport::from_parts(scale, benchmarks))

@@ -33,14 +33,6 @@ use alberta_report::SuiteReport;
 use alberta_uarch::PredictorKind;
 use std::path::PathBuf;
 
-fn scale_name(scale: alberta_workloads::Scale) -> &'static str {
-    match scale {
-        alberta_workloads::Scale::Test => "test",
-        alberta_workloads::Scale::Train => "train",
-        alberta_workloads::Scale::Ref => "ref",
-    }
-}
-
 /// The value of a numeric geometry flag, when present.
 fn geometry_value(flag: &str) -> Option<u64> {
     value_from_args(flag).map(|value| match value.parse::<u64>() {
@@ -86,7 +78,7 @@ fn main() {
     let machine = machine_from_args();
     let out = value_from_args("--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("MEM_{}.json", scale_name(scale))));
+        .unwrap_or_else(|| PathBuf::from(format!("MEM_{}.json", scale.name())));
 
     let suite = Suite::new(scale)
         .with_exec(exec)
@@ -119,7 +111,7 @@ fn main() {
     let survived = document.rows.len();
     println!(
         "\ntable-mem: {survived}/{attempted} runs ok ({} scale) -> {}",
-        scale_name(scale),
+        scale.name(),
         out.display()
     );
     if survived < attempted {

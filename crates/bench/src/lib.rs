@@ -107,14 +107,13 @@ pub fn value_from_args(flag: &str) -> Option<String> {
 /// completes in seconds. An unrecognized scale terminates with an error
 /// listing the valid scales — never a silent fall-back to test scale.
 pub fn scale_from_args() -> Scale {
-    match positional_args().first().map(String::as_str) {
+    match positional_args().first() {
         None => Scale::Test,
-        Some("test") => Scale::Test,
-        Some("train") => Scale::Train,
-        Some("ref") => Scale::Ref,
-        Some(other) => usage_error(&format!(
-            "unknown scale {other:?}; valid scales are: test, train, ref"
-        )),
+        Some(name) => Scale::from_name(name).unwrap_or_else(|| {
+            usage_error(&format!(
+                "unknown scale {name:?}; valid scales are: test, train, ref"
+            ))
+        }),
     }
 }
 

@@ -333,7 +333,7 @@ pub fn compress(data: &[u8], dict_bytes: usize, profiler: &mut Profiler) -> Vec<
     out
 }
 
-/// Decompresses a stream produced by [`compress`].
+/// Decompresses a stream produced by [`compress()`].
 ///
 /// # Errors
 ///

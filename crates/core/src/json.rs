@@ -14,13 +14,21 @@
 //! * [`Value::render_compact`] — the same document on a single line,
 //!   used for the line-delimited supervisor/worker pipe protocol;
 //! * [`parse`] — a strict recursive-descent parser reporting byte
-//!   offsets on malformed input.
+//!   offsets on malformed input. It runs in time linear in the input and
+//!   rejects nesting deeper than 128 levels, so a hostile line on a pipe
+//!   or socket cannot exhaust the stack;
+//! * [`req`], [`opt`] and [`nullable`] — the one set of typed field
+//!   readers every canonical-JSON decoder in the workspace uses. The
+//!   field's type comes from the caller through `TryFrom<&Value>`, which
+//!   this module implements for the scalar, string, array, object and
+//!   [`Scale`] shapes the documents carry.
 //!
 //! Integers and floats are kept distinct: `u64` quantities (checksums,
 //! retired-op counts) do not round-trip through `f64`, which would lose
 //! precision above 2^53.
 
-use std::fmt::Write as _;
+use alberta_workloads::Scale;
+use std::fmt::{self, Write as _};
 
 /// An order-preserving JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,16 +276,18 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with the byte offset of the first problem.
+/// Returns a [`ParseError`] with the byte offset of the first problem,
+/// including arrays and objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     p.skip_whitespace();
     let value = p.value()?;
     p.skip_whitespace();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.error("trailing characters after the document"));
     }
     Ok(value)
@@ -300,9 +310,163 @@ pub fn fingerprint(bytes: &[u8]) -> String {
     format!("{hash:032x}")
 }
 
+/// A decode failure: plain text naming the field at fault. A supervisor
+/// logs it and redispatches; a document parser wraps it in its own
+/// error type.
+pub type DecodeError = String;
+
+/// Reads the required field `key` of an object as a `T`.
+///
+/// # Errors
+///
+/// A [`DecodeError`] naming `key` when the field is absent or is not a
+/// `T`.
+pub fn req<'v, T>(value: &'v Value, key: &str) -> Result<T, DecodeError>
+where
+    T: TryFrom<&'v Value>,
+    T::Error: fmt::Display,
+{
+    let field = value
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?;
+    convert(field, key)
+}
+
+/// Reads the optional field `key`: an absent field is `None`, a present
+/// one (`null` included) must be a `T`. Reports omit optional fields.
+///
+/// # Errors
+///
+/// A [`DecodeError`] naming `key` when the field is present but is not
+/// a `T`.
+pub fn opt<'v, T>(value: &'v Value, key: &str) -> Result<Option<T>, DecodeError>
+where
+    T: TryFrom<&'v Value>,
+    T::Error: fmt::Display,
+{
+    value.get(key).map(|field| convert(field, key)).transpose()
+}
+
+/// Reads the nullable field `key`: the field must be present, and
+/// `null` is `None`. The worker pipe writes absent values as `null`.
+///
+/// # Errors
+///
+/// A [`DecodeError`] naming `key` when the field is absent, or is
+/// neither `null` nor a `T`.
+pub fn nullable<'v, T>(value: &'v Value, key: &str) -> Result<Option<T>, DecodeError>
+where
+    T: TryFrom<&'v Value>,
+    T::Error: fmt::Display,
+{
+    match req::<&Value>(value, key)? {
+        Value::Null => Ok(None),
+        field => convert(field, key).map(Some),
+    }
+}
+
+fn convert<'v, T>(field: &'v Value, key: &str) -> Result<T, DecodeError>
+where
+    T: TryFrom<&'v Value>,
+    T::Error: fmt::Display,
+{
+    T::try_from(field).map_err(|expected| format!("field {key:?} must be {expected}"))
+}
+
+// The conversions behind the readers. Each error names the expected
+// shape, which the readers prefix with the field name.
+
+impl TryFrom<&Value> for u64 {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        value.as_u64().ok_or("an unsigned integer")
+    }
+}
+
+impl TryFrom<&Value> for u32 {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        value
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or("an unsigned 32-bit integer")
+    }
+}
+
+impl TryFrom<&Value> for usize {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        value
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("an unsigned integer within usize")
+    }
+}
+
+impl TryFrom<&Value> for f64 {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        value.as_f64().ok_or("a number")
+    }
+}
+
+impl TryFrom<&Value> for bool {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        match value {
+            Value::Bool(b) => Ok(*b),
+            _ => Err("a boolean"),
+        }
+    }
+}
+
+impl<'v> TryFrom<&'v Value> for &'v str {
+    type Error = &'static str;
+    fn try_from(value: &'v Value) -> Result<Self, Self::Error> {
+        value.as_str().ok_or("a string")
+    }
+}
+
+impl TryFrom<&Value> for String {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        value.as_str().map(str::to_owned).ok_or("a string")
+    }
+}
+
+impl<'v> TryFrom<&'v Value> for &'v [Value] {
+    type Error = &'static str;
+    fn try_from(value: &'v Value) -> Result<Self, Self::Error> {
+        value.as_array().ok_or("an array")
+    }
+}
+
+impl<'v> TryFrom<&'v Value> for &'v [(String, Value)] {
+    type Error = &'static str;
+    fn try_from(value: &'v Value) -> Result<Self, Self::Error> {
+        value.as_object().ok_or("an object")
+    }
+}
+
+impl TryFrom<&Value> for Scale {
+    type Error = &'static str;
+    fn try_from(value: &Value) -> Result<Self, Self::Error> {
+        value
+            .as_str()
+            .and_then(Scale::from_name)
+            .ok_or("one of test, train, ref")
+    }
+}
+
+/// Containers nested deeper than this are rejected: the parser recurses
+/// once per level. The deepest document the workspace emits, a sweep
+/// report, nests nine levels, and a wire message wraps it in one more.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -314,7 +478,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -333,7 +497,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -343,8 +507,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -454,13 +629,15 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar (input is &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = text.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next byte that needs a look
+                    // of its own. Those bytes are all ASCII, so `pos`
+                    // stays on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .find(|c: char| c == '"' || c == '\\' || c < '\u{20}')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -497,7 +674,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = &self.text[start..self.pos];
         if !saw_fraction_or_exponent && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::UInt(n));
@@ -567,6 +744,38 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\": 1, \"a\": 2}").is_err(), "duplicate keys");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn readers_distinguish_absent_null_and_mistyped() {
+        let doc = parse(r#"{"n": 7, "z": null, "s": "ref", "big": 4294967296}"#).unwrap();
+        assert_eq!(req::<u64>(&doc, "n"), Ok(7));
+        assert_eq!(req::<Scale>(&doc, "s"), Ok(Scale::Ref));
+        assert!(req::<u64>(&doc, "absent")
+            .unwrap_err()
+            .contains("\"absent\""));
+        assert!(req::<u32>(&doc, "big").unwrap_err().contains("\"big\""));
+        assert_eq!(opt::<u64>(&doc, "absent"), Ok(None));
+        assert!(
+            opt::<u64>(&doc, "z").is_err(),
+            "optional fields are omitted, never null"
+        );
+        assert_eq!(nullable::<u64>(&doc, "z"), Ok(None));
+        assert_eq!(nullable::<u64>(&doc, "n"), Ok(Some(7)));
+        assert!(
+            nullable::<u64>(&doc, "absent").is_err(),
+            "nullable fields are present"
+        );
     }
 
     #[test]

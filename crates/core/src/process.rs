@@ -14,7 +14,7 @@
 //!   through the guard, corrupted its own state) takes down one task
 //!   attempt, not the sweep;
 //! * **hang detection** — workers send heartbeats
-//!   ([`WorkerMsg::Beat`](crate::protocol::WorkerMsg::Beat)) while a
+//!   ([`WorkerMsg::Beat`]) while a
 //!   task is in flight; a busy worker that falls silent past the
 //!   heartbeat timeout is killed and its task redispatched;
 //! * **bounded recovery** — each task gets at most

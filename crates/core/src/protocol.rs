@@ -26,7 +26,7 @@
 
 use crate::characterize::{RunStatus, WorkloadRun};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::json::{self, Value};
+use crate::json::{self, nullable, opt, req, DecodeError, Value};
 use crate::log::{LogLevel, LogRecord};
 use crate::sampling::{PhaseSampling, SamplingPolicy, SamplingStats};
 use alberta_benchmarks::BenchError;
@@ -44,10 +44,6 @@ use std::sync::Mutex;
 /// binary, so a mismatch means the pipe is not speaking to a worker at
 /// all.
 pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Decode failures are plain text: the supervisor's only reaction is to
-/// log the text, kill the worker, and redispatch its task.
-pub type DecodeError = String;
 
 /// How the worker executes its tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,22 +237,8 @@ fn s(text: &str) -> Value {
     Value::Str(text.to_owned())
 }
 
-fn opt_u64(v: Option<u64>) -> Value {
+fn nullable_u64(v: Option<u64>) -> Value {
     v.map(Value::UInt).unwrap_or(Value::Null)
-}
-
-/// The canonical wire name of a scale (`test`, `train`, `ref`).
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
-}
-
-/// A scale as a canonical-JSON string value.
-pub fn scale_value(scale: Scale) -> Value {
-    s(scale_name(scale))
 }
 
 fn profiler_fault_value(fault: ProfilerFault) -> Value {
@@ -276,8 +258,8 @@ fn sample_config_value(c: &SampleConfig) -> Value {
         ("mem_interval", Value::UInt(c.mem_interval.into())),
         ("call_interval", Value::UInt(c.call_interval.into())),
         ("trace_capacity", Value::UInt(c.trace_capacity as u64)),
-        ("work_budget", opt_u64(c.work_budget)),
-        ("interval_work", opt_u64(c.interval_work)),
+        ("work_budget", nullable_u64(c.work_budget)),
+        ("interval_work", nullable_u64(c.interval_work)),
         (
             "fault",
             c.fault.map(profiler_fault_value).unwrap_or(Value::Null),
@@ -430,7 +412,10 @@ fn report_value(r: &TopDownReport) -> Value {
     ])
 }
 
-fn memory_profile_value(m: &MemoryProfile) -> Value {
+/// A run's memory-hierarchy characterization as its canonical object —
+/// the `memory` section of both the worker pipe's run codec and the
+/// report schema's measures.
+pub fn memory_profile_value(m: &MemoryProfile) -> Value {
     let curve = m
         .mpki_curve
         .iter()
@@ -453,6 +438,17 @@ fn memory_profile_value(m: &MemoryProfile) -> Value {
     ])
 }
 
+/// Method coverage (method name → percent of attributed work) as its
+/// canonical object, in method-name order.
+pub fn coverage_value(coverage: &BTreeMap<String, f64>) -> Value {
+    Value::Object(
+        coverage
+            .iter()
+            .map(|(method, pct)| (method.clone(), Value::Float(*pct)))
+            .collect(),
+    )
+}
+
 fn sampling_stats_value(st: &SamplingStats) -> Value {
     obj(vec![
         ("interval_work", Value::UInt(st.interval_work)),
@@ -467,11 +463,6 @@ fn sampling_stats_value(st: &SamplingStats) -> Value {
 /// codec is lossless (see the module docs), so a run decoded from this
 /// form summarizes bit-identically to the in-process original.
 pub fn run_value(run: &WorkloadRun) -> Value {
-    let coverage = run
-        .coverage
-        .iter()
-        .map(|(name, pct)| (name.clone(), Value::Float(*pct)))
-        .collect();
     let paths = run
         .paths
         .rows()
@@ -488,7 +479,7 @@ pub fn run_value(run: &WorkloadRun) -> Value {
     obj(vec![
         ("workload", s(&run.workload)),
         ("report", report_value(&run.report)),
-        ("coverage", Value::Object(coverage)),
+        ("coverage", coverage_value(&run.coverage)),
         ("paths", Value::Array(paths)),
         ("work", Value::UInt(run.work)),
         ("checksum", Value::UInt(run.checksum)),
@@ -514,7 +505,7 @@ pub fn status_value(status: &RemoteStatus) -> Value {
             ("kind", s("degraded")),
             ("error", s(error)),
             ("retryable", Value::Bool(*retryable)),
-            ("retried_at", scale_value(*retried_at)),
+            ("retried_at", s(retried_at.name())),
         ]),
         RemoteStatus::Failed { error, retryable } => obj(vec![
             ("kind", s("failed")),
@@ -546,13 +537,13 @@ impl SupervisorMsg {
                         WorkerMode::Resilient => "resilient",
                     }),
                 ),
-                ("scale", scale_value(c.scale)),
+                ("scale", s(c.scale.name())),
                 ("sampling", sample_config_value(&c.sampling)),
                 ("policy", sampling_policy_value(&c.policy)),
                 ("machine", machine_value(&c.machine)),
                 ("predictor", predictor_value(c.predictor)),
                 ("faults", fault_plan_value(&c.faults)),
-                ("deadline_work", opt_u64(c.deadline_work)),
+                ("deadline_work", nullable_u64(c.deadline_work)),
                 ("beat_ms", Value::UInt(c.beat_ms)),
             ]),
             SupervisorMsg::Task(t) => {
@@ -580,9 +571,9 @@ impl SupervisorMsg {
     /// A description of the first structural problem.
     pub fn decode(line: &str) -> Result<SupervisorMsg, DecodeError> {
         let value = json::parse(line).map_err(|e| e.to_string())?;
-        match req_str(&value, "type")? {
+        match req(&value, "type")? {
             "config" => {
-                let protocol = req_u64(&value, "protocol")?;
+                let protocol: u64 = req(&value, "protocol")?;
                 if protocol != PROTOCOL_VERSION {
                     return Err(format!(
                         "protocol mismatch: worker speaks {PROTOCOL_VERSION}, \
@@ -592,11 +583,11 @@ impl SupervisorMsg {
                 Ok(SupervisorMsg::Config(Box::new(decode_config(&value)?)))
             }
             "task" => Ok(SupervisorMsg::Task(TaskMsg {
-                id: req_u64(&value, "id")?,
-                benchmark: req_str(&value, "benchmark")?.to_owned(),
-                workload: req_str(&value, "workload")?.to_owned(),
-                attempt: req_u32(&value, "attempt")?,
-                request: opt_str_field(&value, "request")?,
+                id: req(&value, "id")?,
+                benchmark: req(&value, "benchmark")?,
+                workload: req(&value, "workload")?,
+                attempt: req(&value, "attempt")?,
+                request: opt(&value, "request")?,
             })),
             "shutdown" => Ok(SupervisorMsg::Shutdown),
             other => Err(format!("unknown supervisor message type {other:?}")),
@@ -642,29 +633,24 @@ impl WorkerMsg {
     /// A description of the first structural problem.
     pub fn decode(line: &str) -> Result<WorkerMsg, DecodeError> {
         let value = json::parse(line).map_err(|e| e.to_string())?;
-        match req_str(&value, "type")? {
+        match req(&value, "type")? {
             "hello" => Ok(WorkerMsg::Hello {
-                protocol: req_u64(&value, "protocol")?,
+                protocol: req(&value, "protocol")?,
             }),
             "beat" => Ok(WorkerMsg::Beat {
-                id: req_u64(&value, "id")?,
+                id: req(&value, "id")?,
             }),
             "result" => Ok(WorkerMsg::Result(Box::new(TaskResult {
-                id: req_u64(&value, "id")?,
-                status: decode_status(req_field(&value, "status")?)?,
-                run: match req_field(&value, "run")? {
-                    Value::Null => None,
-                    v => Some(decode_run(v)?),
-                },
-                retries: req_u32(&value, "retries")?,
-                budget_consumed: req_u64(&value, "budget_consumed")?,
-                logs: req_field(&value, "logs")?
-                    .as_array()
-                    .ok_or("logs must be an array")?
+                id: req(&value, "id")?,
+                status: decode_status(req(&value, "status")?)?,
+                run: nullable(&value, "run")?.map(decode_run).transpose()?,
+                retries: req(&value, "retries")?,
+                budget_consumed: req(&value, "budget_consumed")?,
+                logs: req::<&[Value]>(&value, "logs")?
                     .iter()
                     .map(decode_log_record)
                     .collect::<Result<_, _>>()?,
-                request: opt_str_field(&value, "request")?,
+                request: opt(&value, "request")?,
             }))),
             other => Err(format!("unknown worker message type {other:?}")),
         }
@@ -675,106 +661,28 @@ impl WorkerMsg {
 // Decoding
 // ---------------------------------------------------------------------
 
-fn req_field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, DecodeError> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, DecodeError> {
-    req_field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} must be a string"))
-}
-
-fn opt_str_field(value: &Value, key: &str) -> Result<Option<String>, DecodeError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_owned()))
-            .ok_or_else(|| format!("field {key:?} must be a string")),
-    }
-}
-
-fn req_u64(value: &Value, key: &str) -> Result<u64, DecodeError> {
-    req_field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} must be an unsigned integer"))
-}
-
-fn req_u32(value: &Value, key: &str) -> Result<u32, DecodeError> {
-    u32::try_from(req_u64(value, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
-}
-
-fn req_usize(value: &Value, key: &str) -> Result<usize, DecodeError> {
-    usize::try_from(req_u64(value, key)?).map_err(|_| format!("field {key:?} exceeds usize"))
-}
-
-fn req_f64(value: &Value, key: &str) -> Result<f64, DecodeError> {
-    req_field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} must be a number"))
-}
-
-fn req_bool(value: &Value, key: &str) -> Result<bool, DecodeError> {
-    match req_field(value, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("field {key:?} must be a boolean")),
-    }
-}
-
-fn opt_u64_field(value: &Value, key: &str) -> Result<Option<u64>, DecodeError> {
-    match req_field(value, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} must be null or an unsigned integer")),
-    }
-}
-
-/// Parses a canonical scale name.
-///
-/// # Errors
-///
-/// An unknown name is described in the returned text.
-pub fn decode_scale(name: &str) -> Result<Scale, DecodeError> {
-    match name {
-        "test" => Ok(Scale::Test),
-        "train" => Ok(Scale::Train),
-        "ref" => Ok(Scale::Ref),
-        other => Err(format!("unknown scale {other:?}")),
-    }
-}
-
 fn decode_profiler_fault(value: &Value) -> Result<ProfilerFault, DecodeError> {
-    match req_str(value, "kind")? {
-        "panic_at_event" => Ok(ProfilerFault::PanicAtEvent(req_u64(value, "at")?)),
+    match req(value, "kind")? {
+        "panic_at_event" => Ok(ProfilerFault::PanicAtEvent(req(value, "at")?)),
         "corrupt_events" => Ok(ProfilerFault::CorruptEvents {
-            at: req_u64(value, "at")?,
+            at: req(value, "at")?,
         }),
         other => Err(format!("unknown profiler fault kind {other:?}")),
     }
 }
 
 fn decode_sample_config(value: &Value) -> Result<SampleConfig, DecodeError> {
-    let mut config = SampleConfig {
-        branch_interval: req_u32(value, "branch_interval")?,
-        mem_interval: req_u32(value, "mem_interval")?,
-        call_interval: req_u32(value, "call_interval")?,
-        trace_capacity: req_usize(value, "trace_capacity")?,
-        work_budget: opt_u64_field(value, "work_budget")?,
-        interval_work: opt_u64_field(value, "interval_work")?,
-        fault: None,
-    };
-    if let Some(fault) = match req_field(value, "fault")? {
-        Value::Null => None,
-        v => Some(decode_profiler_fault(v)?),
-    } {
-        config.fault = Some(fault);
-    }
-    Ok(config)
+    Ok(SampleConfig {
+        branch_interval: req(value, "branch_interval")?,
+        mem_interval: req(value, "mem_interval")?,
+        call_interval: req(value, "call_interval")?,
+        trace_capacity: req(value, "trace_capacity")?,
+        work_budget: nullable(value, "work_budget")?,
+        interval_work: nullable(value, "interval_work")?,
+        fault: nullable(value, "fault")?
+            .map(decode_profiler_fault)
+            .transpose()?,
+    })
 }
 
 /// Parses a sampling policy from its canonical wire object.
@@ -783,12 +691,12 @@ fn decode_sample_config(value: &Value) -> Result<SampleConfig, DecodeError> {
 ///
 /// The first structural problem, as text.
 pub fn decode_sampling_policy(value: &Value) -> Result<SamplingPolicy, DecodeError> {
-    match req_str(value, "kind")? {
+    match req(value, "kind")? {
         "full" => Ok(SamplingPolicy::Full),
         "phase" => Ok(SamplingPolicy::Phase(PhaseSampling {
-            interval_work: req_u64(value, "interval_work")?,
-            k: req_usize(value, "k")?,
-            seed: req_u64(value, "seed")?,
+            interval_work: req(value, "interval_work")?,
+            k: req(value, "k")?,
+            seed: req(value, "seed")?,
         })),
         other => Err(format!("unknown sampling policy {other:?}")),
     }
@@ -796,9 +704,9 @@ pub fn decode_sampling_policy(value: &Value) -> Result<SamplingPolicy, DecodeErr
 
 fn decode_cache_config(value: &Value) -> Result<CacheConfig, DecodeError> {
     Ok(CacheConfig {
-        size_bytes: req_u64(value, "size_bytes")?,
-        line_bytes: req_u64(value, "line_bytes")?,
-        ways: req_u64(value, "ways")?,
+        size_bytes: req(value, "size_bytes")?,
+        line_bytes: req(value, "line_bytes")?,
+        ways: req(value, "ways")?,
     })
 }
 
@@ -809,34 +717,34 @@ fn decode_cache_config(value: &Value) -> Result<CacheConfig, DecodeError> {
 /// The first structural problem, as text.
 pub fn decode_machine(value: &Value) -> Result<MachineConfig, DecodeError> {
     Ok(MachineConfig {
-        issue_width: req_f64(value, "issue_width")?,
-        mispredict_penalty: req_f64(value, "mispredict_penalty")?,
-        l2_latency: req_f64(value, "l2_latency")?,
-        l3_latency: req_f64(value, "l3_latency")?,
-        memory_latency: req_f64(value, "memory_latency")?,
-        tlb_penalty: req_f64(value, "tlb_penalty")?,
-        icache_penalty: req_f64(value, "icache_penalty")?,
-        memory_parallelism: req_f64(value, "memory_parallelism")?,
-        uops_per_unit: req_f64(value, "uops_per_unit")?,
-        taken_branch_bubble: req_f64(value, "taken_branch_bubble")?,
-        baseline_frontend: req_f64(value, "baseline_frontend")?,
-        baseline_badspec: req_f64(value, "baseline_badspec")?,
-        baseline_backend: req_f64(value, "baseline_backend")?,
-        icache: decode_cache_config(req_field(value, "icache")?)?,
-        l1d: decode_cache_config(req_field(value, "l1d")?)?,
-        l2: decode_cache_config(req_field(value, "l2")?)?,
-        l3: decode_cache_config(req_field(value, "l3")?)?,
-        dtlb_entries: req_u64(value, "dtlb_entries")?,
-        dram: decode_dram_config(req_field(value, "dram")?)?,
-        fetch_probe_bytes: req_u64(value, "fetch_probe_bytes")?,
+        issue_width: req(value, "issue_width")?,
+        mispredict_penalty: req(value, "mispredict_penalty")?,
+        l2_latency: req(value, "l2_latency")?,
+        l3_latency: req(value, "l3_latency")?,
+        memory_latency: req(value, "memory_latency")?,
+        tlb_penalty: req(value, "tlb_penalty")?,
+        icache_penalty: req(value, "icache_penalty")?,
+        memory_parallelism: req(value, "memory_parallelism")?,
+        uops_per_unit: req(value, "uops_per_unit")?,
+        taken_branch_bubble: req(value, "taken_branch_bubble")?,
+        baseline_frontend: req(value, "baseline_frontend")?,
+        baseline_badspec: req(value, "baseline_badspec")?,
+        baseline_backend: req(value, "baseline_backend")?,
+        icache: decode_cache_config(req(value, "icache")?)?,
+        l1d: decode_cache_config(req(value, "l1d")?)?,
+        l2: decode_cache_config(req(value, "l2")?)?,
+        l3: decode_cache_config(req(value, "l3")?)?,
+        dtlb_entries: req(value, "dtlb_entries")?,
+        dram: decode_dram_config(req(value, "dram")?)?,
+        fetch_probe_bytes: req(value, "fetch_probe_bytes")?,
     })
 }
 
 fn decode_dram_config(value: &Value) -> Result<DramConfig, DecodeError> {
     Ok(DramConfig {
-        banks: req_u64(value, "banks")?,
-        row_bytes: req_u64(value, "row_bytes")?,
-        line_bytes: req_u64(value, "line_bytes")?,
+        banks: req(value, "banks")?,
+        row_bytes: req(value, "row_bytes")?,
+        line_bytes: req(value, "line_bytes")?,
     })
 }
 
@@ -846,55 +754,52 @@ fn decode_dram_config(value: &Value) -> Result<DramConfig, DecodeError> {
 ///
 /// The first structural problem, as text.
 pub fn decode_predictor(value: &Value) -> Result<PredictorKind, DecodeError> {
-    match req_str(value, "kind")? {
+    match req(value, "kind")? {
         "static-taken" => Ok(PredictorKind::StaticTaken),
         "bimodal" => Ok(PredictorKind::Bimodal {
-            bits: req_u32(value, "bits")?,
+            bits: req(value, "bits")?,
         }),
         "gshare" => Ok(PredictorKind::Gshare {
-            bits: req_u32(value, "bits")?,
+            bits: req(value, "bits")?,
         }),
         "tournament" => Ok(PredictorKind::Tournament {
-            bits: req_u32(value, "bits")?,
+            bits: req(value, "bits")?,
         }),
         other => Err(format!("unknown predictor kind {other:?}")),
     }
 }
 
 fn decode_fault_kind(value: &Value) -> Result<FaultKind, DecodeError> {
-    match req_str(value, "kind")? {
+    match req(value, "kind")? {
         "malformed_workload" => Ok(FaultKind::MalformedWorkload),
-        "panic_at_event" => Ok(FaultKind::PanicAtEvent(req_u64(value, "at")?)),
+        "panic_at_event" => Ok(FaultKind::PanicAtEvent(req(value, "at")?)),
         "exhaust_budget" => Ok(FaultKind::ExhaustBudget {
-            budget: req_u64(value, "budget")?,
+            budget: req(value, "budget")?,
         }),
         "corrupt_events" => Ok(FaultKind::CorruptEvents {
-            at: req_u64(value, "at")?,
+            at: req(value, "at")?,
         }),
         "worker_crash" => Ok(FaultKind::WorkerCrash {
-            attempts: req_u32(value, "attempts")?,
-            clean: req_bool(value, "clean")?,
+            attempts: req(value, "attempts")?,
+            clean: req(value, "clean")?,
         }),
         "worker_hang" => Ok(FaultKind::WorkerHang {
-            attempts: req_u32(value, "attempts")?,
+            attempts: req(value, "attempts")?,
         }),
         "result_corrupt" => Ok(FaultKind::ResultCorrupt {
-            attempts: req_u32(value, "attempts")?,
+            attempts: req(value, "attempts")?,
         }),
         other => Err(format!("unknown fault kind {other:?}")),
     }
 }
 
 fn decode_fault_plan(value: &Value) -> Result<FaultPlan, DecodeError> {
-    let mut plan = FaultPlan::new(req_u64(value, "seed")?);
-    for fault in req_field(value, "faults")?
-        .as_array()
-        .ok_or("faults must be an array")?
-    {
+    let mut plan = FaultPlan::new(req(value, "seed")?);
+    for fault in req::<&[Value]>(value, "faults")? {
         plan = plan.inject(
-            req_str(fault, "benchmark")?.to_owned(),
-            req_str(fault, "workload")?.to_owned(),
-            decode_fault_kind(req_field(fault, "kind")?)?,
+            req::<String>(fault, "benchmark")?,
+            req::<String>(fault, "workload")?,
+            decode_fault_kind(req(fault, "kind")?)?,
         );
     }
     Ok(plan)
@@ -902,19 +807,19 @@ fn decode_fault_plan(value: &Value) -> Result<FaultPlan, DecodeError> {
 
 fn decode_config(value: &Value) -> Result<WorkerConfig, DecodeError> {
     Ok(WorkerConfig {
-        mode: match req_str(value, "mode")? {
+        mode: match req(value, "mode")? {
             "strict" => WorkerMode::Strict,
             "resilient" => WorkerMode::Resilient,
             other => return Err(format!("unknown worker mode {other:?}")),
         },
-        scale: decode_scale(req_str(value, "scale")?)?,
-        sampling: decode_sample_config(req_field(value, "sampling")?)?,
-        policy: decode_sampling_policy(req_field(value, "policy")?)?,
-        machine: decode_machine(req_field(value, "machine")?)?,
-        predictor: decode_predictor(req_field(value, "predictor")?)?,
-        faults: decode_fault_plan(req_field(value, "faults")?)?,
-        deadline_work: opt_u64_field(value, "deadline_work")?,
-        beat_ms: req_u64(value, "beat_ms")?,
+        scale: req(value, "scale")?,
+        sampling: decode_sample_config(req(value, "sampling")?)?,
+        policy: decode_sampling_policy(req(value, "policy")?)?,
+        machine: decode_machine(req(value, "machine")?)?,
+        predictor: decode_predictor(req(value, "predictor")?)?,
+        faults: decode_fault_plan(req(value, "faults")?)?,
+        deadline_work: nullable(value, "deadline_work")?,
+        beat_ms: req(value, "beat_ms")?,
     })
 }
 
@@ -933,57 +838,61 @@ fn intern_predictor(name: &str) -> Result<&'static str, DecodeError> {
 fn decode_report(value: &Value) -> Result<TopDownReport, DecodeError> {
     Ok(TopDownReport {
         ratios: TopDownRatios {
-            front_end: req_f64(value, "front_end")?,
-            back_end: req_f64(value, "back_end")?,
-            bad_speculation: req_f64(value, "bad_speculation")?,
-            retiring: req_f64(value, "retiring")?,
+            front_end: req(value, "front_end")?,
+            back_end: req(value, "back_end")?,
+            bad_speculation: req(value, "bad_speculation")?,
+            retiring: req(value, "retiring")?,
         },
-        cycles: req_f64(value, "cycles")?,
-        retired_ops: req_u64(value, "retired_ops")?,
-        ipc: req_f64(value, "ipc")?,
-        mispredict_rate: req_f64(value, "mispredict_rate")?,
-        mispredicts_per_kops: req_f64(value, "mispredicts_per_kops")?,
-        l1d_miss_ratio: req_f64(value, "l1d_miss_ratio")?,
-        l2_miss_ratio: req_f64(value, "l2_miss_ratio")?,
-        l3_miss_ratio: req_f64(value, "l3_miss_ratio")?,
-        dtlb_miss_ratio: req_f64(value, "dtlb_miss_ratio")?,
-        icache_miss_ratio: req_f64(value, "icache_miss_ratio")?,
-        predictor: intern_predictor(req_str(value, "predictor")?)?,
-        memory: decode_memory_profile(req_field(value, "memory")?)?,
+        cycles: req(value, "cycles")?,
+        retired_ops: req(value, "retired_ops")?,
+        ipc: req(value, "ipc")?,
+        mispredict_rate: req(value, "mispredict_rate")?,
+        mispredicts_per_kops: req(value, "mispredicts_per_kops")?,
+        l1d_miss_ratio: req(value, "l1d_miss_ratio")?,
+        l2_miss_ratio: req(value, "l2_miss_ratio")?,
+        l3_miss_ratio: req(value, "l3_miss_ratio")?,
+        dtlb_miss_ratio: req(value, "dtlb_miss_ratio")?,
+        icache_miss_ratio: req(value, "icache_miss_ratio")?,
+        predictor: intern_predictor(req(value, "predictor")?)?,
+        memory: decode_memory_profile(req(value, "memory")?)?,
     })
 }
 
-fn decode_memory_profile(value: &Value) -> Result<MemoryProfile, DecodeError> {
-    let curve = req_field(value, "mpki_curve")?
-        .as_array()
-        .ok_or("mpki_curve must be an array")?
+/// Parses a memory-hierarchy characterization from its canonical
+/// object — the inverse of [`memory_profile_value`].
+///
+/// # Errors
+///
+/// The first structural problem, as text.
+pub fn decode_memory_profile(value: &Value) -> Result<MemoryProfile, DecodeError> {
+    let curve = req::<&[Value]>(value, "mpki_curve")?
         .iter()
         .map(|point| {
             Ok(MpkiPoint {
-                size_bytes: req_u64(point, "size_bytes")?,
-                mpki: req_f64(point, "mpki")?,
+                size_bytes: req(point, "size_bytes")?,
+                mpki: req(point, "mpki")?,
             })
         })
         .collect::<Result<Vec<_>, DecodeError>>()?;
     Ok(MemoryProfile {
-        l1_mpki: req_f64(value, "l1_mpki")?,
-        l2_mpki: req_f64(value, "l2_mpki")?,
-        l3_mpki: req_f64(value, "l3_mpki")?,
-        row_hit_rate: req_f64(value, "row_hit_rate")?,
-        dram_bytes: req_f64(value, "dram_bytes")?,
-        footprint_lines: req_u64(value, "footprint_lines")?,
-        footprint_pages: req_u64(value, "footprint_pages")?,
+        l1_mpki: req(value, "l1_mpki")?,
+        l2_mpki: req(value, "l2_mpki")?,
+        l3_mpki: req(value, "l3_mpki")?,
+        row_hit_rate: req(value, "row_hit_rate")?,
+        dram_bytes: req(value, "dram_bytes")?,
+        footprint_lines: req(value, "footprint_lines")?,
+        footprint_pages: req(value, "footprint_pages")?,
         mpki_curve: curve,
     })
 }
 
 fn decode_sampling_stats(value: &Value) -> Result<SamplingStats, DecodeError> {
     Ok(SamplingStats {
-        interval_work: req_u64(value, "interval_work")?,
-        intervals: req_usize(value, "intervals")?,
-        clusters: req_usize(value, "clusters")?,
-        detailed_ops: req_u64(value, "detailed_ops")?,
-        total_ops: req_u64(value, "total_ops")?,
+        interval_work: req(value, "interval_work")?,
+        intervals: req(value, "intervals")?,
+        clusters: req(value, "clusters")?,
+        detailed_ops: req(value, "detailed_ops")?,
+        total_ops: req(value, "total_ops")?,
     })
 }
 
@@ -994,21 +903,8 @@ fn decode_sampling_stats(value: &Value) -> Result<SamplingStats, DecodeError> {
 ///
 /// The first structural problem, as text.
 pub fn decode_run(value: &Value) -> Result<WorkloadRun, DecodeError> {
-    let mut coverage = BTreeMap::new();
-    for (name, pct) in req_field(value, "coverage")?
-        .as_object()
-        .ok_or("coverage must be an object")?
-    {
-        let pct = pct
-            .as_f64()
-            .ok_or_else(|| format!("coverage {name:?} must be a number"))?;
-        coverage.insert(name.clone(), pct);
-    }
     let mut rows = Vec::new();
-    for row in req_field(value, "paths")?
-        .as_array()
-        .ok_or("paths must be an array")?
-    {
+    for row in req::<&[Value]>(value, "paths")? {
         let row = row.as_array().ok_or("path row must be an array")?;
         let [path, calls, exclusive, inclusive] = row else {
             return Err("path row must have four elements".to_owned());
@@ -1028,17 +924,36 @@ pub fn decode_run(value: &Value) -> Result<WorkloadRun, DecodeError> {
         });
     }
     Ok(WorkloadRun {
-        workload: req_str(value, "workload")?.to_owned(),
-        report: decode_report(req_field(value, "report")?)?,
-        coverage,
+        workload: req(value, "workload")?,
+        report: decode_report(req(value, "report")?)?,
+        coverage: decode_coverage(req(value, "coverage")?)?,
         paths: PathTable::from_rows(rows),
-        work: req_u64(value, "work")?,
-        checksum: req_u64(value, "checksum")?,
-        sampling: match req_field(value, "sampling")? {
-            Value::Null => None,
-            v => Some(decode_sampling_stats(v)?),
-        },
+        work: req(value, "work")?,
+        checksum: req(value, "checksum")?,
+        sampling: nullable(value, "sampling")?
+            .map(decode_sampling_stats)
+            .transpose()?,
     })
+}
+
+/// Parses method coverage from its canonical object — the inverse of
+/// [`coverage_value`].
+///
+/// # Errors
+///
+/// A [`DecodeError`] naming the first method whose share is not a
+/// number.
+pub fn decode_coverage(value: &Value) -> Result<BTreeMap<String, f64>, DecodeError> {
+    let fields = value.as_object().ok_or("coverage must be an object")?;
+    fields
+        .iter()
+        .map(|(method, pct)| {
+            let pct = pct
+                .as_f64()
+                .ok_or_else(|| format!("coverage of {method:?} must be a number"))?;
+            Ok((method.clone(), pct))
+        })
+        .collect()
 }
 
 /// Parses a remote run status from its canonical wire object.
@@ -1047,16 +962,16 @@ pub fn decode_run(value: &Value) -> Result<WorkloadRun, DecodeError> {
 ///
 /// The first structural problem, as text.
 pub fn decode_status(value: &Value) -> Result<RemoteStatus, DecodeError> {
-    match req_str(value, "kind")? {
+    match req(value, "kind")? {
         "ok" => Ok(RemoteStatus::Ok),
         "degraded" => Ok(RemoteStatus::Degraded {
-            error: req_str(value, "error")?.to_owned(),
-            retryable: req_bool(value, "retryable")?,
-            retried_at: decode_scale(req_str(value, "retried_at")?)?,
+            error: req(value, "error")?,
+            retryable: req(value, "retryable")?,
+            retried_at: req(value, "retried_at")?,
         }),
         "failed" => Ok(RemoteStatus::Failed {
-            error: req_str(value, "error")?.to_owned(),
-            retryable: req_bool(value, "retryable")?,
+            error: req(value, "error")?,
+            retryable: req(value, "retryable")?,
         }),
         other => Err(format!("unknown status kind {other:?}")),
     }
@@ -1083,9 +998,9 @@ fn intern_target(name: &str) -> &'static str {
 
 fn decode_log_record(value: &Value) -> Result<LogRecord, DecodeError> {
     Ok(LogRecord {
-        level: LogLevel::parse(req_str(value, "level")?)?,
-        target: intern_target(req_str(value, "target")?),
-        message: req_str(value, "message")?.to_owned(),
+        level: LogLevel::parse(req(value, "level")?)?,
+        target: intern_target(req(value, "target")?),
+        message: req(value, "message")?,
     })
 }
 

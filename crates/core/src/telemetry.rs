@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json::Value;
+use crate::json::{opt, req, DecodeError, Value};
 
 /// Which plane a metric belongs to. The split is the contract: nothing
 /// wall-clock may ever enter [`Plane::Deterministic`].
@@ -264,28 +264,14 @@ impl SpanEvent {
     /// # Errors
     ///
     /// A message naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let attrs = match value.get("attrs") {
-            Some(Value::Object(fields)) => fields.clone(),
-            Some(_) => return Err("span attrs must be an object".to_owned()),
-            None => Vec::new(),
-        };
+    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(SpanEvent {
-            seq: value
-                .get("seq")
-                .and_then(Value::as_u64)
-                .ok_or("span missing seq")?,
-            request: value
-                .get("request")
-                .and_then(Value::as_str)
-                .ok_or("span missing request")?
-                .to_owned(),
-            stage: value
-                .get("stage")
-                .and_then(Value::as_str)
-                .ok_or("span missing stage")?
-                .to_owned(),
-            attrs,
+            seq: req(value, "seq")?,
+            request: req(value, "request")?,
+            stage: req(value, "stage")?,
+            attrs: opt::<&[(String, Value)]>(value, "attrs")?
+                .unwrap_or_default()
+                .to_vec(),
         })
     }
 }

@@ -51,7 +51,7 @@ pub struct CallNode {
     /// Work retired while this path was the innermost open scope.
     pub exclusive: u64,
     /// Work retired on this path or any extension of it. Computed by
-    /// [`CallTree::seal`]; zero until then.
+    /// `CallTree::seal`; zero until then.
     pub inclusive: u64,
 }
 

@@ -296,7 +296,7 @@ pub mod prop {
             }
         }
 
-        /// Length specification for [`vec`]: a range or an exact size.
+        /// Length specification for [`vec()`]: a range or an exact size.
         #[derive(Debug, Clone)]
         pub struct SizeBound(pub(crate) Range<usize>);
 

@@ -38,13 +38,14 @@ pub use diff::{DiffOptions, ReportDiff};
 pub use mem::{MemoryDocument, MemoryRunRecord, MEM_SCHEMA_VERSION};
 pub use metrics::MetricsDocument;
 pub use schema::{
-    BenchmarkReport, CategoryRecord, HotPathRecord, MeasureRecord, MemoryRecord, MpkiCurveRecord,
-    RunRecord, SamplingRecord, StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
+    BenchmarkReport, CategoryRecord, HotPathRecord, MeasureRecord, RunRecord, SamplingRecord,
+    StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 pub use serve::{CacheDocument, HostRecord, LatencyReport, StormReport};
 pub use timeline::render_service_timeline;
 pub use trace::{render_trace, TraceMode, DEFAULT_LANES};
 
+use json::Value;
 use std::fmt;
 use std::path::Path;
 
@@ -103,6 +104,25 @@ impl From<json::ParseError> for ReportError {
             message: e.message,
         }
     }
+}
+
+impl From<json::DecodeError> for ReportError {
+    fn from(message: json::DecodeError) -> Self {
+        ReportError::Schema { message }
+    }
+}
+
+/// The version gate every versioned document's `parse` goes through:
+/// parses `text` and checks `schema_version` against `version` before
+/// any other field is read, because field meanings are only defined per
+/// version.
+fn parse_versioned(text: &str, version: u64) -> Result<Value, ReportError> {
+    let value = json::parse(text)?;
+    let found = json::req(&value, "schema_version")?;
+    if found != version {
+        return Err(ReportError::UnsupportedVersion { found });
+    }
+    Ok(value)
 }
 
 /// Reads and parses a report file.

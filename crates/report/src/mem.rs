@@ -2,7 +2,7 @@
 //! `table-mem`.
 //!
 //! A [`MemoryDocument`] is the memory view of one sweep: per surviving
-//! `(benchmark, workload)` run it carries the [`MemoryRecord`] the full
+//! `(benchmark, workload)` run it carries the [`MemoryProfile`] the full
 //! [`SuiteReport`] embeds — MPKI per cache level, DRAM row-buffer hit
 //! rate, bytes read from DRAM, exact footprint, and the
 //! MPKI-vs-cache-size curve. It is a pure projection of the suite
@@ -10,9 +10,11 @@
 //! is bit-identical across execution policies, and CI gates it
 //! byte-for-byte against a committed `MEM_test.json` golden.
 
-use crate::json::{self, Value};
-use crate::schema::{require_array, require_str, MemoryRecord, SuiteReport};
+use crate::json::{req, DecodeError, Value};
+use crate::schema::SuiteReport;
 use crate::ReportError;
+use alberta_core::protocol::{decode_memory_profile, memory_profile_value};
+use alberta_core::MemoryProfile;
 use alberta_workloads::Scale;
 
 /// The schema version of `MEM_*.json` documents.
@@ -27,7 +29,7 @@ pub struct MemoryRunRecord {
     /// Workload name.
     pub workload: String,
     /// The memory section of the run's measures.
-    pub memory: MemoryRecord,
+    pub memory: MemoryProfile,
 }
 
 /// The memory view of one full sweep.
@@ -40,14 +42,6 @@ pub struct MemoryDocument {
     pub scale: Scale,
     /// One record per surviving run, in suite-report order.
     pub rows: Vec<MemoryRunRecord>,
-}
-
-fn scale_str(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
 }
 
 impl MemoryDocument {
@@ -81,10 +75,7 @@ impl MemoryDocument {
                 "schema_version".to_owned(),
                 Value::UInt(self.schema_version),
             ),
-            (
-                "scale".to_owned(),
-                Value::Str(scale_str(self.scale).to_owned()),
-            ),
+            ("scale".to_owned(), Value::Str(self.scale.name().to_owned())),
             (
                 "rows".to_owned(),
                 Value::Array(
@@ -94,7 +85,7 @@ impl MemoryDocument {
                             Value::Object(vec![
                                 ("benchmark".to_owned(), Value::Str(row.benchmark.clone())),
                                 ("workload".to_owned(), Value::Str(row.workload.clone())),
-                                ("memory".to_owned(), row.memory.to_value()),
+                                ("memory".to_owned(), memory_profile_value(&row.memory)),
                             ])
                         })
                         .collect(),
@@ -113,44 +104,20 @@ impl MemoryDocument {
     /// [`ReportError::UnsupportedVersion`] on a version this build does
     /// not emit, [`ReportError::Schema`] on structural problems.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReportError::Schema {
-                message: "missing or non-integer schema_version".to_owned(),
-            })?;
-        if version != MEM_SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
-        let scale = require_str(&value, "scale")?;
-        let scale = match scale {
-            "test" => Scale::Test,
-            "train" => Scale::Train,
-            "ref" => Scale::Ref,
-            _ => {
-                return Err(ReportError::Schema {
-                    message: format!("unknown scale {scale:?}; expected test, train, or ref"),
-                })
-            }
-        };
-        let rows = require_array(&value, "rows")?
+        let value = crate::parse_versioned(text, MEM_SCHEMA_VERSION)?;
+        let rows = req::<&[Value]>(&value, "rows")?
             .iter()
             .map(|row| {
                 Ok(MemoryRunRecord {
-                    benchmark: require_str(row, "benchmark")?.to_owned(),
-                    workload: require_str(row, "workload")?.to_owned(),
-                    memory: MemoryRecord::from_value(row.get("memory").ok_or_else(|| {
-                        ReportError::Schema {
-                            message: "memory row missing memory object".to_owned(),
-                        }
-                    })?)?,
+                    benchmark: req(row, "benchmark")?,
+                    workload: req(row, "workload")?,
+                    memory: decode_memory_profile(req(row, "memory")?)?,
                 })
             })
-            .collect::<Result<_, ReportError>>()?;
+            .collect::<Result<_, DecodeError>>()?;
         Ok(MemoryDocument {
-            schema_version: version,
-            scale,
+            schema_version: MEM_SCHEMA_VERSION,
+            scale: req(&value, "scale")?,
             rows,
         })
     }

@@ -17,7 +17,7 @@
 //! exposition format ([`MetricsDocument::to_prometheus`]) so the
 //! `serve-metrics` bin can feed a scraper without any new dependency.
 
-use crate::json::{self, Value};
+use crate::json::{req, DecodeError, Value};
 use crate::schema::SCHEMA_VERSION;
 use crate::ReportError;
 
@@ -60,23 +60,13 @@ impl MetricsDocument {
     /// # Errors
     ///
     /// A message naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let plane = |name: &str| -> Result<Value, String> {
-            let plane = value
-                .get(name)
-                .ok_or_else(|| format!("metrics document missing {name}"))?;
-            if !matches!(plane, Value::Object(_)) {
-                return Err(format!("metrics plane {name} must be an object"));
-            }
-            Ok(plane.clone())
-        };
+    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(MetricsDocument {
-            schema_version: value
-                .get("schema_version")
-                .and_then(Value::as_u64)
-                .ok_or("metrics document missing schema_version")?,
-            deterministic: plane("deterministic")?,
-            volatile: plane("volatile")?,
+            schema_version: req(value, "schema_version")?,
+            deterministic: Value::Object(
+                req::<&[(String, Value)]>(value, "deterministic")?.to_vec(),
+            ),
+            volatile: Value::Object(req::<&[(String, Value)]>(value, "volatile")?.to_vec()),
         })
     }
 
@@ -121,15 +111,8 @@ impl MetricsDocument {
     /// [`ReportError::UnsupportedVersion`] for a version this build
     /// cannot read, [`ReportError::Schema`] otherwise.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let doc = MetricsDocument::from_value(&value)
-            .map_err(|message| ReportError::Schema { message })?;
-        if doc.schema_version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion {
-                found: doc.schema_version,
-            });
-        }
-        Ok(doc)
+        let value = crate::parse_versioned(text, SCHEMA_VERSION)?;
+        Ok(MetricsDocument::from_value(&value)?)
     }
 
     /// Renders both planes in Prometheus text exposition format. Every
@@ -194,6 +177,7 @@ fn render_plane(out: &mut String, plane: &str, value: &Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn sample() -> MetricsDocument {
         let deterministic = json::parse(

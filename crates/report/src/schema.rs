@@ -2,10 +2,10 @@
 //!
 //! A [`SuiteReport`] is the machine-readable artifact of one full
 //! characterization sweep: per `(benchmark, workload)` run it records
-//! the run's fate, deterministic accounting from
-//! [`RunMetrics`](alberta_core::RunMetrics), and the measured behaviour
-//! (Top-Down ratios, modelled cycles, method coverage); per benchmark it
-//! records the paper's Table II summary statistics.
+//! the run's fate, deterministic accounting from [`RunMetrics`], and
+//! the measured behaviour (Top-Down ratios, modelled cycles, method
+//! coverage); per benchmark it records the paper's Table II summary
+//! statistics.
 //!
 //! # Determinism contract
 //!
@@ -23,9 +23,14 @@
 //! of misparsing — field meanings may change between versions, and a
 //! silently misread baseline would gate CI on garbage.
 
-use crate::json::{self, Value};
+use crate::json::{opt, req, DecodeError, Value};
 use crate::ReportError;
-use alberta_core::{Characterization, PathTable, ResilientCharacterization, RunMetrics, RunStatus};
+use alberta_core::protocol::{
+    coverage_value, decode_coverage, decode_memory_profile, memory_profile_value,
+};
+use alberta_core::{
+    Characterization, MemoryProfile, PathTable, ResilientCharacterization, RunMetrics, RunStatus,
+};
 use alberta_workloads::Scale;
 use std::collections::BTreeMap;
 
@@ -225,14 +230,14 @@ impl SamplingRecord {
         Value::Object(fields)
     }
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(SamplingRecord {
-            interval_work: require_u64(value, "interval_work")?,
-            intervals: require_u64(value, "intervals")?,
-            clusters: require_u64(value, "clusters")?,
-            detailed_ops: require_u64(value, "detailed_ops")?,
-            total_ops: require_u64(value, "total_ops")?,
-            estimate_error: optional_f64(value, "estimate_error")?,
+            interval_work: req(value, "interval_work")?,
+            intervals: req(value, "intervals")?,
+            clusters: req(value, "clusters")?,
+            detailed_ops: req(value, "detailed_ops")?,
+            total_ops: req(value, "total_ops")?,
+            estimate_error: opt(value, "estimate_error")?,
         })
     }
 }
@@ -259,11 +264,11 @@ impl HotPathRecord {
         ])
     }
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(HotPathRecord {
-            path: require_str(value, "path")?.to_owned(),
-            exclusive: require_u64(value, "exclusive")?,
-            calls: require_u64(value, "calls")?,
+            path: req(value, "path")?,
+            exclusive: req(value, "exclusive")?,
+            calls: req(value, "calls")?,
         })
     }
 }
@@ -286,115 +291,7 @@ pub struct MeasureRecord {
     /// Method coverage: method name → percent of attributed work.
     pub coverage: BTreeMap<String, f64>,
     /// Memory-hierarchy characterization (schema version 2+).
-    pub memory: MemoryRecord,
-}
-
-/// The memory-hierarchy characterization of one surviving run: miss
-/// rates per level, DRAM behaviour, exact footprint, and the
-/// MPKI-vs-cache-size curve.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MemoryRecord {
-    /// L1D misses per kilo retired µop.
-    pub l1_mpki: f64,
-    /// L2 misses per kilo retired µop.
-    pub l2_mpki: f64,
-    /// L3 misses per kilo retired µop.
-    pub l3_mpki: f64,
-    /// Fraction of DRAM accesses that hit an open row buffer.
-    pub row_hit_rate: f64,
-    /// Bytes read from DRAM (line fills past the L3).
-    pub dram_bytes: f64,
-    /// Distinct cache lines touched over the whole run (exact).
-    pub footprint_lines: u64,
-    /// Distinct pages touched over the whole run (exact).
-    pub footprint_pages: u64,
-    /// L1-style MPKI at each swept cache size, smallest first.
-    pub mpki_curve: Vec<MpkiCurveRecord>,
-}
-
-/// One point of the MPKI-vs-cache-size curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MpkiCurveRecord {
-    /// Swept cache capacity in bytes.
-    pub size_bytes: u64,
-    /// Misses per kilo retired µop at that capacity.
-    pub mpki: f64,
-}
-
-impl MemoryRecord {
-    fn from_profile(m: &alberta_core::MemoryProfile) -> Self {
-        MemoryRecord {
-            l1_mpki: m.l1_mpki,
-            l2_mpki: m.l2_mpki,
-            l3_mpki: m.l3_mpki,
-            row_hit_rate: m.row_hit_rate,
-            dram_bytes: m.dram_bytes,
-            footprint_lines: m.footprint_lines,
-            footprint_pages: m.footprint_pages,
-            mpki_curve: m
-                .mpki_curve
-                .iter()
-                .map(|p| MpkiCurveRecord {
-                    size_bytes: p.size_bytes,
-                    mpki: p.mpki,
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("l1_mpki".to_owned(), Value::Float(self.l1_mpki)),
-            ("l2_mpki".to_owned(), Value::Float(self.l2_mpki)),
-            ("l3_mpki".to_owned(), Value::Float(self.l3_mpki)),
-            ("row_hit_rate".to_owned(), Value::Float(self.row_hit_rate)),
-            ("dram_bytes".to_owned(), Value::Float(self.dram_bytes)),
-            (
-                "footprint_lines".to_owned(),
-                Value::UInt(self.footprint_lines),
-            ),
-            (
-                "footprint_pages".to_owned(),
-                Value::UInt(self.footprint_pages),
-            ),
-            (
-                "mpki_curve".to_owned(),
-                Value::Array(
-                    self.mpki_curve
-                        .iter()
-                        .map(|p| {
-                            Value::Object(vec![
-                                ("size_bytes".to_owned(), Value::UInt(p.size_bytes)),
-                                ("mpki".to_owned(), Value::Float(p.mpki)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    pub(crate) fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let mpki_curve = require_array(value, "mpki_curve")?
-            .iter()
-            .map(|p| {
-                Ok(MpkiCurveRecord {
-                    size_bytes: require_u64(p, "size_bytes")?,
-                    mpki: require_f64(p, "mpki")?,
-                })
-            })
-            .collect::<Result<_, ReportError>>()?;
-        Ok(MemoryRecord {
-            l1_mpki: require_f64(value, "l1_mpki")?,
-            l2_mpki: require_f64(value, "l2_mpki")?,
-            l3_mpki: require_f64(value, "l3_mpki")?,
-            row_hit_rate: require_f64(value, "row_hit_rate")?,
-            dram_bytes: require_f64(value, "dram_bytes")?,
-            footprint_lines: require_u64(value, "footprint_lines")?,
-            footprint_pages: require_u64(value, "footprint_pages")?,
-            mpki_curve,
-        })
-    }
+    pub memory: MemoryProfile,
 }
 
 /// `(μg, σg, V)` for one Top-Down category across workloads.
@@ -427,23 +324,6 @@ pub struct SummaryRecord {
     pub mu_g_m: f64,
     /// Modelled refrate cycles; `None` when the refrate run was lost.
     pub refrate_cycles: Option<f64>,
-}
-
-fn scale_str(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
-}
-
-fn scale_from_str(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "train" => Some(Scale::Train),
-        "ref" => Some(Scale::Ref),
-        _ => None,
-    }
 }
 
 impl SuiteReport {
@@ -668,30 +548,14 @@ impl SuiteReport {
     /// one this build understands (checked before any other field is
     /// touched), and [`ReportError::Schema`] on structural problems.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        // Version gate first: field meanings are only defined per
-        // version, so nothing else may be interpreted before this check.
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReportError::Schema {
-                message: "missing or non-integer schema_version".to_owned(),
-            })?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
-        let scale = require_str(&value, "scale")?;
-        let scale = scale_from_str(scale).ok_or_else(|| ReportError::Schema {
-            message: format!("unknown scale {scale:?}; expected test, train, or ref"),
-        })?;
-        let benchmarks = require_array(&value, "benchmarks")?
-            .iter()
-            .map(BenchmarkReport::from_value)
-            .collect::<Result<_, _>>()?;
+        let value = crate::parse_versioned(text, SCHEMA_VERSION)?;
         Ok(SuiteReport {
-            schema_version: version,
-            scale,
-            benchmarks,
+            schema_version: SCHEMA_VERSION,
+            scale: req(&value, "scale")?,
+            benchmarks: req::<&[Value]>(&value, "benchmarks")?
+                .iter()
+                .map(BenchmarkReport::from_value)
+                .collect::<Result<_, _>>()?,
         })
     }
 
@@ -705,10 +569,7 @@ impl SuiteReport {
                 "generator".to_owned(),
                 Value::Str("alberta-report".to_owned()),
             ),
-            (
-                "scale".to_owned(),
-                Value::Str(scale_str(self.scale).to_owned()),
-            ),
+            ("scale".to_owned(), Value::Str(self.scale.name().to_owned())),
             (
                 "benchmarks".to_owned(),
                 Value::Array(
@@ -752,34 +613,22 @@ impl BenchmarkReport {
     ///
     /// # Errors
     ///
-    /// [`ReportError::Schema`] on structural problems.
-    pub fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let runs = require_array(value, "runs")?
-            .iter()
-            .map(RunRecord::from_value)
-            .collect::<Result<_, _>>()?;
-        let summary = value
-            .get("summary")
-            .map(SummaryRecord::from_value)
-            .transpose()?;
-        let hot_paths = match value.get("hot_paths") {
-            None => None,
-            Some(v) => Some(
-                v.as_array()
-                    .ok_or_else(|| ReportError::Schema {
-                        message: "hot_paths is not an array".to_owned(),
-                    })?
-                    .iter()
-                    .map(HotPathRecord::from_value)
-                    .collect::<Result<_, _>>()?,
-            ),
-        };
+    /// A [`DecodeError`] naming the first structural problem.
+    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(BenchmarkReport {
-            spec_id: require_str(value, "spec_id")?.to_owned(),
-            short_name: require_str(value, "short_name")?.to_owned(),
-            runs,
-            summary,
-            hot_paths,
+            spec_id: req(value, "spec_id")?,
+            short_name: req(value, "short_name")?,
+            runs: req::<&[Value]>(value, "runs")?
+                .iter()
+                .map(RunRecord::from_value)
+                .collect::<Result<_, _>>()?,
+            summary: value
+                .get("summary")
+                .map(SummaryRecord::from_value)
+                .transpose()?,
+            hot_paths: opt::<&[Value]>(value, "hot_paths")?
+                .map(|paths| paths.iter().map(HotPathRecord::from_value).collect())
+                .transpose()?,
         })
     }
 }
@@ -839,10 +688,7 @@ impl RunRecord {
             fields.push(("error".to_owned(), Value::Str(error.clone())));
         }
         if let Some(scale) = self.retried_at {
-            fields.push((
-                "retried_at".to_owned(),
-                Value::Str(scale_str(scale).to_owned()),
-            ));
+            fields.push(("retried_at".to_owned(), Value::Str(scale.name().to_owned())));
         }
         fields.push(("retries".to_owned(), Value::UInt(u64::from(self.retries))));
         fields.push((
@@ -875,54 +721,36 @@ impl RunRecord {
     ///
     /// # Errors
     ///
-    /// [`ReportError::Schema`] on structural problems.
-    pub fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let workload = require_str(value, "workload")?.to_owned();
-        let status_text = require_str(value, "status")?;
-        let status = StatusKind::from_str(status_text).ok_or_else(|| ReportError::Schema {
-            message: format!("run {workload:?}: unknown status {status_text:?}"),
-        })?;
-        let error = optional_str(value, "error")?.map(str::to_owned);
-        let retried_at = match optional_str(value, "retried_at")? {
-            Some(s) => Some(scale_from_str(s).ok_or_else(|| ReportError::Schema {
-                message: format!("run {workload:?}: unknown retried_at scale {s:?}"),
-            })?),
-            None => None,
-        };
+    /// A [`DecodeError`] naming the first structural problem.
+    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        let workload: String = req(value, "workload")?;
+        let status_text = req(value, "status")?;
+        let status = StatusKind::from_str(status_text)
+            .ok_or_else(|| format!("run {workload:?}: unknown status {status_text:?}"))?;
+        let error: Option<String> = opt(value, "error")?;
         let measures = value
             .get("measures")
             .map(MeasureRecord::from_value)
             .transpose()?;
         if status == StatusKind::Ok && measures.is_none() {
-            return Err(ReportError::Schema {
-                message: format!("run {workload:?}: status is ok but measures are missing"),
-            });
+            return Err(format!(
+                "run {workload:?}: status is ok but measures are missing"
+            ));
         }
         if status != StatusKind::Ok && error.is_none() {
-            return Err(ReportError::Schema {
-                message: format!("run {workload:?}: non-ok status without an error"),
-            });
+            return Err(format!("run {workload:?}: non-ok status without an error"));
         }
         Ok(RunRecord {
             workload,
             status,
             error,
-            retried_at,
-            retries: u32::try_from(require_u64(value, "retries")?).map_err(|_| {
-                ReportError::Schema {
-                    message: "retries out of range".to_owned(),
-                }
-            })?,
-            budget_consumed: require_u64(value, "budget_consumed")?,
-            wall_nanos: optional_u64(value, "wall_nanos")?,
-            start_nanos: optional_u64(value, "start_nanos")?,
-            worker: optional_u64(value, "worker")?,
-            dispatches: match optional_u64(value, "dispatches")? {
-                None => None,
-                Some(n) => Some(u32::try_from(n).map_err(|_| ReportError::Schema {
-                    message: "dispatches out of range".to_owned(),
-                })?),
-            },
+            retried_at: opt(value, "retried_at")?,
+            retries: req(value, "retries")?,
+            budget_consumed: req(value, "budget_consumed")?,
+            wall_nanos: opt(value, "wall_nanos")?,
+            start_nanos: opt(value, "start_nanos")?,
+            worker: opt(value, "worker")?,
+            dispatches: opt(value, "dispatches")?,
             measures,
             sampling: value
                 .get("sampling")
@@ -942,7 +770,7 @@ impl MeasureRecord {
             work: run.work,
             checksum: run.checksum,
             coverage: run.coverage.clone(),
-            memory: MemoryRecord::from_profile(&run.report.memory),
+            memory: run.report.memory.clone(),
         }
     }
 
@@ -957,51 +785,26 @@ impl MeasureRecord {
             ("retired_ops".to_owned(), Value::UInt(self.retired_ops)),
             ("work".to_owned(), Value::UInt(self.work)),
             ("checksum".to_owned(), Value::UInt(self.checksum)),
-            (
-                "coverage".to_owned(),
-                Value::Object(
-                    self.coverage
-                        .iter()
-                        .map(|(method, pct)| (method.clone(), Value::Float(*pct)))
-                        .collect(),
-                ),
-            ),
-            ("memory".to_owned(), self.memory.to_value()),
+            ("coverage".to_owned(), coverage_value(&self.coverage)),
+            ("memory".to_owned(), memory_profile_value(&self.memory)),
         ])
     }
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let coverage_fields = value
-            .get("coverage")
-            .and_then(Value::as_object)
-            .ok_or_else(|| ReportError::Schema {
-                message: "measures missing coverage object".to_owned(),
-            })?;
-        let mut coverage = BTreeMap::new();
-        for (method, pct) in coverage_fields {
-            let pct = pct.as_f64().ok_or_else(|| ReportError::Schema {
-                message: format!("coverage of {method:?} is not a number"),
-            })?;
-            coverage.insert(method.clone(), pct);
-        }
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(MeasureRecord {
             ratios: [
-                require_f64(value, "front_end")?,
-                require_f64(value, "back_end")?,
-                require_f64(value, "bad_speculation")?,
-                require_f64(value, "retiring")?,
+                req(value, "front_end")?,
+                req(value, "back_end")?,
+                req(value, "bad_speculation")?,
+                req(value, "retiring")?,
             ],
-            cycles: require_f64(value, "cycles")?,
-            ipc: require_f64(value, "ipc")?,
-            retired_ops: require_u64(value, "retired_ops")?,
-            work: require_u64(value, "work")?,
-            checksum: require_u64(value, "checksum")?,
-            coverage,
-            memory: MemoryRecord::from_value(value.get("memory").ok_or_else(|| {
-                ReportError::Schema {
-                    message: "measures missing memory object".to_owned(),
-                }
-            })?)?,
+            cycles: req(value, "cycles")?,
+            ipc: req(value, "ipc")?,
+            retired_ops: req(value, "retired_ops")?,
+            work: req(value, "work")?,
+            checksum: req(value, "checksum")?,
+            coverage: decode_coverage(req(value, "coverage")?)?,
+            memory: decode_memory_profile(req(value, "memory")?)?,
         })
     }
 }
@@ -1015,11 +818,11 @@ impl CategoryRecord {
         ])
     }
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(CategoryRecord {
-            geo_mean: require_f64(value, "geo_mean")?,
-            geo_std: require_f64(value, "geo_std")?,
-            variation: require_f64(value, "variation")?,
+            geo_mean: req(value, "geo_mean")?,
+            geo_std: req(value, "geo_std")?,
+            variation: req(value, "variation")?,
         })
     }
 }
@@ -1065,87 +868,16 @@ impl SummaryRecord {
         Value::Object(fields)
     }
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let sub = |key: &str| -> Result<CategoryRecord, ReportError> {
-            CategoryRecord::from_value(value.get(key).ok_or_else(|| ReportError::Schema {
-                message: format!("summary missing {key:?}"),
-            })?)
-        };
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(SummaryRecord {
-            workloads: require_u64(value, "workloads")?,
-            front_end: sub("front_end")?,
-            back_end: sub("back_end")?,
-            bad_speculation: sub("bad_speculation")?,
-            retiring: sub("retiring")?,
-            mu_g_v: require_f64(value, "mu_g_v")?,
-            mu_g_m: require_f64(value, "mu_g_m")?,
-            refrate_cycles: optional_f64(value, "refrate_cycles")?,
+            workloads: req(value, "workloads")?,
+            front_end: CategoryRecord::from_value(req(value, "front_end")?)?,
+            back_end: CategoryRecord::from_value(req(value, "back_end")?)?,
+            bad_speculation: CategoryRecord::from_value(req(value, "bad_speculation")?)?,
+            retiring: CategoryRecord::from_value(req(value, "retiring")?)?,
+            mu_g_v: req(value, "mu_g_v")?,
+            mu_g_m: req(value, "mu_g_m")?,
+            refrate_cycles: opt(value, "refrate_cycles")?,
         })
-    }
-}
-
-pub(crate) fn require_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-string field {key:?}"),
-        })
-}
-
-pub(crate) fn optional_str<'v>(
-    value: &'v Value,
-    key: &str,
-) -> Result<Option<&'v str>, ReportError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(Some).ok_or_else(|| ReportError::Schema {
-            message: format!("field {key:?} is not a string"),
-        }),
-    }
-}
-
-pub(crate) fn require_array<'v>(value: &'v Value, key: &str) -> Result<&'v [Value], ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-array field {key:?}"),
-        })
-}
-
-pub(crate) fn require_u64(value: &Value, key: &str) -> Result<u64, ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-integer field {key:?}"),
-        })
-}
-
-pub(crate) fn optional_u64(value: &Value, key: &str) -> Result<Option<u64>, ReportError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| ReportError::Schema {
-            message: format!("field {key:?} is not an integer"),
-        }),
-    }
-}
-
-pub(crate) fn require_f64(value: &Value, key: &str) -> Result<f64, ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-numeric field {key:?}"),
-        })
-}
-
-pub(crate) fn optional_f64(value: &Value, key: &str) -> Result<Option<f64>, ReportError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| ReportError::Schema {
-            message: format!("field {key:?} is not a number"),
-        }),
     }
 }

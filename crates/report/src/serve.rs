@@ -16,8 +16,8 @@
 //! [`LatencyReport`] is wall-clock telemetry: tracked as an uploaded
 //! artifact, never gated.
 
-use crate::json::{self, Value};
-use crate::schema::{optional_u64, require_array, require_str, require_u64, SCHEMA_VERSION};
+use crate::json::{self, opt, req, DecodeError, Value};
+use crate::schema::SCHEMA_VERSION;
 use crate::ReportError;
 use alberta_core::protocol::{decode_run, decode_status, run_value, status_value, RemoteStatus};
 use alberta_core::WorkloadRun;
@@ -87,11 +87,7 @@ impl CacheDocument {
     /// surface. Every error path means "treat the entry as absent":
     /// evict and recompute.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let version = require_u64(&value, "schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
+        let value = crate::parse_versioned(text, SCHEMA_VERSION)?;
         // Integrity first: no field is trusted until the stored hash
         // matches the fingerprint of the document without it.
         let Value::Object(fields) = &value else {
@@ -99,7 +95,7 @@ impl CacheDocument {
                 message: "cache entry is not an object".to_owned(),
             });
         };
-        let stored = require_str(&value, "payload_hash")?;
+        let stored: &str = req(&value, "payload_hash")?;
         let body = Value::Object(
             fields
                 .iter()
@@ -112,25 +108,12 @@ impl CacheDocument {
                 message: "cache entry corrupt: payload hash mismatch".to_owned(),
             });
         }
-        let status = decode_status(value.get("status").ok_or_else(|| ReportError::Schema {
-            message: "cache entry missing status".to_owned(),
-        })?)
-        .map_err(|message| ReportError::Schema { message })?;
-        let run = value
-            .get("run")
-            .map(decode_run)
-            .transpose()
-            .map_err(|message| ReportError::Schema { message })?;
         Ok(CacheDocument {
-            key: require_str(&value, "key")?.to_owned(),
-            status,
-            run,
-            retries: u32::try_from(require_u64(&value, "retries")?).map_err(|_| {
-                ReportError::Schema {
-                    message: "retries out of range".to_owned(),
-                }
-            })?,
-            budget_consumed: require_u64(&value, "budget_consumed")?,
+            key: req(&value, "key")?,
+            status: decode_status(req(&value, "status")?)?,
+            run: value.get("run").map(decode_run).transpose()?,
+            retries: req(&value, "retries")?,
+            budget_consumed: req(&value, "budget_consumed")?,
         })
     }
 }
@@ -149,7 +132,9 @@ pub struct HostRecord {
 }
 
 impl HostRecord {
-    fn to_value(self) -> Value {
+    /// The record as its canonical object — shared by the storm report
+    /// and the serving engine's stats.
+    pub fn to_value(self) -> Value {
         Value::Object(vec![
             ("host".to_owned(), Value::UInt(self.host)),
             ("tasks".to_owned(), Value::UInt(self.tasks)),
@@ -157,11 +142,17 @@ impl HostRecord {
         ])
     }
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
+    /// Parses a record from its canonical object — the inverse of
+    /// [`HostRecord::to_value`].
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] naming the missing or mistyped field.
+    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(HostRecord {
-            host: require_u64(value, "host")?,
-            tasks: require_u64(value, "tasks")?,
-            stolen: require_u64(value, "stolen")?,
+            host: req(value, "host")?,
+            tasks: req(value, "tasks")?,
+            stolen: req(value, "stolen")?,
         })
     }
 }
@@ -235,20 +226,16 @@ impl StormReport {
     /// [`ReportError::Json`], [`ReportError::UnsupportedVersion`], or
     /// [`ReportError::Schema`], as for the other documents.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let version = require_u64(&value, "schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
+        let value = crate::parse_versioned(text, SCHEMA_VERSION)?;
         Ok(StormReport {
-            schema_version: version,
-            requests: require_u64(&value, "requests")?,
-            unique_keys: require_u64(&value, "unique_keys")?,
-            hits: require_u64(&value, "hits")?,
-            computed: require_u64(&value, "computed")?,
-            steals: require_u64(&value, "steals")?,
-            redispatches: require_u64(&value, "redispatches")?,
-            hosts: require_array(&value, "hosts")?
+            schema_version: SCHEMA_VERSION,
+            requests: req(&value, "requests")?,
+            unique_keys: req(&value, "unique_keys")?,
+            hits: req(&value, "hits")?,
+            computed: req(&value, "computed")?,
+            steals: req(&value, "steals")?,
+            redispatches: req(&value, "redispatches")?,
+            hosts: req::<&[Value]>(&value, "hosts")?
                 .iter()
                 .map(HostRecord::from_value)
                 .collect::<Result<_, _>>()?,
@@ -317,11 +304,11 @@ impl LatencyReport {
     pub fn parse(text: &str) -> Result<Self, ReportError> {
         let value = json::parse(text)?;
         Ok(LatencyReport {
-            samples: require_u64(&value, "samples")?,
-            p50_nanos: require_u64(&value, "p50_nanos")?,
-            p90_nanos: require_u64(&value, "p90_nanos")?,
-            p99_nanos: require_u64(&value, "p99_nanos")?,
-            max_nanos: optional_u64(&value, "max_nanos")?.unwrap_or(0),
+            samples: req(&value, "samples")?,
+            p50_nanos: req(&value, "p50_nanos")?,
+            p90_nanos: req(&value, "p90_nanos")?,
+            p99_nanos: req(&value, "p99_nanos")?,
+            max_nanos: opt(&value, "max_nanos")?.unwrap_or(0),
         })
     }
 }

@@ -47,7 +47,7 @@ pub fn render_service_timeline(spans: &Value) -> Result<String, ReportError> {
     })?;
     let events: Vec<SpanEvent> = raw
         .iter()
-        .map(|e| SpanEvent::from_value(e).map_err(|message| ReportError::Schema { message }))
+        .map(SpanEvent::from_value)
         .collect::<Result<_, _>>()?;
 
     let attr_u64 = |e: &SpanEvent, name: &str| -> Option<u64> {

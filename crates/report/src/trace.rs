@@ -22,7 +22,7 @@
 //!   lane per worker thread. Volatile by nature, useful for eyeballing
 //!   real scheduling behaviour, never byte-compared.
 //!
-//! The document reuses the canonical [`json::Value`] emitter, so trace
+//! The document reuses the canonical [`json::Value`](crate::json::Value) emitter, so trace
 //! output inherits the same determinism guarantees as every other
 //! artifact: ordered objects, exact integers, stable float rendering.
 

@@ -9,9 +9,10 @@
 //! `BLESS=1 cargo test -p alberta-report --test golden` and re-commit
 //! the baselines.
 
+use alberta_core::{MemoryProfile, MpkiPoint};
 use alberta_report::{
-    BenchmarkReport, CategoryRecord, HotPathRecord, MeasureRecord, MemoryRecord, MpkiCurveRecord,
-    RunRecord, SamplingRecord, StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
+    BenchmarkReport, CategoryRecord, HotPathRecord, MeasureRecord, RunRecord, SamplingRecord,
+    StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 use alberta_workloads::Scale;
 use std::collections::BTreeMap;
@@ -55,7 +56,7 @@ fn sample_report() -> SuiteReport {
                             work: 471,
                             checksum: 18131782674069289258,
                             coverage: coverage.clone(),
-                            memory: MemoryRecord {
+                            memory: MemoryProfile {
                                 l1_mpki: 6.25,
                                 l2_mpki: 1.875,
                                 l3_mpki: 0.25,
@@ -64,11 +65,11 @@ fn sample_report() -> SuiteReport {
                                 footprint_lines: 321,
                                 footprint_pages: 17,
                                 mpki_curve: vec![
-                                    MpkiCurveRecord {
+                                    MpkiPoint {
                                         size_bytes: 16 * 1024,
                                         mpki: 7.5,
                                     },
-                                    MpkiCurveRecord {
+                                    MpkiPoint {
                                         size_bytes: 32 * 1024,
                                         mpki: 6.25,
                                     },
@@ -98,7 +99,7 @@ fn sample_report() -> SuiteReport {
                             work: 9000,
                             checksum: 42,
                             coverage,
-                            memory: MemoryRecord {
+                            memory: MemoryProfile {
                                 l1_mpki: 2.5,
                                 l2_mpki: 0.5,
                                 l3_mpki: 0.0625,

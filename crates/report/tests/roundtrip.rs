@@ -9,10 +9,11 @@
 //! floats that render like integers, empty coverage maps, names that
 //! need escaping, and both telemetry-bearing and canonical records.
 
+use alberta_core::{MemoryProfile, MpkiPoint};
 use alberta_report::{
-    BenchmarkReport, CategoryRecord, DiffOptions, HotPathRecord, MeasureRecord, MemoryRecord,
-    MpkiCurveRecord, ReportDiff, ReportError, RunRecord, SamplingRecord, StatusKind, SuiteReport,
-    SummaryRecord, SCHEMA_VERSION,
+    BenchmarkReport, CacheDocument, CategoryRecord, DiffOptions, HotPathRecord, MeasureRecord,
+    MemoryDocument, MetricsDocument, ReportDiff, ReportError, RunRecord, SamplingRecord,
+    StatusKind, StormReport, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 use alberta_workloads::Scale;
 use proptest::prelude::*;
@@ -23,6 +24,7 @@ use std::collections::BTreeMap;
 /// non-ASCII).
 const NAME_CHARS: &[char] = &[
     'a', 'b', 'z', 'Q', '0', '9', '_', '.', '-', ' ', '"', '\\', '\n', '\t', '\u{1}', 'μ', '→',
+    '🦀',
 ];
 
 fn arb_name(rng: &mut TestRng, prefix: &str, index: usize) -> String {
@@ -74,8 +76,8 @@ fn arb_measures(rng: &mut TestRng) -> MeasureRecord {
     }
 }
 
-fn arb_memory(rng: &mut TestRng) -> MemoryRecord {
-    MemoryRecord {
+fn arb_memory(rng: &mut TestRng) -> MemoryProfile {
+    MemoryProfile {
         l1_mpki: arb_f64(rng),
         l2_mpki: arb_f64(rng),
         l3_mpki: arb_f64(rng),
@@ -84,7 +86,7 @@ fn arb_memory(rng: &mut TestRng) -> MemoryRecord {
         footprint_lines: rng.next_u64(),
         footprint_pages: rng.next_u64(),
         mpki_curve: (0..rng.below(4))
-            .map(|i| MpkiCurveRecord {
+            .map(|i| MpkiPoint {
                 size_bytes: 1 << (14 + i),
                 mpki: arb_f64(rng),
             })
@@ -248,11 +250,20 @@ fn future_schema_version_is_rejected_with_clear_error() {
 fn version_gate_fires_before_structural_validation() {
     // Everything about this document is wrong except that it is JSON —
     // the version check must win, because field meanings are undefined
-    // for unknown versions.
+    // for unknown versions. Every versioned document shares the gate.
     let doc = r#"{"schema_version": 99, "nonsense": true}"#;
-    match SuiteReport::parse(doc) {
-        Err(ReportError::UnsupportedVersion { found: 99 }) => {}
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    let outcomes = [
+        ("SuiteReport", SuiteReport::parse(doc).err()),
+        ("MemoryDocument", MemoryDocument::parse(doc).err()),
+        ("CacheDocument", CacheDocument::parse(doc).err()),
+        ("StormReport", StormReport::parse(doc).err()),
+        ("MetricsDocument", MetricsDocument::parse(doc).err()),
+    ];
+    for (document, outcome) in outcomes {
+        match outcome {
+            Some(ReportError::UnsupportedVersion { found: 99 }) => {}
+            other => panic!("{document}: expected UnsupportedVersion, got {other:?}"),
+        }
     }
 }
 

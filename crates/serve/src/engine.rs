@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use alberta_core::json::Value;
+use alberta_core::json::{req, DecodeError, Value};
 use alberta_core::log_info;
 use alberta_core::protocol::RemoteStatus;
 use alberta_core::telemetry::{
@@ -145,18 +145,7 @@ impl EngineStats {
             ("evictions".to_owned(), Value::UInt(self.evictions)),
             (
                 "hosts".to_owned(),
-                Value::Array(
-                    self.hosts
-                        .iter()
-                        .map(|h| {
-                            Value::Object(vec![
-                                ("host".to_owned(), Value::UInt(h.host)),
-                                ("tasks".to_owned(), Value::UInt(h.tasks)),
-                                ("stolen".to_owned(), Value::UInt(h.stolen)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Array(self.hosts.iter().map(|h| h.to_value()).collect()),
             ),
             (
                 "shards".to_owned(),
@@ -182,65 +171,31 @@ impl EngineStats {
     /// # Errors
     ///
     /// A message naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stats missing {name}"))
-        };
-        let hosts = value
-            .get("hosts")
-            .and_then(Value::as_array)
-            .ok_or("stats missing hosts")?
-            .iter()
-            .map(|h| {
-                let hf = |name: &str| {
-                    h.get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("host record missing {name}"))
-                };
-                Ok(HostRecord {
-                    host: hf("host")?,
-                    tasks: hf("tasks")?,
-                    stolen: hf("stolen")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let shards = value
-            .get("shards")
-            .and_then(Value::as_array)
-            .ok_or("stats missing shards")?
-            .iter()
-            .map(|s| {
-                let sf = |name: &str| {
-                    s.get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("shard record missing {name}"))
-                };
-                Ok(ShardStats {
-                    shard: s
-                        .get("shard")
-                        .and_then(Value::as_str)
-                        .ok_or("shard record missing shard")?
-                        .to_owned(),
-                    entries: sf("entries")?,
-                    bytes: sf("bytes")?,
-                    evictions: sf("evictions")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
+    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(EngineStats {
-            requests: field("requests")?,
-            computed_keys: field("computed_keys")?,
-            cache_hits: field("cache_hits")?,
-            coalesced: field("coalesced")?,
-            failed_keys: field("failed_keys")?,
-            steals: field("steals")?,
-            redispatches: field("redispatches")?,
-            evictions: field("evictions")?,
-            hosts,
-            shards,
+            requests: req(value, "requests")?,
+            computed_keys: req(value, "computed_keys")?,
+            cache_hits: req(value, "cache_hits")?,
+            coalesced: req(value, "coalesced")?,
+            failed_keys: req(value, "failed_keys")?,
+            steals: req(value, "steals")?,
+            redispatches: req(value, "redispatches")?,
+            evictions: req(value, "evictions")?,
+            hosts: req::<&[Value]>(value, "hosts")?
+                .iter()
+                .map(HostRecord::from_value)
+                .collect::<Result<_, _>>()?,
+            shards: req::<&[Value]>(value, "shards")?
+                .iter()
+                .map(|shard| {
+                    Ok(ShardStats {
+                        shard: req(shard, "shard")?,
+                        entries: req(shard, "entries")?,
+                        bytes: req(shard, "bytes")?,
+                        evictions: req(shard, "evictions")?,
+                    })
+                })
+                .collect::<Result<_, DecodeError>>()?,
         })
     }
 }
@@ -936,7 +891,7 @@ fn expand(
 ) -> Result<Expansion, String> {
     let spec = &request.spec;
     let suite = suites
-        .entry(spec.scale_name())
+        .entry(spec.scale.name())
         .or_insert_with(|| benchmark_suite(spec.scale));
     let benchmark = suite
         .iter()

@@ -10,10 +10,10 @@
 //! rendering, extended with the report schema version and the crate
 //! version so a schema or code change can never serve a stale document.
 
-use alberta_core::json::{self, Value};
+use alberta_core::json::{self, opt, req, DecodeError, Value};
 use alberta_core::protocol::{
-    decode_machine, decode_predictor, decode_sampling_policy, decode_scale, machine_value,
-    predictor_value, sampling_policy_value, scale_name, scale_value, DecodeError,
+    decode_machine, decode_predictor, decode_sampling_policy, machine_value, predictor_value,
+    sampling_policy_value,
 };
 use alberta_core::{MachineConfig, PredictorKind, SamplingPolicy, Scale, TopDownModel};
 use alberta_report::SCHEMA_VERSION;
@@ -61,7 +61,7 @@ impl RequestSpec {
         if let Some(workload) = &self.workload {
             fields.push(("workload".to_owned(), Value::Str(workload.clone())));
         }
-        fields.push(("scale".to_owned(), scale_value(self.scale)));
+        fields.push(("scale".to_owned(), Value::Str(self.scale.name().to_owned())));
         fields.push(("sampling".to_owned(), sampling_policy_value(&self.policy)));
         fields.push(("machine".to_owned(), machine_value(&self.machine)));
         fields.push(("predictor".to_owned(), predictor_value(self.predictor)));
@@ -74,35 +74,13 @@ impl RequestSpec {
     ///
     /// A [`DecodeError`] naming the missing or mistyped field.
     pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
-        let benchmark = value
-            .get("benchmark")
-            .and_then(Value::as_str)
-            .ok_or("spec missing benchmark")?
-            .to_owned();
-        let workload = match value.get("workload") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("spec workload must be a string")?
-                    .to_owned(),
-            ),
-        };
-        let scale = decode_scale(
-            value
-                .get("scale")
-                .and_then(Value::as_str)
-                .ok_or("spec missing scale")?,
-        )?;
-        let policy = decode_sampling_policy(value.get("sampling").ok_or("spec missing sampling")?)?;
-        let machine = decode_machine(value.get("machine").ok_or("spec missing machine")?)?;
-        let predictor = decode_predictor(value.get("predictor").ok_or("spec missing predictor")?)?;
         Ok(RequestSpec {
-            benchmark,
-            workload,
-            scale,
-            policy,
-            machine,
-            predictor,
+            benchmark: req(value, "benchmark")?,
+            workload: opt(value, "workload")?,
+            scale: req(value, "scale")?,
+            policy: decode_sampling_policy(req(value, "sampling")?)?,
+            machine: decode_machine(req(value, "machine")?)?,
+            predictor: decode_predictor(req(value, "predictor")?)?,
         })
     }
 
@@ -133,7 +111,7 @@ impl RequestSpec {
             ),
             ("benchmark".to_owned(), Value::Str(self.benchmark.clone())),
             ("workload".to_owned(), Value::Str(workload.to_owned())),
-            ("scale".to_owned(), scale_value(self.scale)),
+            ("scale".to_owned(), Value::Str(self.scale.name().to_owned())),
             ("sampling".to_owned(), sampling_policy_value(&self.policy)),
             ("machine".to_owned(), machine_value(&self.machine)),
             ("predictor".to_owned(), predictor_value(self.predictor)),
@@ -146,17 +124,12 @@ impl RequestSpec {
     /// to batch tasks that can share one [`Suite`](alberta_core::Suite).
     pub fn config_fingerprint(&self) -> String {
         let document = Value::Object(vec![
-            ("scale".to_owned(), scale_value(self.scale)),
+            ("scale".to_owned(), Value::Str(self.scale.name().to_owned())),
             ("sampling".to_owned(), sampling_policy_value(&self.policy)),
             ("machine".to_owned(), machine_value(&self.machine)),
             ("predictor".to_owned(), predictor_value(self.predictor)),
         ]);
         document.fingerprint()
-    }
-
-    /// The scale's canonical name (handy for per-scale grouping keys).
-    pub fn scale_name(&self) -> &'static str {
-        scale_name(self.scale)
     }
 }
 

@@ -10,8 +10,7 @@
 //! answers each member in canonical token order — which is what makes
 //! the storm's counters independent of socket arrival order.
 
-use alberta_core::json::{self, Value};
-use alberta_core::protocol::DecodeError;
+use alberta_core::json::{self, opt, req, DecodeError, Value};
 
 use crate::engine::{EngineStats, ResponseCounts};
 use crate::spec::RequestSpec;
@@ -45,19 +44,9 @@ impl GroupInfo {
 
     fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(GroupInfo {
-            id: value
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or("group missing id")?
-                .to_owned(),
-            size: value
-                .get("size")
-                .and_then(Value::as_u64)
-                .ok_or("group missing size")?,
-            member: value
-                .get("member")
-                .and_then(Value::as_u64)
-                .ok_or("group missing member")?,
+            id: req(value, "id")?,
+            size: req(value, "size")?,
+            member: req(value, "member")?,
         })
     }
 }
@@ -149,38 +138,22 @@ impl ClientMsg {
     /// A [`DecodeError`] naming the problem.
     pub fn decode(line: &str) -> Result<Self, DecodeError> {
         let value = json::parse(line).map_err(|e| format!("malformed message: {e}"))?;
-        match value.get("type").and_then(Value::as_str) {
-            Some("hello") => Ok(ClientMsg::Hello {
-                protocol: value
-                    .get("protocol")
-                    .and_then(Value::as_u64)
-                    .ok_or("hello missing protocol")?,
-                client: match value.get("client") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or("hello client must be a string")?
-                            .to_owned(),
-                    ),
-                },
+        match req(&value, "type")? {
+            "hello" => Ok(ClientMsg::Hello {
+                protocol: req(&value, "protocol")?,
+                client: opt(&value, "client")?,
                 group: value.get("group").map(GroupInfo::from_value).transpose()?,
             }),
-            Some("request") => Ok(ClientMsg::Request {
-                id: value
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or("request missing id")?,
-                spec: Box::new(RequestSpec::from_value(
-                    value.get("spec").ok_or("request missing spec")?,
-                )?),
+            "request" => Ok(ClientMsg::Request {
+                id: req(&value, "id")?,
+                spec: Box::new(RequestSpec::from_value(req(&value, "spec")?)?),
             }),
-            Some("drain") => Ok(ClientMsg::Drain),
-            Some("stats") => Ok(ClientMsg::Stats),
-            Some("metrics") => Ok(ClientMsg::Metrics),
-            Some("spans") => Ok(ClientMsg::Spans),
-            Some("shutdown") => Ok(ClientMsg::Shutdown),
-            Some(other) => Err(format!("unknown client message type {other:?}")),
-            None => Err("client message missing type".to_owned()),
+            "drain" => Ok(ClientMsg::Drain),
+            "stats" => Ok(ClientMsg::Stats),
+            "metrics" => Ok(ClientMsg::Metrics),
+            "spans" => Ok(ClientMsg::Spans),
+            "shutdown" => Ok(ClientMsg::Shutdown),
+            other => Err(format!("unknown client message type {other:?}")),
         }
     }
 }
@@ -289,70 +262,41 @@ impl ServerMsg {
     /// A [`DecodeError`] naming the problem.
     pub fn decode(line: &str) -> Result<Self, DecodeError> {
         let value = json::parse(line).map_err(|e| format!("malformed message: {e}"))?;
-        match value.get("type").and_then(Value::as_str) {
-            Some("hello") => Ok(ServerMsg::Hello {
-                protocol: value
-                    .get("protocol")
-                    .and_then(Value::as_u64)
-                    .ok_or("hello missing protocol")?,
+        match req(&value, "type")? {
+            "hello" => Ok(ServerMsg::Hello {
+                protocol: req(&value, "protocol")?,
             }),
-            Some("response") => {
-                let counts = value.get("counts").ok_or("response missing counts")?;
-                let count = |name: &str| {
-                    counts
-                        .get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("response counts missing {name}"))
-                };
+            "response" => {
+                let counts: &Value = req(&value, "counts")?;
                 Ok(ServerMsg::Response {
-                    id: value
-                        .get("id")
-                        .and_then(Value::as_u64)
-                        .ok_or("response missing id")?,
+                    id: req(&value, "id")?,
                     counts: ResponseCounts {
-                        computed: count("computed")?,
-                        cached: count("cached")?,
-                        coalesced: count("coalesced")?,
-                        failed: count("failed")?,
+                        computed: req(counts, "computed")?,
+                        cached: req(counts, "cached")?,
+                        coalesced: req(counts, "coalesced")?,
+                        failed: req(counts, "failed")?,
                     },
-                    body: value.get("body").ok_or("response missing body")?.clone(),
+                    body: req::<&Value>(&value, "body")?.clone(),
                 })
             }
-            Some("error") => Ok(ServerMsg::Error {
-                id: value
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or("error missing id")?,
-                message: value
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .ok_or("error missing message")?
-                    .to_owned(),
+            "error" => Ok(ServerMsg::Error {
+                id: req(&value, "id")?,
+                message: req(&value, "message")?,
             }),
-            Some("drained") => Ok(ServerMsg::Drained {
-                responses: value
-                    .get("responses")
-                    .and_then(Value::as_u64)
-                    .ok_or("drained missing responses")?,
+            "drained" => Ok(ServerMsg::Drained {
+                responses: req(&value, "responses")?,
             }),
-            Some("stats") => Ok(ServerMsg::Stats(EngineStats::from_value(
-                value.get("stats").ok_or("stats message missing stats")?,
-            )?)),
-            Some("metrics") => Ok(ServerMsg::Metrics {
-                document: value
-                    .get("document")
-                    .ok_or("metrics message missing document")?
-                    .clone(),
+            "stats" => Ok(ServerMsg::Stats(EngineStats::from_value(req(
+                &value, "stats",
+            )?)?)),
+            "metrics" => Ok(ServerMsg::Metrics {
+                document: req::<&Value>(&value, "document")?.clone(),
             }),
-            Some("spans") => Ok(ServerMsg::Spans {
-                spans: value
-                    .get("spans")
-                    .ok_or("spans message missing spans")?
-                    .clone(),
+            "spans" => Ok(ServerMsg::Spans {
+                spans: req::<&Value>(&value, "spans")?.clone(),
             }),
-            Some("bye") => Ok(ServerMsg::Bye),
-            Some(other) => Err(format!("unknown server message type {other:?}")),
-            None => Err("server message missing type".to_owned()),
+            "bye" => Ok(ServerMsg::Bye),
+            other => Err(format!("unknown server message type {other:?}")),
         }
     }
 }

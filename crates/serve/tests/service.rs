@@ -2,6 +2,8 @@
 //! equality with a direct suite computation, grouped drains, and
 //! shutdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 use alberta_core::{ExecPolicy, Scale, Suite};
@@ -261,6 +263,35 @@ fn stats_report_per_shard_cache_state() {
         assert_eq!(shard.evictions, 0, "nothing corrupt yet");
         assert_eq!(shard.shard.len(), 2, "two-hex shard fan-out");
     }
+
+    drop(client);
+    Client::connect(&addr, None)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    daemon.join().expect("daemon thread exits");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn deeply_nested_line_is_rejected_without_killing_the_daemon() {
+    let (addr, daemon, root) = start_daemon("deep");
+    // A line of 100,000 brackets in place of a hello: the parser must
+    // refuse it by depth instead of recursing off the handler's stack.
+    let mut stream = TcpStream::connect(&addr).expect("connect raw");
+    let mut line = "[".repeat(100_000);
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("send the line");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("read the reply");
+    assert!(reply.contains("expected hello"), "{reply}");
+    drop(stream);
+
+    let mut client = Client::connect(&addr, None).expect("a fresh client still connects");
+    let stats = client.stats().expect("and gets its stats");
+    assert_eq!(stats.requests, 0);
 
     drop(client);
     Client::connect(&addr, None)

@@ -81,6 +81,27 @@ impl Scale {
             Scale::Ref => Some(Scale::Train),
         }
     }
+
+    /// The canonical name (`test`, `train`, `ref`) used on the command
+    /// line, in file names and in every canonical-JSON document.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Train => "train",
+            Scale::Ref => "ref",
+        }
+    }
+
+    /// The scale with the given canonical name, or `None` for any other
+    /// text.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        match name {
+            "test" => Some(Scale::Test),
+            "train" => Some(Scale::Train),
+            "ref" => Some(Scale::Ref),
+            _ => None,
+        }
+    }
 }
 
 /// A named workload: the unit the characterization harness iterates over.
@@ -118,6 +139,14 @@ mod tests {
     #[test]
     fn scale_apply_saturates() {
         assert_eq!(Scale::Ref.apply(usize::MAX / 2), usize::MAX);
+    }
+
+    #[test]
+    fn scale_names_round_trip() {
+        for scale in [Scale::Test, Scale::Train, Scale::Ref] {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::from_name("Train"), None);
     }
 
     #[test]

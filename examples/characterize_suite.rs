@@ -10,14 +10,10 @@ use alberta::core::Suite;
 use alberta::workloads::Scale;
 
 fn main() -> Result<(), alberta::core::CoreError> {
-    let scale = match std::env::args().nth(1).as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("train") => Scale::Train,
-        Some("ref") => Scale::Ref,
-        Some(other) => {
-            eprintln!("error: unknown scale {other:?}; valid scales are: test, train, ref");
-            std::process::exit(2);
-        }
+    let name = std::env::args().nth(1).unwrap_or_else(|| "test".to_owned());
+    let Some(scale) = Scale::from_name(&name) else {
+        eprintln!("error: unknown scale {name:?}; valid scales are: test, train, ref");
+        std::process::exit(2);
     };
     let suite = Suite::new(scale);
     let table = tables::table2(&suite)?;
