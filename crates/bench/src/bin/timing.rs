@@ -16,63 +16,16 @@
 //! serialized JSON, the same guarantee CI enforces on `bench-report`
 //! artifacts. With `--sample` every sweep measures via phase sampling,
 //! so the assertion covers the sampled pipeline too.
-//!
-//! With `--speed-only` the binary instead runs the replay-engine
-//! microbenchmark (scalar vs batched detailed measurement, see
-//! [`alberta_bench::speed`]) and skips the sweeps entirely;
-//! `--speed-out FILE` additionally writes the canonical
-//! `SPEED_*.json` document to `FILE`.
 
-use alberta_bench::{exec_from_args, flag_from_args, sampling_from_args, scale_from_args};
+use alberta_bench::{exec_from_args, sampling_from_args, scale_from_args};
 use alberta_core::{ExecPolicy, Suite};
 use std::time::{Duration, Instant};
-
-/// Trace length and repetitions of the speed microbenchmark: large
-/// enough that per-replay setup noise is negligible, small enough to
-/// finish in a few seconds even under the scalar engine.
-const SPEED_EVENTS: usize = 1 << 20;
-const SPEED_REPS: u32 = 3;
-
-fn run_speed_only() -> ! {
-    let report = alberta_bench::speed::measure(SPEED_EVENTS, SPEED_REPS);
-    println!(
-        "replay speed    {} events, {} reps",
-        report.events, report.reps
-    );
-    println!(
-        "pre-rewrite     {:>12} events/s",
-        report.baseline_events_per_sec
-    );
-    println!(
-        "scalar shadow   {:>12} events/s",
-        report.scalar_events_per_sec
-    );
-    println!(
-        "batched engine  {:>12} events/s",
-        report.replay_events_per_sec
-    );
-    println!(
-        "speedup         {:>12.2}x vs pre-rewrite, {:.2}x vs shadow",
-        report.speedup_vs_baseline, report.speedup_vs_scalar
-    );
-    if let Some(path) = alberta_bench::value_from_args("--speed-out") {
-        std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
-            eprintln!("timing: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote          {path}");
-    }
-    std::process::exit(0);
-}
 
 fn main() {
     // Under --exec processes the supervisor re-executes this binary in
     // a hidden worker mode; that must be intercepted before any
     // argument parsing sees the worker flag.
     alberta_bench::maybe_worker();
-    if flag_from_args("--speed-only") {
-        run_speed_only();
-    }
     let scale = scale_from_args();
     // For the speedup report a 1-worker pool is meaningless, so the
     // default here is the hardware parallelism rather than serial;

@@ -1,14 +1,12 @@
 //! Shared helpers for the experiment-regeneration binaries and benches.
 //!
-//! Argument handling is strict: an unrecognized scale or a malformed
-//! `--jobs` value terminates the binary with an error listing the valid
-//! choices. Silently mapping a typo (`Ref`, `tset`) to `Scale::Test`
-//! used to waste an entire sweep at the wrong scale.
+//! Argument handling is strict: an unrecognized scale, an unknown
+//! `--flag` or a malformed `--jobs` value terminates the binary with a
+//! usage error. Silently mapping a typo (`Ref`, `tset`, `--sampel`) to
+//! the default used to waste an entire sweep on the wrong measurement.
 
 use alberta_core::{ExecPolicy, PhaseSampling, SamplingPolicy};
 use alberta_workloads::Scale;
-
-pub mod speed;
 
 // Re-exported so every binary can hook the hidden worker mode with one
 // `alberta_bench::maybe_worker()` call at the top of `main` — under
@@ -41,13 +39,13 @@ const VALUE_FLAGS: &[&str] = &[
     "--sample-k",
     "--sample-seed",
     "--bound",
-    "--speed-out",
     "--listen",
     "--cache-dir",
     "--hosts",
     "--host-exec",
     "--host-jobs",
     "--addr",
+    "--json",
     "--requests",
     "--clients",
     "--seed",
@@ -63,8 +61,19 @@ const VALUE_FLAGS: &[&str] = &[
     "--dram-row",
 ];
 
+/// Flags that stand alone, without a value.
+const BOOL_FLAGS: &[&str] = &[
+    "--sample",
+    "--telemetry",
+    "--check",
+    "--curves",
+    "--keep-going",
+    "--shutdown",
+];
+
 /// The positional (non-flag) arguments, with flag *values* excluded:
-/// `--jobs 4` contributes neither token.
+/// `--jobs 4` contributes neither token. A flag in neither
+/// [`VALUE_FLAGS`] nor [`BOOL_FLAGS`] terminates with a usage error.
 fn positional_args() -> Vec<String> {
     let mut positionals = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -74,6 +83,11 @@ fn positional_args() -> Vec<String> {
             let _ = args.next();
         } else if !arg.starts_with("--") {
             positionals.push(arg);
+        } else if !BOOL_FLAGS.contains(&arg.as_str()) {
+            let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+            if !VALUE_FLAGS.contains(&name) {
+                usage_error(&format!("unknown flag {arg:?}"));
+            }
         }
     }
     positionals

@@ -131,3 +131,29 @@ fn bench_diff_rejects_wrong_operand_count_with_exit_2() {
         assert_eq!(status.code(), Some(2), "operands {operands:?}");
     }
 }
+
+/// An unknown flag is a usage error, checked before any sweep starts: a
+/// typo such as `--sampel`, or a flag a binary no longer has, used to be
+/// skipped silently and cost a full sweep without the requested mode.
+#[test]
+fn unknown_flags_exit_2_before_any_sweep() {
+    let (report, timing) = (
+        env!("CARGO_BIN_EXE_bench-report"),
+        env!("CARGO_BIN_EXE_timing"),
+    );
+    let cases: &[(&str, &[&str])] = &[
+        (report, &["test", "--speed-only"]),
+        (report, &["test", "--sampel"]),
+        (timing, &["--speed-only"]),
+        (timing, &["--speed-out", "speed.json"]),
+    ];
+    for (bin, args) in cases {
+        let output = Command::new(bin).args(*args).output().expect("spawn");
+        assert_eq!(output.status.code(), Some(2), "{bin} {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unknown flag"),
+            "{bin} {args:?} must name the flag, got: {stderr}"
+        );
+    }
+}

@@ -1,50 +1,52 @@
-//! Struct-of-arrays event chunks for batched replay.
+//! Struct-of-arrays event columns: the captured trace.
 //!
 //! The detailed-measurement hot path replays every retained trace event
 //! through the microarchitectural models. Walking a `&[Event]` pays a
 //! per-event enum dispatch whose arm is data-dependent — on an
 //! interleaved branch/memory/call stream the *host's* branch predictor
 //! mispredicts the match continuously — plus a virtual predictor call
-//! per branch. [`EventChunks`] transposes the interleaved stream once
-//! into per-kind parallel arrays so replay engines can run one tight,
-//! dispatch-free kernel loop per kind.
+//! per branch. The profiler therefore captures straight into
+//! [`EventChunks`]: per-kind parallel arrays over which replay engines
+//! run one tight, dispatch-free kernel loop per kind. They are the only
+//! copy of the kept events; [`EventChunks::events`] rebuilds the
+//! interleaved stream where the scalar reference engine and tests need
+//! it.
 //!
 //! Order preservation: the three microarchitectural state machines a
 //! replay drives are *disjoint* — branch events touch only the
-//! predictor, load/store events only the data hierarchy, call events
-//! only the instruction cache — so replaying each kind's sub-stream in
-//! its own order is exactly equivalent to replaying the interleaved
-//! stream. Each kind additionally records the original trace index of
-//! every entry, so any half-open trace range `[start, end)` (a medoid
-//! window, a warming gap) maps to one contiguous sub-range per kind via
-//! binary search; within a range, per-kind order is the trace order.
+//! predictor, memory events only the data hierarchy, call events only
+//! the instruction cache — so replaying each kind's sub-stream in its
+//! own order is exactly equivalent to replaying the interleaved stream.
+//! Each kind additionally records the trace index of every entry, so
+//! any half-open trace range `[start, end)` (a medoid window, a warming
+//! gap) maps to one contiguous sub-range per kind via binary search;
+//! within a range, per-kind order is the trace order.
 
-use crate::event::{Event, EventTrace};
+use crate::event::Event;
 use crate::profiler::FnId;
 
-/// Per-kind parallel arrays transposed from one event stream.
+/// Per-kind parallel arrays holding one event stream.
 ///
-/// Built once per replay (or reused across windows of the same trace);
-/// sliced per window with [`EventChunks::kind_ranges`].
+/// Filled event by event under the retention rule of an
+/// [`EventTrace`](crate::EventTrace); sliced per window with
+/// [`EventChunks::kind_ranges`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventChunks {
-    /// Original trace indices of the branch events, ascending.
+    /// Trace indices of the branch events, ascending.
     branch_pos: Vec<usize>,
     /// Static branch sites, parallel to `branch_pos`.
     branch_sites: Vec<u32>,
     /// Branch outcomes, parallel to `branch_pos`.
     branch_takens: Vec<bool>,
-    /// Original trace indices of the load/store events, ascending.
-    /// Loads and stores drive the data hierarchy identically, so they
-    /// share one stream.
+    /// Trace indices of the memory events, ascending.
     mem_pos: Vec<usize>,
     /// Accessed byte addresses, parallel to `mem_pos`.
     mem_addrs: Vec<u64>,
-    /// Original trace indices of the call events, ascending.
+    /// Trace indices of the call events, ascending.
     call_pos: Vec<usize>,
     /// Entered functions, parallel to `call_pos`.
     call_callees: Vec<FnId>,
-    /// Total events transposed, including `Return`s (which carry no
+    /// Total events held, including `Return`s (which carry no
     /// microarchitectural state and get no array).
     len: usize,
 }
@@ -62,62 +64,90 @@ pub struct ChunkSlices<'a> {
     pub call_callees: &'a [FnId],
 }
 
+/// Keeps the entries of `values` whose trace index in the parallel
+/// `pos` is odd. Branch-free, since the parity of successive entries of
+/// one kind follows the interleaving of kinds.
+fn keep_odd<T: Copy>(pos: &[usize], values: &mut Vec<T>) {
+    let mut keep = 0;
+    for (i, &p) in pos.iter().enumerate() {
+        values[keep] = values[i];
+        keep += p & 1;
+    }
+    values.truncate(keep);
+}
+
+/// Keeps the odd trace indices of `pos`, renumbered `i → i / 2`.
+fn keep_odd_positions(pos: &mut Vec<usize>) {
+    let mut keep = 0;
+    for i in 0..pos.len() {
+        let p = pos[i];
+        pos[keep] = p / 2;
+        keep += p & 1;
+    }
+    pos.truncate(keep);
+}
+
 impl EventChunks {
-    /// Transposes an event slice into per-kind arrays.
-    pub fn from_events(events: &[Event]) -> Self {
-        // Counting pass first: exact reservations keep the transposition
-        // at one allocation per array with no growth copies.
-        let (mut branches, mut mems, mut calls) = (0usize, 0usize, 0usize);
-        for event in events {
-            match event {
-                Event::Branch { .. } => branches += 1,
-                Event::Load { .. } | Event::Store { .. } => mems += 1,
-                Event::Call { .. } => calls += 1,
-                Event::Return => {}
+    /// Appends `event` at trace index [`len`](EventChunks::len).
+    #[inline(always)]
+    pub(crate) fn push(&mut self, event: Event) {
+        let index = self.len;
+        match event {
+            Event::Branch { site, taken } => {
+                self.branch_pos.push(index);
+                self.branch_sites.push(site);
+                self.branch_takens.push(taken);
             }
-        }
-        let mut chunks = EventChunks {
-            branch_pos: Vec::with_capacity(branches),
-            branch_sites: Vec::with_capacity(branches),
-            branch_takens: Vec::with_capacity(branches),
-            mem_pos: Vec::with_capacity(mems),
-            mem_addrs: Vec::with_capacity(mems),
-            call_pos: Vec::with_capacity(calls),
-            call_callees: Vec::with_capacity(calls),
-            len: events.len(),
-        };
-        for (index, event) in events.iter().enumerate() {
-            match *event {
-                Event::Branch { site, taken } => {
-                    chunks.branch_pos.push(index);
-                    chunks.branch_sites.push(site);
-                    chunks.branch_takens.push(taken);
-                }
-                Event::Load { addr } | Event::Store { addr } => {
-                    chunks.mem_pos.push(index);
-                    chunks.mem_addrs.push(addr);
-                }
-                Event::Call { callee } => {
-                    chunks.call_pos.push(index);
-                    chunks.call_callees.push(callee);
-                }
-                Event::Return => {}
+            Event::Mem { addr } => {
+                self.mem_pos.push(index);
+                self.mem_addrs.push(addr);
             }
+            Event::Call { callee } => {
+                self.call_pos.push(index);
+                self.call_callees.push(callee);
+            }
+            Event::Return => {}
         }
-        chunks
+        self.len += 1;
     }
 
-    /// Transposes a captured trace (its retained events, in order).
-    pub fn from_trace(trace: &EventTrace) -> Self {
-        Self::from_events(trace.events())
+    /// Keeps the events at odd trace indices, renumbered `i → i / 2`:
+    /// one decimation of the trace, column by column.
+    pub(crate) fn keep_odd_indices(&mut self) {
+        keep_odd(&self.branch_pos, &mut self.branch_sites);
+        keep_odd(&self.branch_pos, &mut self.branch_takens);
+        keep_odd(&self.mem_pos, &mut self.mem_addrs);
+        keep_odd(&self.call_pos, &mut self.call_callees);
+        keep_odd_positions(&mut self.branch_pos);
+        keep_odd_positions(&mut self.mem_pos);
+        keep_odd_positions(&mut self.call_pos);
+        self.len /= 2;
     }
 
-    /// Number of events transposed (including `Return`s).
+    /// The interleaved event stream, rebuilt in trace order: the input
+    /// of the scalar reference engine. Every trace index no column
+    /// claims is a `Return`.
+    pub fn events(&self) -> Vec<Event> {
+        let mut events = vec![Event::Return; self.len];
+        let branches = self.branch_sites.iter().zip(&self.branch_takens);
+        for (&p, (&site, &taken)) in self.branch_pos.iter().zip(branches) {
+            events[p] = Event::Branch { site, taken };
+        }
+        for (&p, &addr) in self.mem_pos.iter().zip(&self.mem_addrs) {
+            events[p] = Event::Mem { addr };
+        }
+        for (&p, &callee) in self.call_pos.iter().zip(&self.call_callees) {
+            events[p] = Event::Call { callee };
+        }
+        events
+    }
+
+    /// Number of events held (including `Return`s).
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the source stream was empty.
+    /// Whether no events are held.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -127,7 +157,7 @@ impl EventChunks {
         self.branch_pos.len()
     }
 
-    /// Number of load/store events.
+    /// Number of memory events.
     pub fn mem_accesses(&self) -> usize {
         self.mem_pos.len()
     }
@@ -171,36 +201,59 @@ mod tests {
                 site: (i % 7) as u32,
                 taken: i % 3 == 0,
             });
-            events.push(Event::Load { addr: i * 64 });
+            events.push(Event::Mem { addr: i * 64 });
             if i % 5 == 0 {
                 events.push(Event::Call {
                     callee: FnId((i % 4) as u32),
                 });
-                events.push(Event::Store { addr: i * 8 });
+                events.push(Event::Mem { addr: i * 8 });
                 events.push(Event::Return);
             }
         }
         events
     }
 
+    fn chunks_of(events: &[Event]) -> EventChunks {
+        let mut chunks = EventChunks::default();
+        for &event in events {
+            chunks.push(event);
+        }
+        chunks
+    }
+
     #[test]
     fn transposition_partitions_every_kind() {
         let events = mixed_events();
-        let chunks = EventChunks::from_events(&events);
+        let chunks = chunks_of(&events);
         assert_eq!(chunks.len(), events.len());
         assert_eq!(chunks.branches(), 100);
-        assert_eq!(chunks.mem_accesses(), 120, "100 loads + 20 stores");
+        assert_eq!(chunks.mem_accesses(), 120, "100 + 20 memory events");
         assert_eq!(chunks.calls(), 20);
         let full = chunks.kind_ranges(0, events.len());
         assert_eq!(full.branch_sites.len(), 100);
         assert_eq!(full.mem_addrs.len(), 120);
         assert_eq!(full.call_callees.len(), 20);
+        assert_eq!(chunks.events(), events, "the columns rebuild the stream");
+    }
+
+    #[test]
+    fn keeping_odd_indices_renumbers_every_column() {
+        let events = mixed_events();
+        let mut chunks = chunks_of(&events);
+        chunks.keep_odd_indices();
+        let odd: Vec<Event> = events.iter().skip(1).step_by(2).copied().collect();
+        assert_eq!(chunks.events(), odd);
+        assert_eq!(
+            chunks,
+            chunks_of(&odd),
+            "same columns as pushing the survivors"
+        );
     }
 
     #[test]
     fn kind_ranges_match_scalar_filtering() {
         let events = mixed_events();
-        let chunks = EventChunks::from_events(&events);
+        let chunks = chunks_of(&events);
         for (start, end) in [(0, events.len()), (10, 200), (37, 38), (50, 50)] {
             let slices = chunks.kind_ranges(start, end);
             let branches: Vec<(u32, bool)> = events[start..end]
@@ -220,7 +273,7 @@ mod tests {
             let mems: Vec<u64> = events[start..end]
                 .iter()
                 .filter_map(|e| match *e {
-                    Event::Load { addr } | Event::Store { addr } => Some(addr),
+                    Event::Mem { addr } => Some(addr),
                     _ => None,
                 })
                 .collect();
@@ -238,12 +291,12 @@ mod tests {
 
     #[test]
     fn out_of_bounds_ranges_clamp_to_empty() {
-        let chunks = EventChunks::from_events(&mixed_events());
+        let chunks = chunks_of(&mixed_events());
         let past = chunks.kind_ranges(chunks.len() + 10, chunks.len() + 20);
         assert!(past.branch_sites.is_empty());
         assert!(past.mem_addrs.is_empty());
         assert!(past.call_callees.is_empty());
-        let empty = EventChunks::from_events(&[]);
+        let empty = EventChunks::default();
         assert!(empty.is_empty());
         assert!(empty.kind_ranges(0, 0).branch_sites.is_empty());
     }

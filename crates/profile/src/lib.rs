@@ -8,9 +8,12 @@
 //!
 //! * per-function attributed work, from which *method coverage* (Section
 //!   V-C of the paper) is derived, and
-//! * a sampled [`EventTrace`] of branch/memory/call events that the
+//! * a sampled trace of branch/memory/call events that the
 //!   `alberta-uarch` crate replays through simulated branch predictors and
 //!   caches to produce Intel Top-Down cycle classifications (Section V-B).
+//!   The profiler writes each kept event straight into the per-kind
+//!   [`EventChunks`] columns replay reads; an [`EventTrace`] decides which
+//!   events are kept, and holds no copy of them.
 //!
 //! Determinism: given the same benchmark and workload, the produced profile
 //! is bit-identical, which the test suites rely on.

@@ -341,11 +341,12 @@ pub struct Profile {
     pub fn_calls: Vec<u64>,
     /// Exact aggregate counters.
     pub totals: Totals,
-    /// Sampled event trace for microarchitectural replay.
+    /// Retention state of the sampled event trace: its length, weight
+    /// and decimations. The events themselves are in `chunks`.
     pub trace: EventTrace,
-    /// Per-kind struct-of-arrays transposition of `trace`, built once
-    /// at [`Profiler::finish`] so batched replay engines never pay the
-    /// transposition on the measurement hot path.
+    /// The sampled event trace for microarchitectural replay, one column
+    /// per event kind: the only copy of the kept events, written as the
+    /// run is captured.
     pub chunks: EventChunks,
     /// The sampling configuration the trace was captured with.
     pub sampling: SampleConfig,
@@ -484,6 +485,7 @@ pub struct Profiler {
     stack: Vec<Frame>,
     totals: Totals,
     trace: EventTrace,
+    chunks: EventChunks,
     calltree: CallTree,
     sampling: SampleConfig,
     branch_phase: u32,
@@ -546,6 +548,7 @@ impl Profiler {
             stack: Vec::new(),
             totals: Totals::default(),
             trace: EventTrace::with_capacity(sampling.trace_capacity),
+            chunks: EventChunks::default(),
             calltree: CallTree::new(),
             sampling,
             branch_phase: 0,
@@ -792,11 +795,12 @@ impl Profiler {
             self.call_phase = 0;
         }
         let sampled = phase_hit && self.trace_on;
+        let event = Event::Call { callee: id };
         if sampled {
-            self.trace.push(Event::Call { callee: id });
+            self.trace.push(&mut self.chunks, event);
         } else if phase_hit && self.trace_gated {
             self.trace
-                .push_diluted(Event::Call { callee: id }, WARM_DILUTION);
+                .push_diluted(&mut self.chunks, event, WARM_DILUTION);
         }
         self.stack.push(Frame {
             id,
@@ -820,9 +824,10 @@ impl Profiler {
         // global call phase would pair the Return with whichever enter
         // happened most recently).
         if frame.sampled {
-            self.trace.push(Event::Return);
+            self.trace.push(&mut self.chunks, Event::Return);
         } else if frame.offered && self.trace_gated {
-            self.trace.push_diluted(Event::Return, WARM_DILUTION);
+            self.trace
+                .push_diluted(&mut self.chunks, Event::Return, WARM_DILUTION);
         }
     }
 
@@ -852,11 +857,12 @@ impl Profiler {
         self.branch_phase += 1;
         if self.branch_phase >= self.sampling.branch_interval {
             self.branch_phase = 0;
+            let event = Event::Branch { site, taken };
             if self.trace_on {
-                self.trace.push(Event::Branch { site, taken });
+                self.trace.push(&mut self.chunks, event);
             } else if self.trace_gated {
                 self.trace
-                    .push_diluted(Event::Branch { site, taken }, WARM_DILUTION);
+                    .push_diluted(&mut self.chunks, event, WARM_DILUTION);
             }
         }
     }
@@ -868,16 +874,7 @@ impl Profiler {
         self.touch(addr);
         self.totals.loads += 1;
         self.add_retired(1);
-        self.mem_phase += 1;
-        if self.mem_phase >= self.sampling.mem_interval {
-            self.mem_phase = 0;
-            if self.trace_on {
-                self.trace.push(Event::Load { addr });
-            } else if self.trace_gated {
-                self.trace
-                    .push_diluted(Event::Load { addr }, WARM_MEMORY_DILUTION);
-            }
-        }
+        self.sample_mem(addr);
     }
 
     /// Records a data store to `addr` (retires one micro-op).
@@ -887,14 +884,22 @@ impl Profiler {
         self.touch(addr);
         self.totals.stores += 1;
         self.add_retired(1);
+        self.sample_mem(addr);
+    }
+
+    /// Offers a load or store to the trace at the memory interval.
+    /// Always inlined: it is the tail of the two memory hooks.
+    #[inline(always)]
+    fn sample_mem(&mut self, addr: u64) {
         self.mem_phase += 1;
         if self.mem_phase >= self.sampling.mem_interval {
             self.mem_phase = 0;
+            let event = Event::Mem { addr };
             if self.trace_on {
-                self.trace.push(Event::Store { addr });
+                self.trace.push(&mut self.chunks, event);
             } else if self.trace_gated {
                 self.trace
-                    .push_diluted(Event::Store { addr }, WARM_MEMORY_DILUTION);
+                    .push_diluted(&mut self.chunks, event, WARM_MEMORY_DILUTION);
             }
         }
     }
@@ -940,8 +945,8 @@ impl Profiler {
             fn_work: self.fn_work,
             fn_calls: self.fn_calls,
             totals: self.totals,
-            chunks: EventChunks::from_trace(&self.trace),
             trace: self.trace,
+            chunks: self.chunks,
             sampling: self.sampling,
             calltree,
             intervals: self.intervals,
@@ -1075,7 +1080,7 @@ mod tests {
         let mut depth = 0i64;
         let mut calls = 0u64;
         let mut returns = 0u64;
-        for event in profile.trace.events() {
+        for event in profile.chunks.events() {
             match event {
                 Event::Call { .. } => {
                     depth += 1;
@@ -1302,8 +1307,8 @@ mod tests {
             let captured = w.trace_end - w.trace_start;
             // ~50 ops per window, one load per op, full sampling.
             assert!((45..=55).contains(&captured), "captured {captured}");
-            for event in &gated.trace.events()[w.trace_start..w.trace_end] {
-                let Event::Load { addr } = event else {
+            for event in &gated.chunks.events()[w.trace_start..w.trace_end] {
+                let Event::Mem { addr } = event else {
                     panic!("unexpected event {event:?}");
                 };
                 let op = addr / 8 + 1; // op counter after this load retires
@@ -1338,7 +1343,7 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.totals, b.totals);
-        assert_eq!(a.trace.events(), b.trace.events());
+        assert_eq!(a.chunks, b.chunks);
         assert_eq!(a.fn_work, b.fn_work);
     }
 }

@@ -5,28 +5,71 @@
 //! was a real bug), the retained offers always sit on the lattice of
 //! multiples of the current weight (the off-lattice trigger event was
 //! another), and presetting a weight reproduces exactly the density a
-//! decimated full run would have. Each test encodes the offer phase in
-//! the event payload so the retained set can be checked against the
-//! lattice directly.
+//! decimated full run would have. Each lattice test encodes the offer
+//! phase in the event payload so the retained set can be checked
+//! against the lattice directly. The last property shadows capture into
+//! [`EventChunks`] columns against a plain `Vec<Event>` buffer on
+//! streams that mix every event kind.
 
-use alberta_profile::{Event, EventTrace};
+use alberta_profile::{Event, EventChunks, EventTrace, FnId};
 use proptest::prelude::*;
 
-/// Load whose address is the 1-based offer phase, so retained events
-/// identify which offers survived.
+/// Memory event whose address is the 1-based offer phase, so retained
+/// events identify which offers survived.
 fn tagged(phase: u64) -> Event {
-    Event::Load { addr: phase }
+    Event::Mem { addr: phase }
 }
 
-fn phases(trace: &EventTrace) -> Vec<u64> {
-    trace
+/// A trace of `capacity` and the columns it keeps its events in.
+fn trace(capacity: usize) -> (EventTrace, EventChunks) {
+    (EventTrace::with_capacity(capacity), EventChunks::default())
+}
+
+fn phases(chunks: &EventChunks) -> Vec<u64> {
+    chunks
         .events()
         .iter()
         .map(|e| match e {
-            Event::Load { addr } => *addr,
+            Event::Mem { addr } => *addr,
             other => panic!("unexpected event {other:?}"),
         })
         .collect()
+}
+
+/// The capture the columns replaced: one `Vec<Event>` under the same
+/// retention rule, decimated by keeping the odd indices.
+struct Reference {
+    events: Vec<Event>,
+    capacity: usize,
+    weight: u64,
+    decimations: u32,
+    phase: u64,
+}
+
+impl Reference {
+    fn with_capacity(capacity: usize) -> Self {
+        Reference {
+            events: Vec::new(),
+            capacity,
+            weight: 1,
+            decimations: 0,
+            phase: 0,
+        }
+    }
+
+    fn push_diluted(&mut self, event: Event, dilution: u64) -> bool {
+        self.phase += 1;
+        if self.events.len() >= self.capacity {
+            self.events = self.events.iter().skip(1).step_by(2).copied().collect();
+            self.weight *= 2;
+            self.decimations += 1;
+        }
+        if !self.phase.is_multiple_of(self.weight * dilution) {
+            return false;
+        }
+        self.events.push(event);
+        true
+    }
 }
 
 proptest! {
@@ -41,11 +84,12 @@ proptest! {
         capacity in 1usize..48,
         offers in 1u64..3000,
     ) {
-        let mut trace = EventTrace::with_capacity(capacity);
+        let (mut trace, mut chunks) = trace(capacity);
         for phase in 1..=offers {
-            trace.push(tagged(phase));
+            trace.push(&mut chunks, tagged(phase));
             prop_assert!(trace.len() <= capacity,
                 "len {} > capacity {capacity} after offer {phase}", trace.len());
+            prop_assert_eq!(chunks.len(), trace.len());
         }
         prop_assert_eq!(trace.weight(), 1u64 << trace.decimations());
     }
@@ -59,13 +103,13 @@ proptest! {
         capacity in 1usize..48,
         offers in 1u64..3000,
     ) {
-        let mut trace = EventTrace::with_capacity(capacity);
+        let (mut trace, mut chunks) = trace(capacity);
         for phase in 1..=offers {
-            trace.push(tagged(phase));
+            trace.push(&mut chunks, tagged(phase));
         }
         let weight = trace.weight();
         let lattice: Vec<u64> = (1..=offers / weight).map(|k| k * weight).collect();
-        prop_assert_eq!(phases(&trace), lattice);
+        prop_assert_eq!(phases(&chunks), lattice);
     }
 
     /// A trace preset to the final weight of a decimated run retains the
@@ -76,17 +120,17 @@ proptest! {
         capacity in 1usize..48,
         offers in 1u64..3000,
     ) {
-        let mut decimated = EventTrace::with_capacity(capacity);
+        let (mut decimated, mut decimated_chunks) = trace(capacity);
         for phase in 1..=offers {
-            decimated.push(tagged(phase));
+            decimated.push(&mut decimated_chunks, tagged(phase));
         }
-        let mut preset = EventTrace::with_capacity(offers as usize);
+        let (mut preset, mut preset_chunks) = trace(offers as usize);
         preset.preset_weight(decimated.weight());
         for phase in 1..=offers {
-            preset.push(tagged(phase));
+            preset.push(&mut preset_chunks, tagged(phase));
         }
         prop_assert_eq!(preset.decimations(), 0);
-        prop_assert_eq!(phases(&preset), phases(&decimated));
+        prop_assert_eq!(phases(&preset_chunks), phases(&decimated_chunks));
     }
 
     /// Without capacity pressure, dilution alone coarsens retention to
@@ -97,15 +141,90 @@ proptest! {
         dilution in 1u64..16,
         offers in 1u64..2000,
     ) {
-        let mut diluted = EventTrace::with_capacity(offers as usize);
-        let mut full = EventTrace::with_capacity(offers as usize);
+        let (mut diluted, mut diluted_chunks) = trace(offers as usize);
+        let (mut full, mut full_chunks) = trace(offers as usize);
         for phase in 1..=offers {
-            diluted.push_diluted(tagged(phase), dilution);
-            full.push(tagged(phase));
+            diluted.push_diluted(&mut diluted_chunks, tagged(phase), dilution);
+            full.push(&mut full_chunks, tagged(phase));
         }
         let lattice: Vec<u64> = (1..=offers / dilution).map(|k| k * dilution).collect();
-        prop_assert_eq!(phases(&diluted), lattice);
-        let all = phases(&full);
-        prop_assert!(phases(&diluted).iter().all(|p| all.contains(p)));
+        prop_assert_eq!(phases(&diluted_chunks), lattice);
+        let all = phases(&full_chunks);
+        prop_assert!(phases(&diluted_chunks).iter().all(|p| all.contains(p)));
+    }
+
+    /// Column capture keeps exactly what the `Vec<Event>` buffer kept,
+    /// on interleaved streams of every kind: after every offer the
+    /// rebuilt stream, length, weight and decimations match, and every
+    /// trace range slices to the filtered reference. (The lattice
+    /// properties above offer memory events only, so they cannot see
+    /// one column renumbered out of step with another.)
+    #[test]
+    fn column_capture_matches_the_event_vector_reference(
+        capacity in 1usize..64,
+        dilution in 1u64..3,
+        preset in 0u64..5,
+        kinds in prop::collection::vec(0u8..4, 1..400),
+        ranges in prop::collection::vec((any::<u16>(), any::<u16>()), 1..6),
+    ) {
+        let mut reference = Reference::with_capacity(capacity);
+        let (mut trace, mut chunks) = trace(capacity);
+        if preset > 0 {
+            reference.weight = preset;
+            trace.preset_weight(preset);
+        }
+        // Every event but a `Return` carries its offer index, so a
+        // survivor misplaced within or across columns shows.
+        for (i, &kind) in kinds.iter().enumerate() {
+            let event = match kind {
+                0 => Event::Branch { site: i as u32, taken: i % 3 == 0 },
+                1 => Event::Mem { addr: i as u64 },
+                2 => Event::Call { callee: FnId(i as u32) },
+                _ => Event::Return,
+            };
+            let kept = reference.push_diluted(event, dilution);
+            prop_assert_eq!(trace.push_diluted(&mut chunks, event, dilution), kept);
+            prop_assert_eq!(&chunks.events(), &reference.events);
+            prop_assert_eq!(trace.len(), reference.events.len());
+            prop_assert_eq!(trace.weight(), reference.weight);
+            prop_assert_eq!(trace.decimations(), reference.decimations);
+        }
+        let len = reference.events.len();
+        for &(a, b) in &ranges {
+            let (a, b) = (a as usize % (len + 1), b as usize % (len + 1));
+            let (start, end) = (a.min(b), a.max(b));
+            let slices = chunks.kind_ranges(start, end);
+            let window = &reference.events[start..end];
+            let branches: Vec<(u32, bool)> = window
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Branch { site, taken } => Some((site, taken)),
+                    _ => None,
+                })
+                .collect();
+            let got: Vec<(u32, bool)> = slices
+                .branch_sites
+                .iter()
+                .copied()
+                .zip(slices.branch_takens.iter().copied())
+                .collect();
+            prop_assert_eq!(got, branches, "branches in {}..{}", start, end);
+            let mems: Vec<u64> = window
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Mem { addr } => Some(addr),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(slices.mem_addrs, &mems[..], "memory in {}..{}", start, end);
+            let calls: Vec<FnId> = window
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Call { callee } => Some(callee),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(slices.call_callees, &calls[..], "calls in {}..{}", start, end);
+        }
     }
 }

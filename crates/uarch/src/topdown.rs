@@ -338,7 +338,8 @@ impl ReplayState {
 
     /// Replays one event slice through the scalar reference engine,
     /// mutating the shared state, and returns the slice's outcome
-    /// counts.
+    /// counts. [`EventChunks::events`] rebuilds a profile's interleaved
+    /// stream for it.
     pub fn replay(
         &mut self,
         cfg: &MachineConfig,
@@ -356,7 +357,7 @@ impl ReplayState {
                         counts.mispredicts += 1;
                     }
                 }
-                Event::Load { addr } | Event::Store { addr } => {
+                Event::Mem { addr } => {
                     counts.mem += 1;
                     let (outcome, tlb_miss) = self.hierarchy.access(addr);
                     match outcome {
@@ -512,10 +513,9 @@ impl TopDownModel {
     pub fn estimate(&self, profile: &Profile, windows: &[MedoidWindow]) -> TopDownReport {
         let fn_base = self.code_layout(profile);
         let probe_counts = self.probe_table(profile);
-        // The capture layer transposed the trace into per-kind chunk
-        // arrays at `Profiler::finish`; every window (and warming gap)
-        // replays as three dispatch-free kernel loops over contiguous
-        // sub-ranges of them.
+        // The profiler captured the trace straight into per-kind
+        // columns; every window (and warming gap) replays as three
+        // dispatch-free kernel loops over contiguous sub-ranges of them.
         let chunks = &profile.chunks;
         let trace_len = profile.trace.len();
         let mut abs = AbsoluteEstimates::default();

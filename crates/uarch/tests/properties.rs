@@ -1,11 +1,128 @@
 //! Property-based tests for the microarchitecture substrates.
 
 use alberta_profile::{Profiler, SampleConfig};
+use alberta_uarch::topdown::{mpki_sweep_config, MPKI_SWEEP_SIZES};
 use alberta_uarch::{
-    Cache, CacheConfig, DramConfig, MemoryBatch, MemoryHierarchy, MemoryOutcome, PredictorKind,
-    TopDownModel,
+    Cache, CacheConfig, DramConfig, MachineConfig, MemoryBatch, MemoryHierarchy, MemoryOutcome,
+    PredictorKind, TopDownModel,
 };
 use proptest::prelude::*;
+
+/// An independent LRU oracle for [`Cache`]: each way carries the clock
+/// value of its last use, and a miss evicts the way with the oldest
+/// stamp. `Cache` instead keeps every set in most-recently-used-first
+/// order; the two must agree on every hit and miss.
+struct StampCache {
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    clock: u64,
+    set_mask: u64,
+    line_shift: u32,
+    ways: usize,
+}
+
+impl StampCache {
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.size_bytes / (config.line_bytes * config.ways);
+        StampCache {
+            tags: vec![u64::MAX; (sets * config.ways) as usize],
+            stamps: vec![0; (sets * config.ways) as usize],
+            clock: 0,
+            set_mask: sets - 1,
+            line_shift: config.line_bytes.trailing_zeros(),
+            ways: config.ways as usize,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        let line = addr >> self.line_shift;
+        let base = (line & self.set_mask) as usize * self.ways;
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for i in base..base + self.ways {
+            if self.tags[i] == line {
+                self.stamps[i] = self.clock;
+                return true;
+            }
+            if self.stamps[i] < oldest {
+                oldest = self.stamps[i];
+                victim = i;
+            }
+        }
+        self.tags[victim] = line;
+        self.stamps[victim] = self.clock;
+        false
+    }
+}
+
+/// An independent open-page DRAM oracle: one open row per bank.
+struct StampDram {
+    open_rows: Vec<u64>,
+    row_shift: u32,
+    bank_mask: u64,
+}
+
+impl StampDram {
+    fn new(config: DramConfig) -> Self {
+        StampDram {
+            open_rows: vec![u64::MAX; config.banks as usize],
+            row_shift: config.row_bytes.trailing_zeros(),
+            bank_mask: config.banks - 1,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let row = addr >> self.row_shift;
+        let bank = (row & self.bank_mask) as usize;
+        let hit = self.open_rows[bank] == row;
+        self.open_rows[bank] = row;
+        hit
+    }
+}
+
+/// The data-side hierarchy rebuilt from the oracles: L1D, L2 and L3
+/// stamp caches over DRAM, beside a 4-way stamp-cache D-TLB of 4 KiB
+/// pages.
+struct StampHierarchy {
+    dtlb: StampCache,
+    l1d: StampCache,
+    l2: StampCache,
+    l3: StampCache,
+    dram: StampDram,
+}
+
+impl StampHierarchy {
+    fn new(cfg: &MachineConfig) -> Self {
+        StampHierarchy {
+            dtlb: StampCache::new(CacheConfig {
+                size_bytes: cfg.dtlb_entries * 4096,
+                line_bytes: 4096,
+                ways: 4,
+            }),
+            l1d: StampCache::new(cfg.l1d),
+            l2: StampCache::new(cfg.l2),
+            l3: StampCache::new(cfg.l3),
+            dram: StampDram::new(cfg.dram),
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> (MemoryOutcome, bool) {
+        let tlb_hit = self.dtlb.access(addr);
+        let outcome = if self.l1d.access(addr) {
+            MemoryOutcome::L1
+        } else if self.l2.access(addr) {
+            MemoryOutcome::L2
+        } else if self.l3.access(addr) {
+            MemoryOutcome::L3
+        } else {
+            MemoryOutcome::Dram {
+                row_hit: self.dram.access(addr),
+            }
+        };
+        (outcome, !tlb_hit)
+    }
+}
 
 /// Scalar reference walk for the batched-kernel boundary property.
 fn scalar_batch(h: &mut MemoryHierarchy, addrs: &[u64]) -> MemoryBatch {
@@ -154,6 +271,98 @@ proptest! {
         prop_assert_eq!(batched.dtlb_stats(), scalar.dtlb_stats());
         prop_assert_eq!(batched.dram_stats(), scalar.dram_stats());
         prop_assert_eq!(batched.dram_bytes_read(), scalar.dram_bytes_read());
+    }
+
+    /// The move-to-front LRU makes the same hit/miss decision as the
+    /// stamp oracle on every access, over power-of-two geometries from
+    /// direct-mapped to 16-way, and its statistics count them.
+    /// (Addresses stay below 2^48, clear of the invalid-tag sentinel.)
+    #[test]
+    fn cache_lru_matches_the_stamp_oracle(
+        ways_log in 0u32..5,
+        sets_log in 0u32..7,
+        line_log in 0u32..8,
+        raw in prop::collection::vec(any::<u64>(), 1..2000),
+    ) {
+        let line_bytes = 1u64 << line_log;
+        let ways = 1u64 << ways_log;
+        let config = CacheConfig { size_bytes: (line_bytes * ways) << sets_log, line_bytes, ways };
+        let mut cache = Cache::new(config);
+        let mut oracle = StampCache::new(config);
+        let mut hits = 0u64;
+        for (i, &r) in raw.iter().enumerate() {
+            // Four times the capacity: hits, conflict and capacity
+            // misses all occur.
+            let addr = (r >> 16) % (4 * config.size_bytes);
+            let hit = cache.access(addr);
+            prop_assert_eq!(hit, oracle.access(addr), "access {} to {:#x} in {:?}", i, addr, config);
+            hits += u64::from(hit);
+        }
+        prop_assert_eq!(cache.stats().hits, hits);
+        prop_assert_eq!(cache.stats().accesses(), raw.len() as u64);
+    }
+
+    /// The reference hierarchy agrees with one rebuilt from the oracles
+    /// on every access: the level that served it, the DRAM row-buffer
+    /// outcome and the TLB miss. The stream mixes an L1-sized hot set,
+    /// an L2-sized region, lines that conflict in L1 and L2, an
+    /// L3-sized region, scattered far lines and a sequential scan, so
+    /// every level, row hits and row misses all occur.
+    #[test]
+    fn hierarchy_matches_the_stamp_oracle(
+        raw in prop::collection::vec(any::<u64>(), 200..3000),
+    ) {
+        let cfg = MachineConfig::default();
+        let mut hierarchy =
+            MemoryHierarchy::with_configs(cfg.l1d, cfg.l2, cfg.l3, cfg.dtlb_entries, cfg.dram);
+        let mut oracle = StampHierarchy::new(&cfg);
+        let mut dram = 0u64;
+        for (i, &r) in raw.iter().enumerate() {
+            let x = r >> 8;
+            let addr = match r % 6 {
+                0 => x % (16 << 10),
+                1 => x % (512 << 10),
+                // Twelve lines 32 KiB apart share one L1 set and one L2
+                // set: they thrash both and fit the L3.
+                2 => (x % 12) * (32 << 10),
+                3 => x % (16 << 20),
+                4 => x % (1 << 40),
+                _ => (1 << 41) + 64 * i as u64,
+            };
+            let got = hierarchy.access(addr);
+            prop_assert_eq!(got, oracle.access(addr), "access {} to {:#x}", i, addr);
+            dram += u64::from(matches!(got.0, MemoryOutcome::Dram { .. }));
+        }
+        prop_assert!(dram > 0, "the stream must reach DRAM");
+    }
+
+    /// MPKI-ladder inclusion: the ladder's caches share line size and
+    /// associativity and differ only in set count, so under LRU with
+    /// bit-selection indexing each larger cache's sets refine the
+    /// smaller one's and its contents are a superset (Hill & Smith,
+    /// IEEE TC 1989). A hit at one ladder size is therefore a hit at
+    /// every larger size, access by access — which is why every MPKI
+    /// curve is non-increasing.
+    #[test]
+    fn mpki_ladder_hits_are_inclusive(
+        region_log in 14u32..34,
+        pool in prop::collection::vec(any::<u64>(), 1..1200),
+        picks in prop::collection::vec(any::<u16>(), 1..3000),
+    ) {
+        let mut ladder: Vec<Cache> = MPKI_SWEEP_SIZES
+            .iter()
+            .map(|&size| Cache::new(mpki_sweep_config(size)))
+            .collect();
+        for (i, &pick) in picks.iter().enumerate() {
+            let addr = pool[pick as usize % pool.len()] % (1 << region_log);
+            let hits: Vec<bool> = ladder.iter_mut().map(|c| c.access(addr)).collect();
+            if let Some(first) = hits.iter().position(|&hit| hit) {
+                prop_assert!(
+                    hits[first..].iter().all(|&hit| hit),
+                    "access {} to {:#x}: hits by size {:?}", i, addr, hits
+                );
+            }
+        }
     }
 
     /// The Top-Down ratios always form a distribution, whatever event mix

@@ -77,7 +77,7 @@ proptest! {
             let probes = model.probe_table(&profile);
             let mut scalar = ReplayState::new(&cfg, predictor);
             let mut batched = ReplayState::new(&cfg, predictor);
-            let want = scalar.replay(&cfg, &profile, profile.trace.events(), &fn_base);
+            let want = scalar.replay(&cfg, &profile, &profile.chunks.events(), &fn_base);
             let got = batched.replay_batched(
                 &profile.chunks,
                 (0, profile.chunks.len()),
@@ -111,12 +111,12 @@ proptest! {
         let model = TopDownModel::new(cfg, predictor);
         let fn_base = model.code_layout(&profile);
         let probes = model.probe_table(&profile);
+        let events = profile.chunks.events();
         let mut scalar = ReplayState::new(&cfg, predictor);
         let mut batched = ReplayState::new(&cfg, predictor);
         for (w, pair) in bounds.windows(2).enumerate() {
             let (start, end) = (pair[0], pair[1]);
-            let want =
-                scalar.replay(&cfg, &profile, &profile.trace.events()[start..end], &fn_base);
+            let want = scalar.replay(&cfg, &profile, &events[start..end], &fn_base);
             let got = batched.replay_batched(&profile.chunks, (start, end), &probes, &fn_base);
             prop_assert_eq!(got, want, "window {} ({start}..{end}) diverged", w);
         }
@@ -155,7 +155,7 @@ proptest! {
         let model = TopDownModel::new(cfg, predictor);
         let fn_base = model.code_layout(&profile);
         let mut scalar = ReplayState::new(&cfg, predictor);
-        let counts = scalar.replay(&cfg, &profile, profile.trace.events(), &fn_base);
+        let counts = scalar.replay(&cfg, &profile, &profile.chunks.events(), &fn_base);
         prop_assert_eq!(counts.dram_accesses, lines, "one DRAM fill per cold line");
         prop_assert!(counts.row_hits <= counts.dram_accesses);
         prop_assert_eq!(profile.footprint.lines, lines);
