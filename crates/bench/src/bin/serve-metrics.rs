@@ -18,7 +18,9 @@
 //!   uploads without gating;
 //! * the span log as a Chrome trace-event service timeline to
 //!   `--timeline` (one lane per host, spans tagged by request ID; open
-//!   it in `about:tracing` or Perfetto).
+//!   it in `about:tracing` or Perfetto). The daemon keeps only its
+//!   newest spans; when older ones were dropped, a line on standard
+//!   error says how many.
 //!
 //! `--shutdown` stops the daemon afterwards, so a CI job can scrape
 //! and tear down in one invocation.
@@ -82,6 +84,20 @@ fn main() {
                 std::process::exit(1);
             }
         };
+        // Sequence numbers count from 0 without gaps, so the first
+        // retained one is the number of spans the daemon dropped.
+        let dropped = spans
+            .as_array()
+            .and_then(|events| events.first())
+            .and_then(|event| event.get("seq"))
+            .and_then(|seq| seq.as_u64())
+            .unwrap_or(0);
+        if dropped > 0 {
+            eprintln!(
+                "serve-metrics: timeline truncated: the daemon dropped its {dropped} oldest \
+                 span(s)"
+            );
+        }
         match render_service_timeline(&spans) {
             Ok(trace) => {
                 write_or_die(&path, &trace);

@@ -29,9 +29,10 @@
 //! dispatched, retried, completed — appends one [`SpanEvent`] to an
 //! ordered [`SpanLog`]. The serving engine emits them in canonical
 //! token order under its batch lock, so the whole log is deterministic
-//! wherever its attributes are.
+//! wherever its attributes are. A long-running daemon appends forever,
+//! so the log keeps only the newest [`SPAN_LOG_CAPACITY`] events.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
 use crate::json::{opt, req, DecodeError, Value};
@@ -231,6 +232,11 @@ impl MetricsRegistry {
     }
 }
 
+/// How many of the newest events a [`SpanLog`] retains. A warm daemon
+/// appends about three spans per cache-hit request, so an unbounded
+/// log would grow the process by about a kilobyte per request served.
+pub const SPAN_LOG_CAPACITY: usize = 4096;
+
 /// One lifecycle event of one request. Events carry no timestamps —
 /// ordering lives in `seq`, minted by the [`SpanLog`] — so a span log
 /// whose attributes are deterministic renders byte-identically across
@@ -276,12 +282,15 @@ impl SpanEvent {
     }
 }
 
-/// An ordered, append-only log of [`SpanEvent`]s. The appender decides
-/// the order; the log's only job is minting gap-free sequence numbers
-/// and rendering canonically.
+/// An ordered log of [`SpanEvent`]s that retains the newest
+/// [`SPAN_LOG_CAPACITY`]. The appender decides the order; the log mints
+/// sequence numbers that stay gap-free from 0 across evictions, so the
+/// first retained `seq` is the number of events dropped, and renders
+/// canonically.
 #[derive(Debug, Default)]
 pub struct SpanLog {
-    events: Vec<SpanEvent>,
+    events: VecDeque<SpanEvent>,
+    next_seq: u64,
 }
 
 impl SpanLog {
@@ -290,22 +299,27 @@ impl SpanLog {
         SpanLog::default()
     }
 
-    /// Appends one event, assigning the next sequence number.
+    /// Appends one event, assigning the next sequence number, and drops
+    /// the oldest event once the log holds [`SPAN_LOG_CAPACITY`].
     pub fn push(&mut self, request: &str, stage: &str, attrs: Vec<(String, Value)>) {
-        self.events.push(SpanEvent {
-            seq: self.events.len() as u64,
+        if self.events.len() == SPAN_LOG_CAPACITY {
+            self.events.pop_front();
+        }
+        self.events.push_back(SpanEvent {
+            seq: self.next_seq,
             request: request.to_owned(),
             stage: stage.to_owned(),
             attrs,
         });
+        self.next_seq += 1;
     }
 
-    /// The events, in sequence order.
-    pub fn events(&self) -> &[SpanEvent] {
+    /// The retained events, in sequence order.
+    pub fn events(&self) -> &VecDeque<SpanEvent> {
         &self.events
     }
 
-    /// Events appended so far.
+    /// Events retained.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -315,7 +329,7 @@ impl SpanLog {
         self.events.is_empty()
     }
 
-    /// The whole log as a canonical array.
+    /// The retained events as a canonical array.
     pub fn to_value(&self) -> Value {
         Value::Array(self.events.iter().map(SpanEvent::to_value).collect())
     }
@@ -403,5 +417,36 @@ mod tests {
         );
         again.push(&request_label("storm-m0", 3), "completed", Vec::new());
         assert_eq!(again.to_value().render(), rendered.render());
+    }
+
+    #[test]
+    fn span_log_keeps_the_newest_capacity_events_with_gap_free_seqs() {
+        let overflow = 37;
+        let fill = |log: &mut SpanLog| {
+            for i in 0..(SPAN_LOG_CAPACITY + overflow) as u64 {
+                log.push(
+                    &request_label("ring", i),
+                    "received",
+                    vec![("i".to_owned(), Value::UInt(i))],
+                );
+            }
+        };
+        let mut log = SpanLog::new();
+        fill(&mut log);
+        assert_eq!(log.len(), SPAN_LOG_CAPACITY);
+        let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
+        let expected: Vec<u64> = (overflow as u64..(SPAN_LOG_CAPACITY + overflow) as u64).collect();
+        assert_eq!(
+            seqs, expected,
+            "the newest events, seq contiguous from {overflow}"
+        );
+        assert_eq!(
+            log.events()[0].request,
+            request_label("ring", overflow as u64)
+        );
+
+        let mut again = SpanLog::new();
+        fill(&mut again);
+        assert_eq!(again.to_value().render(), log.to_value().render());
     }
 }

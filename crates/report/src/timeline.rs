@@ -128,7 +128,10 @@ pub fn render_service_timeline(spans: &Value) -> Result<String, ReportError> {
                     ("cat".to_owned(), Value::Str("placed".to_owned())),
                     ("ph".to_owned(), Value::Str("X".to_owned())),
                     ("ts".to_owned(), Value::Float(start as f64)),
-                    ("dur".to_owned(), Value::Float((end - start).max(1) as f64)),
+                    (
+                        "dur".to_owned(),
+                        Value::Float(end.saturating_sub(start).max(1) as f64),
+                    ),
                     ("pid".to_owned(), Value::UInt(0)),
                     ("tid".to_owned(), Value::UInt(host)),
                     ("args".to_owned(), Value::Object(args)),
@@ -250,6 +253,30 @@ mod tests {
             Some("storm-m0#1"),
             "every span is tagged with the originating request label"
         );
+    }
+
+    #[test]
+    fn a_placed_span_ending_before_it_starts_lasts_one_tick() {
+        // The span log arrives over the wire: an inverted span must
+        // render, not overflow.
+        let mut log = SpanLog::new();
+        log.push(
+            "storm-m0#1",
+            "placed",
+            vec![
+                ("host".to_owned(), Value::UInt(0)),
+                ("start_ticks".to_owned(), Value::UInt(9)),
+                ("end_ticks".to_owned(), Value::UInt(4)),
+            ],
+        );
+        let text = render_service_timeline(&log.to_value()).unwrap();
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .expect("one placed span");
+        assert_eq!(span.get("dur").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A blocking client for the `alberta-serve` wire protocol.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use alberta_core::json::Value;
@@ -8,7 +8,7 @@ use alberta_report::MetricsDocument;
 
 use crate::engine::{EngineStats, ResponseCounts};
 use crate::spec::RequestSpec;
-use crate::wire::{ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
+use crate::wire::{self, ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
 
 /// Anything that can go wrong talking to the daemon, flattened to text.
 pub type ClientError = String;
@@ -57,9 +57,9 @@ impl Client {
         group: Option<GroupInfo>,
     ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        let writer = stream.try_clone().map_err(|e| e.to_string())?;
+        let (reader, writer) = wire::split(stream).map_err(|e| e.to_string())?;
         let mut client = Client {
-            reader: BufReader::new(stream),
+            reader,
             writer,
             next_id: 0,
         };
@@ -183,11 +183,7 @@ impl Client {
     }
 
     fn send(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
-        self.writer
-            .write_all(msg.encode().as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send: {e}"))
+        wire::send_line(&mut self.writer, msg.encode()).map_err(|e| format!("send: {e}"))
     }
 
     fn receive(&mut self) -> Result<ServerMsg, ClientError> {

@@ -11,7 +11,7 @@
 //! function of the group's contents alone, never of socket timing.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -20,7 +20,7 @@ use alberta_core::telemetry::{request_label, Plane};
 use alberta_core::{log_info, log_warn};
 
 use crate::engine::{BatchRequest, Engine, ResolvedRequest};
-use crate::wire::{ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
+use crate::wire::{self, ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
 
 /// A group rendezvous: members park their requests here and wait for
 /// the union batch to resolve.
@@ -104,8 +104,7 @@ fn handle_connection(
     shutdown: &AtomicBool,
     addr: Option<std::net::SocketAddr>,
 ) -> io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let (mut reader, mut writer) = wire::split(stream)?;
 
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
@@ -319,7 +318,5 @@ fn drain_grouped(
 }
 
 fn send(writer: &mut TcpStream, msg: &ServerMsg) -> io::Result<()> {
-    writer.write_all(msg.encode().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    wire::send_line(writer, msg.encode())
 }

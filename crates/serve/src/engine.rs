@@ -14,6 +14,8 @@
 //! Batches are resolved under a global lock. That serialization is the
 //! cross-batch single-flight: when two storms race the same key set,
 //! the first batch computes and the second finds everything on disk.
+//! The lock also holds the per-scale name tables requests are validated
+//! against, each built once from the reference suite on first use.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
@@ -26,7 +28,8 @@ use alberta_core::telemetry::{
     MetricsRegistry, Plane, SpanLog, COUNT_BUCKETS, NANOS_BUCKETS, TICK_BUCKETS,
 };
 use alberta_core::{
-    benchmark_suite, summarize_runs, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig, Suite,
+    benchmark_suite, summarize_runs, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig, Scale,
+    Suite,
 };
 use alberta_report::{BenchmarkReport, CacheDocument, HostRecord, MetricsDocument, RunRecord};
 
@@ -212,12 +215,32 @@ struct Counters {
     per_host: Vec<sched::HostLoad>,
 }
 
+/// One reference benchmark's names: what a request may call it, and
+/// the workloads it may ask for.
+struct BenchmarkNames {
+    name: &'static str,
+    short_name: &'static str,
+    workloads: Vec<String>,
+}
+
+/// The names of every benchmark in the reference suite at one scale,
+/// in suite order.
+fn name_table(scale: Scale) -> Vec<BenchmarkNames> {
+    benchmark_suite(scale)
+        .iter()
+        .map(|b| BenchmarkNames {
+            name: b.name(),
+            short_name: b.short_name(),
+            workloads: b.workload_names(),
+        })
+        .collect()
+}
+
 /// What one request expands to: the benchmark identity plus the ordered
 /// per-workload keys it covers.
 struct Expansion {
-    spec_id: String,
-    short_name: String,
-    benchmark_static: &'static str,
+    name: &'static str,
+    short_name: &'static str,
     /// True when the request named a single workload.
     narrowed: bool,
     /// `(workload, key)` in workload order.
@@ -229,7 +252,7 @@ struct Expansion {
 #[derive(Clone)]
 struct KeyTask {
     spec: RequestSpec,
-    short_name: String,
+    short_name: &'static str,
     workload: String,
 }
 
@@ -241,7 +264,9 @@ pub struct Engine {
     counters: Mutex<Counters>,
     metrics: MetricsRegistry,
     spans: Mutex<SpanLog>,
-    batch_lock: Mutex<()>,
+    /// Serializes batches, and holds the name tables they validate
+    /// against, by scale.
+    batch_lock: Mutex<HashMap<Scale, Vec<BenchmarkNames>>>,
 }
 
 impl Engine {
@@ -266,7 +291,7 @@ impl Engine {
             }),
             metrics,
             spans: Mutex::new(SpanLog::new()),
-            batch_lock: Mutex::new(()),
+            batch_lock: Mutex::new(HashMap::new()),
         }
     }
 
@@ -330,29 +355,31 @@ impl Engine {
     /// the cross-batch single-flight: a later batch finds this batch's
     /// results on disk.
     pub fn resolve_batch(&self, requests: &[BatchRequest]) -> Vec<ResolvedRequest> {
-        let _batch = self.batch_lock.lock().expect("batch lock poisoned");
+        let mut name_tables = self.batch_lock.lock().expect("batch lock poisoned");
         let wall_start = Instant::now();
         let evictions_before = self.cache.evictions();
 
         let mut ordered: Vec<&BatchRequest> = requests.iter().collect();
         ordered.sort_by_key(|r| r.token);
 
-        // Expand every request against the reference suite for its
+        // Expand every request against the reference names for its
         // scale; invalid names resolve to errors without executing
         // anything.
-        let mut suites: HashMap<&'static str, Vec<Box<dyn alberta_core::Benchmark>>> =
-            HashMap::new();
         let mut expansions: Vec<Result<Expansion, String>> = Vec::with_capacity(ordered.len());
         let mut key_tasks: BTreeMap<String, KeyTask> = BTreeMap::new();
         let mut first_owner: HashMap<String, usize> = HashMap::new();
         for (idx, request) in ordered.iter().enumerate() {
-            let expansion = expand(request, &mut suites);
+            let scale = request.spec.scale;
+            let names = name_tables
+                .entry(scale)
+                .or_insert_with(|| name_table(scale));
+            let expansion = expand(&request.spec, names);
             if let Ok(expansion) = &expansion {
                 for (workload, key) in &expansion.keys {
                     first_owner.entry(key.clone()).or_insert(idx);
                     key_tasks.entry(key.clone()).or_insert_with(|| KeyTask {
                         spec: request.spec.clone(),
-                        short_name: expansion.short_name.clone(),
+                        short_name: expansion.short_name,
                         workload: workload.clone(),
                     });
                 }
@@ -498,7 +525,7 @@ impl Engine {
                                                 ),
                                                 (
                                                     "benchmark".to_owned(),
-                                                    Value::Str(expansion.short_name.clone()),
+                                                    Value::Str(expansion.short_name.to_owned()),
                                                 ),
                                                 (
                                                     "workload".to_owned(),
@@ -849,7 +876,7 @@ fn run_host(
             .iter()
             .zip(&group_keys[config_fp])
             .map(|(t, key)| LabeledTask {
-                benchmark: t.short_name.clone(),
+                benchmark: t.short_name.to_owned(),
                 workload: t.workload.clone(),
                 request: Some(key_labels[key].clone()),
             })
@@ -884,44 +911,30 @@ fn run_host(
 }
 
 /// Expands one request into its benchmark identity and ordered key
-/// list, validating names against the reference suite for its scale.
-fn expand(
-    request: &BatchRequest,
-    suites: &mut HashMap<&'static str, Vec<Box<dyn alberta_core::Benchmark>>>,
-) -> Result<Expansion, String> {
-    let spec = &request.spec;
-    let suite = suites
-        .entry(spec.scale.name())
-        .or_insert_with(|| benchmark_suite(spec.scale));
-    let benchmark = suite
+/// list, validating names against the reference suite's `names` for its
+/// scale.
+fn expand(spec: &RequestSpec, names: &[BenchmarkNames]) -> Result<Expansion, String> {
+    let benchmark = names
         .iter()
-        .find(|b| b.short_name() == spec.benchmark || b.name() == spec.benchmark)
+        .find(|b| b.short_name == spec.benchmark || b.name == spec.benchmark)
         .ok_or_else(|| format!("unknown benchmark {:?}", spec.benchmark))?;
-    let workloads = benchmark.workload_names();
-    let selected: Vec<String> = match &spec.workload {
-        Some(w) => {
-            if !workloads.iter().any(|name| name == w) {
-                return Err(format!(
-                    "benchmark {} has no workload named {:?}",
-                    benchmark.short_name(),
-                    w
-                ));
-            }
-            vec![w.clone()]
+    let selected: &[String] = match &spec.workload {
+        Some(w) if !benchmark.workloads.contains(w) => {
+            return Err(format!(
+                "benchmark {} has no workload named {w:?}",
+                benchmark.short_name
+            ));
         }
-        None => workloads,
+        Some(w) => std::slice::from_ref(w),
+        None => &benchmark.workloads,
     };
     Ok(Expansion {
-        spec_id: benchmark.name().to_owned(),
-        short_name: benchmark.short_name().to_owned(),
-        benchmark_static: benchmark.name(),
+        name: benchmark.name,
+        short_name: benchmark.short_name,
         narrowed: spec.workload.is_some(),
         keys: selected
-            .into_iter()
-            .map(|w| {
-                let key = spec.run_key(&w);
-                (w, key)
-            })
+            .iter()
+            .map(|w| (w.clone(), spec.run_key(w)))
             .collect(),
     })
 }
@@ -938,7 +951,7 @@ fn assemble(expansion: &Expansion, docs: &BTreeMap<String, (CacheDocument, KeyFa
         .iter()
         .map(|(workload, key)| {
             let (doc, _) = &docs[key];
-            let status = doc.status.clone().into_status(expansion.benchmark_static);
+            let status = doc.status.clone().into_status(expansion.name);
             RunRecord::from_parts(
                 workload,
                 &status,
@@ -956,12 +969,12 @@ fn assemble(expansion: &Expansion, docs: &BTreeMap<String, (CacheDocument, KeyFa
         .iter()
         .filter_map(|(_, key)| docs[key].0.run.clone())
         .collect();
-    let summary = summarize_runs(&expansion.spec_id, &expansion.short_name, survivors)
+    let summary = summarize_runs(expansion.name, expansion.short_name, survivors)
         .as_ref()
         .map(alberta_report::SummaryRecord::from_characterization);
     BenchmarkReport {
-        spec_id: expansion.spec_id.clone(),
-        short_name: expansion.short_name.clone(),
+        spec_id: expansion.name.to_owned(),
+        short_name: expansion.short_name.to_owned(),
         runs: records,
         summary,
         hot_paths: None,

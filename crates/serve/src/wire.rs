@@ -9,6 +9,15 @@
 //! the whole group has drained, resolves the union as one batch, and
 //! answers each member in canonical token order — which is what makes
 //! the storm's counters independent of socket arrival order.
+//!
+//! Both ends frame the stream through `split` and `send_line`: the
+//! socket carries `TCP_NODELAY`, and each message goes out with its
+//! newline as one buffer in one write. A message split across two
+//! writes, or held back by Nagle's algorithm, waits on the peer's
+//! delayed ACK — tens of milliseconds per round trip.
+
+use std::io::{self, BufReader, Write};
+use std::net::TcpStream;
 
 use alberta_core::json::{self, opt, req, DecodeError, Value};
 
@@ -20,6 +29,29 @@ use crate::spec::RequestSpec;
 /// v2 added the optional `client` name in the hello (the first half of
 /// every request label) and the `metrics`/`spans` telemetry commands.
 pub const WIRE_VERSION: u64 = 2;
+
+/// Prepares a connected stream for the line protocol: sets
+/// `TCP_NODELAY` and splits the stream into a buffered line reader and
+/// a writer for `send_line`.
+///
+/// # Errors
+///
+/// Any I/O error from setting the option or cloning the socket.
+pub(crate) fn split(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_nodelay(true)?;
+    let writer = stream.try_clone()?;
+    Ok((BufReader::new(stream), writer))
+}
+
+/// Writes one encoded message and its newline as one buffer.
+///
+/// # Errors
+///
+/// Any I/O error from the write.
+pub(crate) fn send_line(writer: &mut TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
 
 /// A client's group membership: requests from all `size` members are
 /// resolved as one batch.
@@ -305,6 +337,28 @@ impl ServerMsg {
 mod tests {
     use super::*;
     use alberta_core::Scale;
+    use std::io::BufRead;
+    use std::net::TcpListener;
+
+    #[test]
+    fn split_sets_nodelay_on_both_ends_and_lines_arrive_whole() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let connected = TcpStream::connect(addr).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let (_, mut client) = split(connected).expect("split the client end");
+        let (mut daemon, _) = split(accepted).expect("split the daemon end");
+        assert!(client.nodelay().expect("client option"), "client end");
+        assert!(
+            daemon.get_ref().nodelay().expect("daemon option"),
+            "daemon end"
+        );
+
+        send_line(&mut client, ClientMsg::Drain.encode()).expect("send");
+        let mut line = String::new();
+        daemon.read_line(&mut line).expect("receive");
+        assert_eq!(line, format!("{}\n", ClientMsg::Drain.encode()));
+    }
 
     #[test]
     fn client_messages_round_trip() {

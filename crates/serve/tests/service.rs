@@ -1,14 +1,18 @@
 //! End-to-end daemon tests over localhost: cold-vs-warm byte identity,
 //! equality with a direct suite computation, grouped drains, and
-//! shutdown.
+//! shutdown; and the engine's bounded span retention.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
+use alberta_core::telemetry::SPAN_LOG_CAPACITY;
 use alberta_core::{ExecPolicy, Scale, Suite};
 use alberta_report::SuiteReport;
-use alberta_serve::{Client, Daemon, Engine, GroupInfo, RequestSpec, ResultCache, ServeConfig};
+use alberta_serve::{
+    request_label, BatchRequest, Client, Daemon, Engine, GroupInfo, RequestSpec, ResultCache,
+    ServeConfig,
+};
 
 fn temp_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("alberta-serve-svc-{}-{tag}", std::process::id()))
@@ -329,5 +333,47 @@ fn invalid_names_resolve_to_errors_not_failures() {
         .shutdown()
         .expect("shutdown");
     daemon.join().expect("daemon thread exits");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_warm_engine_keeps_only_the_newest_spans() {
+    let root = temp_root("span-ring");
+    let engine = Engine::new(ServeConfig::default(), ResultCache::new(&root));
+    let spec = RequestSpec::new("mcf", Some("alberta.1"), Scale::Test);
+    let batch = |id: u64| {
+        engine.resolve_batch(&[BatchRequest {
+            token: (0, id),
+            request: request_label("ring", id),
+            spec: spec.clone(),
+        }])
+    };
+    let cold = batch(0);
+    assert_eq!(cold[0].counts.computed, 1, "the first batch computes");
+    let cold_spans = engine.spans_value().as_array().expect("an array").len();
+
+    // Every warm single-request batch emits received, cache_hit and
+    // completed: enough of them overflow the log.
+    let warm = (SPAN_LOG_CAPACITY / 3 + 1) as u64;
+    for id in 1..=warm {
+        assert_eq!(batch(id)[0].counts.cached, 1, "batch {id} is a hit");
+    }
+    let emitted = (cold_spans as u64) + 3 * warm;
+    assert!(emitted > SPAN_LOG_CAPACITY as u64);
+
+    let spans = engine.spans_value();
+    let seqs: Vec<u64> = spans
+        .as_array()
+        .expect("an array")
+        .iter()
+        .map(|e| e.get("seq").and_then(|s| s.as_u64()).expect("a seq"))
+        .collect();
+    let newest: Vec<u64> = (emitted - SPAN_LOG_CAPACITY as u64..emitted).collect();
+    assert_eq!(
+        seqs,
+        newest,
+        "the newest spans, gap-free, ending at {}",
+        emitted - 1
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
