@@ -1,6 +1,10 @@
 //! Microbenchmarks of the substrate layers: branch predictors, cache
-//! hierarchy, the geometric statistics, and the workload generators.
+//! hierarchy, the geometric statistics, the workload generators, the
+//! search kernels of the two largest mini-benchmarks, and the profiler
+//! hooks.
 
+use alberta_benchmarks::minideepsjeng::Board;
+use alberta_benchmarks::minileela::{self, Color, GoBoard};
 use alberta_profile::{Profiler, SampleConfig};
 use alberta_stats::variation::TopDownRatios;
 use alberta_stats::TopDownSummary;
@@ -144,6 +148,50 @@ fn bench_generators(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel");
+    tune(&mut group);
+    // 64 scrambled positions, 10 to 49 random plies from the start.
+    let positions: Vec<Board> = (0..64u64)
+        .map(|seed| {
+            Board::from_spec(&chess::PositionSpec {
+                seed,
+                random_moves: 10 + (seed % 40) as u32,
+                depth: 1,
+            })
+        })
+        .collect();
+    group.bench_function("deepsjeng_legal_moves", |b| {
+        let mut boards = positions.clone();
+        b.iter(|| {
+            let mut moves = 0;
+            for board in boards.iter_mut() {
+                moves += board.legal_moves().len();
+            }
+            black_box(moves)
+        })
+    });
+    // A 13×13 board a quarter filled by a seeded random prefix.
+    let mut board = GoBoard::new(13);
+    let mut rng = 0x5EEDu64;
+    let mut to_move = Color::Black;
+    for _ in 0..40 {
+        let moves = board.legal_moves(to_move);
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let m = moves[(rng >> 33) as usize % moves.len()];
+        board.play(m % 13, m / 13, to_move);
+        to_move = to_move.other();
+    }
+    group.bench_function("leela_playout", |b| {
+        let mut p = Profiler::default();
+        let mut rng = 42u64;
+        b.iter(|| black_box(minileela::random_playout(&board, to_move, &mut rng, &mut p)))
+    });
+    group.finish();
+}
+
 fn bench_profiler(c: &mut Criterion) {
     let mut group = c.benchmark_group("profiler");
     tune(&mut group);
@@ -166,6 +214,24 @@ fn bench_profiler(c: &mut Criterion) {
             })
         });
     }
+    // Loads scattered over 1 GiB: nearly every access changes page, so
+    // this times the footprint's page lookup.
+    group.bench_function("random_pages", |b| {
+        b.iter(|| {
+            let mut p = Profiler::default();
+            let f = p.register_function("kernel", 512);
+            p.enter(f);
+            let mut addr = 0xDEADu64;
+            for _ in 0..100_000 {
+                addr = addr
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                p.load((addr >> 16) % (1 << 30));
+            }
+            p.exit();
+            black_box(p.finish().footprint.pages)
+        })
+    });
     group.finish();
 }
 
@@ -175,6 +241,7 @@ criterion_group!(
     bench_caches,
     bench_stats,
     bench_generators,
+    bench_kernels,
     bench_profiler
 );
 criterion_main!(benches);

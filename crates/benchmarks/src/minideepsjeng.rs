@@ -36,6 +36,11 @@ pub mod piece {
     pub const KING: i8 = 6;
 }
 
+const KNIGHT_D: [i16; 8] = [14, 18, 31, 33, -14, -18, -31, -33];
+const KING_D: [i16; 8] = [1, -1, 16, -16, 15, 17, -15, -17];
+const BISHOP_D: [i16; 4] = [15, 17, -15, -17];
+const ROOK_D: [i16; 4] = [1, -1, 16, -16];
+
 /// A chess position on a 0x88 board.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Board {
@@ -85,10 +90,6 @@ impl Board {
     pub fn pseudo_moves(&self, out: &mut Vec<Move>) {
         use piece::*;
         out.clear();
-        const KNIGHT_D: [i16; 8] = [14, 18, 31, 33, -14, -18, -31, -33];
-        const KING_D: [i16; 8] = [1, -1, 16, -16, 15, 17, -15, -17];
-        const BISHOP_D: [i16; 4] = [15, 17, -15, -17];
-        const ROOK_D: [i16; 4] = [1, -1, 16, -16];
         for from in 0..128u8 {
             if from & 0x88 != 0 {
                 continue;
@@ -263,20 +264,69 @@ impl Board {
         false
     }
 
-    /// Generates fully legal moves.
+    /// Generates fully legal moves, in [`Board::pseudo_moves`] order.
     pub fn legal_moves(&mut self) -> Vec<Move> {
-        let mut pseudo = Vec::with_capacity(64);
-        self.pseudo_moves(&mut pseudo);
+        let mut moves = Vec::with_capacity(64);
+        self.legal_moves_into(&mut moves);
+        moves
+    }
+
+    /// Fills `out` with the legal moves, in [`Board::pseudo_moves`]
+    /// order, filtering the pseudo-moves in place.
+    ///
+    /// Only king moves, every move while in check, and moves of pinned
+    /// pieces are tried with make/[`Board::in_check`]/unmake. Any other
+    /// move is legal: it moves no king, the king is not attacked before
+    /// it, a capture only removes an attacker, and vacating a square
+    /// that is not pinned cannot open a line to the king.
+    fn legal_moves_into(&mut self, out: &mut Vec<Move>) {
+        self.pseudo_moves(out);
         let side = self.side;
-        pseudo
-            .into_iter()
-            .filter(|&m| {
-                self.make(m);
-                let ok = !self.in_check(side);
-                self.unmake(m);
-                ok
-            })
-            .collect()
+        let king = self.kings[Board::king_index(side)];
+        let checked = self.in_check(side);
+        let pinned = self.pinned(side);
+        out.retain(|&m| {
+            if !checked && m.from != king && pinned >> m.from & 1 == 0 {
+                return true;
+            }
+            self.make(m);
+            let ok = !self.in_check(side);
+            self.unmake(m);
+            ok
+        });
+    }
+
+    /// `side`'s pinned pieces as a bit mask over 0x88 squares: each own
+    /// piece that is first on a ray from the king, with an enemy slider
+    /// that moves along that ray (bishop or queen on a diagonal, rook or
+    /// queen on a file or rank) next behind it.
+    fn pinned(&self, side: i8) -> u128 {
+        use piece::*;
+        let ks = self.kings[Board::king_index(side)] as i16;
+        let mut pinned = 0u128;
+        for (deltas, slider) in [(BISHOP_D, BISHOP), (ROOK_D, ROOK)] {
+            for d in deltas {
+                let mut t = ks + d;
+                let mut blocker = None;
+                while Board::on_board(t) {
+                    let q = self.squares[t as usize];
+                    if q != 0 {
+                        match blocker {
+                            None if q.signum() == side => blocker = Some(t),
+                            None => break,
+                            Some(b) => {
+                                if q == -side * slider || q == -side * QUEEN {
+                                    pinned |= 1 << b;
+                                }
+                                break;
+                            }
+                        }
+                    }
+                    t += d;
+                }
+            }
+        }
+        pinned
     }
 
     /// Perft node count (for move-generator validation).
@@ -309,6 +359,26 @@ impl Board {
         h
     }
 
+    /// What [`Board::make`]`(m)` XORs into [`Board::hash`], read before
+    /// the move is made (or after it is unmade): the moved piece leaves
+    /// `from` and arrives at `to`, possibly promoted, any captured piece
+    /// leaves `to`, and the side to move flips.
+    pub fn hash_delta(&self, m: Move) -> u64 {
+        let p = self.squares[m.from as usize];
+        let arrives = if m.promotion {
+            piece::QUEEN * p.signum()
+        } else {
+            p
+        };
+        let mut delta = SIDE_FLIP;
+        delta ^= ZOBRIST[(p + 6) as usize][m.from as usize];
+        delta ^= ZOBRIST[(arrives + 6) as usize][m.to as usize];
+        if m.captured != 0 {
+            delta ^= ZOBRIST[(m.captured + 6) as usize][m.to as usize];
+        }
+        delta
+    }
+
     /// Derives a position by playing `spec.random_moves` seeded random
     /// legal moves from the initial position (stops early at mate or
     /// stalemate).
@@ -328,12 +398,32 @@ impl Board {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
+const fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
 }
+
+/// What flipping the side to move XORs into [`Board::hash`]: its white
+/// term `0x9E37` out and its black term `0x79B9` in, or back.
+const SIDE_FLIP: u64 = 0x9E37 ^ 0x79B9;
+
+/// [`Board::hash`]'s piece-square terms, indexed by piece code + 6 and
+/// 0x88 square.
+static ZOBRIST: [[u64; 128]; 13] = {
+    let mut table = [[0; 128]; 13];
+    let mut code = 0;
+    while code < 13 {
+        let mut s = 0;
+        while s < 128 {
+            table[code][s] = splitmix(code as u64 * 131 + s as u64);
+            s += 1;
+        }
+        code += 1;
+    }
+    table
+};
 
 const PIECE_VALUE: [i32; 7] = [0, 100, 320, 330, 500, 900, 20000];
 
@@ -348,10 +438,16 @@ fn square_bonus(sq: u8) -> i32 {
 
 struct Engine<'a> {
     board: Board,
+    /// `board.hash()`, kept incrementally by [`Engine::make`] and
+    /// [`Engine::unmake`].
+    hash: u64,
     profiler: &'a mut Profiler,
     fns: Fns,
     tt: Vec<(u64, i32, u32)>, // (hash, score, depth)
     nodes: u64,
+    /// Move buffers not held by a node on the search stack, reused so
+    /// that a node allocates none.
+    spare_moves: Vec<Vec<Move>>,
 }
 
 struct Fns {
@@ -375,7 +471,23 @@ fn register(profiler: &mut Profiler) -> Fns {
 const TT_SIZE: usize = 1 << 12;
 const MATE: i32 = 100_000;
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    fn new(board: Board, profiler: &'a mut Profiler) -> Self {
+        let fns = register(profiler);
+        Engine {
+            hash: board.hash(),
+            board,
+            profiler,
+            fns,
+            // An empty slot holds hash `u64::MAX` at depth 0, so a probe
+            // can only fake a hit on it at depth 0 for a position whose
+            // hash is exactly `u64::MAX`.
+            tt: vec![(u64::MAX, 0, 0); TT_SIZE],
+            nodes: 0,
+            spare_moves: Vec::new(),
+        }
+    }
+
     fn evaluate(&mut self) -> i32 {
         self.profiler.enter(self.fns.evaluate);
         let mut score = 0;
@@ -400,9 +512,12 @@ impl Engine<'_> {
         score * self.board.side as i32
     }
 
+    /// The ordered moves of the current position, in a buffer taken from
+    /// `spare_moves`; the caller pushes it back when done with it.
     fn ordered_moves(&mut self, captures_only: bool) -> Vec<Move> {
         self.profiler.enter(self.fns.movegen);
-        let mut moves = self.board.legal_moves();
+        let mut moves = self.spare_moves.pop().unwrap_or_default();
+        self.board.legal_moves_into(&mut moves);
         self.profiler.retire(moves.len() as u64 * 4);
         for m in &moves {
             self.profiler.load(BOARD_REGION + m.from as u64);
@@ -431,18 +546,20 @@ impl Engine<'_> {
         }
         self.profiler.branch(10, false);
         alpha = alpha.max(stand);
-        for m in self.ordered_moves(true) {
+        let moves = self.ordered_moves(true);
+        for &m in &moves {
             self.make(m);
             let score = -self.quiesce(-beta, -alpha);
             self.unmake(m);
             let cut = score >= beta;
             self.profiler.branch(11, cut);
             if cut {
-                self.profiler.exit();
-                return beta;
+                alpha = beta;
+                break;
             }
             alpha = alpha.max(score);
         }
+        self.spare_moves.push(moves);
         self.profiler.exit();
         alpha
     }
@@ -452,19 +569,21 @@ impl Engine<'_> {
         self.profiler.store(BOARD_REGION + m.to as u64);
         self.profiler.store(BOARD_REGION + m.from as u64);
         self.profiler.retire(3);
+        self.hash ^= self.board.hash_delta(m);
         self.board.make(m);
         self.profiler.exit();
     }
 
     fn unmake(&mut self, m: Move) {
         self.board.unmake(m);
+        self.hash ^= self.board.hash_delta(m);
         self.profiler.retire(3);
     }
 
     fn search(&mut self, depth: u32, mut alpha: i32, beta: i32) -> i32 {
         self.profiler.enter(self.fns.search);
         self.nodes += 1;
-        let hash = self.board.hash();
+        let hash = self.hash;
         let slot = (hash as usize) & (TT_SIZE - 1);
         self.profiler.load(TT_REGION + slot as u64 * 16);
         let (tt_hash, tt_score, tt_depth) = self.tt[slot];
@@ -481,13 +600,14 @@ impl Engine<'_> {
         }
         let moves = self.ordered_moves(false);
         if moves.is_empty() {
+            self.spare_moves.push(moves);
             let side = self.board.side;
             let score = if self.board.in_check(side) { -MATE } else { 0 };
             self.profiler.exit();
             return score;
         }
         let mut best = -MATE * 2;
-        for m in moves {
+        for &m in &moves {
             self.make(m);
             let score = -self.search(depth - 1, -beta, -alpha);
             self.unmake(m);
@@ -499,6 +619,7 @@ impl Engine<'_> {
                 break;
             }
         }
+        self.spare_moves.push(moves);
         self.tt[slot] = (hash, best, depth);
         self.profiler.store(TT_REGION + slot as u64 * 16);
         self.profiler.exit();
@@ -508,19 +629,7 @@ impl Engine<'_> {
 
 /// Searches one position spec to its depth; returns (score, nodes).
 pub fn analyze(spec: &PositionSpec, profiler: &mut Profiler) -> (i32, u64) {
-    let fns = register(profiler);
-    let board = Board::from_spec(spec);
-    let mut engine = Engine {
-        board,
-        profiler,
-        fns,
-        tt: vec![(0, 0, u32::MAX); TT_SIZE],
-        nodes: 0,
-    };
-    // Fresh TT depth marker must not fake a hit: use depth 0 sentinel.
-    for slot in engine.tt.iter_mut() {
-        *slot = (u64::MAX, 0, 0);
-    }
+    let mut engine = Engine::new(Board::from_spec(spec), profiler);
     let score = engine.search(spec.depth, -MATE * 2, MATE * 2);
     (score, engine.nodes)
 }
@@ -632,14 +741,7 @@ mod tests {
             depth: 2,
         };
         let mut p = Profiler::default();
-        let fns = register(&mut p);
-        let mut engine = Engine {
-            board: b,
-            profiler: &mut p,
-            fns,
-            tt: vec![(u64::MAX, 0, 0); TT_SIZE],
-            nodes: 0,
-        };
+        let mut engine = Engine::new(b, &mut p);
         // Statically, white is down a full queen...
         let static_eval = engine.evaluate();
         assert!(
@@ -652,6 +754,33 @@ mod tests {
             score > -200,
             "search must recover the queen (≈0), got {score}"
         );
+        let _ = p.finish();
+    }
+
+    #[test]
+    fn engine_make_and_unmake_keep_the_hash() {
+        let spec = PositionSpec {
+            seed: 7,
+            random_moves: 12,
+            depth: 1,
+        };
+        let mut p = Profiler::default();
+        let mut engine = Engine::new(Board::from_spec(&spec), &mut p);
+        let mut state = spec.seed;
+        for _ in 0..150 {
+            let moves = engine.board.legal_moves();
+            if moves.is_empty() {
+                break;
+            }
+            for &m in &moves {
+                engine.make(m);
+                assert_eq!(engine.hash, engine.board.hash(), "make {m:?}");
+                engine.unmake(m);
+                assert_eq!(engine.hash, engine.board.hash(), "unmake {m:?}");
+            }
+            state = splitmix(state);
+            engine.make(moves[(state % moves.len() as u64) as usize]);
+        }
         let _ = p.finish();
     }
 

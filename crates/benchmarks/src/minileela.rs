@@ -42,6 +42,82 @@ impl Color {
     }
 }
 
+/// Smallest supported board side.
+const MIN_SIZE: usize = 5;
+/// Largest supported board side.
+const MAX_SIZE: usize = 25;
+
+/// A set of points of a board, as a bitset sized for the largest board.
+type PointSet = [u64; (MAX_SIZE * MAX_SIZE).div_ceil(64)];
+
+/// Adds `idx` to `set`; returns whether it was absent.
+fn insert(set: &mut PointSet, idx: usize) -> bool {
+    let (word, bit) = (idx / 64, 1 << (idx % 64));
+    let absent = set[word] & bit == 0;
+    set[word] |= bit;
+    absent
+}
+
+/// Removes and returns the lowest point of `set`.
+fn pop(set: &mut PointSet) -> Option<usize> {
+    let word = set.iter().position(|&w| w != 0)?;
+    let bit = set[word].trailing_zeros() as usize;
+    set[word] &= set[word] - 1;
+    Some(word * 64 + bit)
+}
+
+/// The up-to-four orthogonal neighbours of one point, in the order
+/// left, right, up, down.
+#[derive(Clone, Copy)]
+struct Neighbors {
+    len: u8,
+    at: [u16; 4],
+}
+
+/// Where each supported size's points start in [`NEIGHBORS`]; the entry
+/// after the largest size is the table's length.
+const NEIGHBOR_BASE: [usize; MAX_SIZE + 2] = {
+    let mut base = [0; MAX_SIZE + 2];
+    let mut size = MIN_SIZE;
+    while size <= MAX_SIZE {
+        base[size + 1] = base[size] + size * size;
+        size += 1;
+    }
+    base
+};
+
+/// The neighbours of every point of every supported board size, so
+/// that no lookup divides by the side length: point `idx` of a `size`
+/// board is entry `NEIGHBOR_BASE[size] + idx`.
+static NEIGHBORS: [Neighbors; NEIGHBOR_BASE[MAX_SIZE + 1]] = {
+    let mut table = [Neighbors { len: 0, at: [0; 4] }; NEIGHBOR_BASE[MAX_SIZE + 1]];
+    let mut size = MIN_SIZE;
+    while size <= MAX_SIZE {
+        let mut idx = 0;
+        while idx < size * size {
+            let (x, y) = (idx % size, idx / size);
+            let candidates = [
+                (x > 0, idx.wrapping_sub(1)),
+                (x + 1 < size, idx + 1),
+                (y > 0, idx.wrapping_sub(size)),
+                (y + 1 < size, idx + size),
+            ];
+            let entry = &mut table[NEIGHBOR_BASE[size] + idx];
+            let mut k = 0;
+            while k < candidates.len() {
+                if candidates[k].0 {
+                    entry.at[entry.len as usize] = candidates[k].1 as u16;
+                    entry.len += 1;
+                }
+                k += 1;
+            }
+            idx += 1;
+        }
+        size += 1;
+    }
+    table
+};
+
 /// A Go board.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoBoard {
@@ -57,7 +133,10 @@ impl GoBoard {
     ///
     /// Panics if `size` is not between 5 and 25.
     pub fn new(size: usize) -> Self {
-        assert!((5..=25).contains(&size), "unsupported board size");
+        assert!(
+            (MIN_SIZE..=MAX_SIZE).contains(&size),
+            "unsupported board size"
+        );
         GoBoard {
             size,
             cells: vec![0; size * size],
@@ -87,66 +166,34 @@ impl GoBoard {
         }]
     }
 
-    /// The up-to-four orthogonal neighbours, without allocation.
-    fn neighbors4(&self, idx: usize) -> ([usize; 4], usize) {
-        let size = self.size;
-        let x = idx % size;
-        let y = idx / size;
-        let mut out = [0usize; 4];
-        let mut n = 0;
-        if x > 0 {
-            out[n] = idx - 1;
-            n += 1;
-        }
-        if x + 1 < size {
-            out[n] = idx + 1;
-            n += 1;
-        }
-        if y > 0 {
-            out[n] = idx - size;
-            n += 1;
-        }
-        if y + 1 < size {
-            out[n] = idx + size;
-            n += 1;
-        }
-        (out, n)
-    }
-
-    fn neighbors(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
-        let (arr, n) = self.neighbors4(idx);
-        arr.into_iter().take(n)
+    /// The up-to-four orthogonal neighbours of `idx`.
+    fn neighbors(&self, idx: usize) -> &'static [u16] {
+        let entry = &NEIGHBORS[NEIGHBOR_BASE[self.size] + idx];
+        &entry.at[..entry.len as usize]
     }
 
     /// Flood-fills the group containing `idx`; returns (group, liberties).
-    /// Visited sets are stack bitsets (boards are at most 25×25), so the
-    /// hot playout path allocates only the group vector.
+    /// Visited sets are stack bitsets (boards are at most 25×25).
     pub fn group_and_liberties(&self, idx: usize) -> (Vec<usize>, usize) {
         let color = self.cells[idx];
         debug_assert!(color != 0);
         let mut group = Vec::with_capacity(8);
         group.push(idx);
-        let mut seen = [0u64; 10];
-        let mut lib_seen = [0u64; 10];
-        let mark = |set: &mut [u64; 10], i: usize| {
-            let (w, b) = (i / 64, i % 64);
-            let hit = set[w] >> b & 1 == 1;
-            set[w] |= 1 << b;
-            !hit
-        };
-        mark(&mut seen, idx);
+        let mut seen = PointSet::default();
+        let mut lib_seen = PointSet::default();
+        insert(&mut seen, idx);
         let mut cursor = 0;
         let mut liberties = 0;
         while cursor < group.len() {
             let s = group[cursor];
             cursor += 1;
-            let (neigh, count) = self.neighbors4(s);
-            for &n in neigh.iter().take(count) {
+            for &n in self.neighbors(s) {
+                let n = n as usize;
                 if self.cells[n] == 0 {
-                    if mark(&mut lib_seen, n) {
+                    if insert(&mut lib_seen, n) {
                         liberties += 1;
                     }
-                } else if self.cells[n] == color && mark(&mut seen, n) {
+                } else if self.cells[n] == color && insert(&mut seen, n) {
                     group.push(n);
                 }
             }
@@ -154,46 +201,57 @@ impl GoBoard {
         (group, liberties)
     }
 
-    /// Fast capture probe: flood-fills the group at `idx` but returns
-    /// `None` as soon as any liberty is found. Only a captured group —
-    /// the rare case — pays for the full group vector.
-    fn group_if_captured(&self, idx: usize) -> Option<Vec<usize>> {
+    /// Capture probe: flood-fills the group at `idx` and returns `None`
+    /// as soon as it finds a liberty other than `filled`, a point that
+    /// counts as occupied. A group with no such liberty comes back as its
+    /// set of points. The fill and its worklist are stack bitsets, so a
+    /// probe allocates nothing.
+    fn group_if_captured(&self, idx: usize, filled: usize) -> Option<PointSet> {
         let color = self.cells[idx];
-        let mut group = Vec::with_capacity(8);
-        group.push(idx);
-        let mut seen = [0u64; 10];
-        seen[idx / 64] |= 1 << (idx % 64);
-        let mut cursor = 0;
-        while cursor < group.len() {
-            let s = group[cursor];
-            cursor += 1;
-            let (neigh, count) = self.neighbors4(s);
-            for &n in neigh.iter().take(count) {
-                if self.cells[n] == 0 {
+        let mut group = PointSet::default();
+        let mut todo = PointSet::default();
+        insert(&mut group, idx);
+        insert(&mut todo, idx);
+        while let Some(s) = pop(&mut todo) {
+            for &n in self.neighbors(s) {
+                let n = n as usize;
+                if n == filled {
+                    continue;
+                }
+                let cell = self.cells[n];
+                if cell == 0 {
                     return None; // liberty: not captured
                 }
-                if self.cells[n] == color && seen[n / 64] >> (n % 64) & 1 == 0 {
-                    seen[n / 64] |= 1 << (n % 64);
-                    group.push(n);
+                if cell == color && insert(&mut group, n) {
+                    insert(&mut todo, n);
                 }
             }
         }
         Some(group)
     }
 
-    /// Early-exit liberty probe for the suicide check.
-    fn liberties_only(&self, idx: usize) -> usize {
-        if self.group_if_captured(idx).is_some() {
-            0
-        } else {
-            1
+    /// Empties every point of `group`; returns how many there were.
+    fn remove(&mut self, group: &PointSet) -> u32 {
+        let mut removed = 0;
+        for (word, &bits) in group.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                self.cells[word * 64 + bits.trailing_zeros() as usize] = 0;
+                bits &= bits - 1;
+                removed += 1;
+            }
         }
+        removed
     }
 
     /// Attempts to play at `(x, y)`. Returns captured stone count, or
     /// `None` if the move is illegal (occupied or suicide).
     pub fn play(&mut self, x: usize, y: usize, color: Color) -> Option<u32> {
-        let idx = y * self.size + x;
+        self.play_at(y * self.size + x, color)
+    }
+
+    /// [`GoBoard::play`] at point index `idx`.
+    fn play_at(&mut self, idx: usize, color: Color) -> Option<u32> {
         if self.cells[idx] != 0 {
             return None;
         }
@@ -201,19 +259,16 @@ impl GoBoard {
         // Capture adjacent opponent groups with no liberties.
         let mut captured = 0u32;
         let opp = color.other().cell();
-        let (neigh, count) = self.neighbors4(idx);
-        for &n in neigh.iter().take(count) {
+        for &n in self.neighbors(idx) {
+            let n = n as usize;
             if self.cells[n] == opp {
-                if let Some(group) = self.group_if_captured(n) {
-                    captured += group.len() as u32;
-                    for g in group {
-                        self.cells[g] = 0;
-                    }
+                if let Some(group) = self.group_if_captured(n, idx) {
+                    captured += self.remove(&group);
                 }
             }
         }
         // Suicide check.
-        if captured == 0 && self.liberties_only(idx) == 0 {
+        if captured == 0 && self.group_if_captured(idx, idx).is_some() {
             self.cells[idx] = 0;
             return None;
         }
@@ -227,28 +282,33 @@ impl GoBoard {
     /// Legal moves for `color` (not suicide, not occupied), excluding
     /// single-point true eyes of the mover (standard playout heuristic).
     pub fn legal_moves(&self, color: Color) -> Vec<usize> {
-        let mut out = Vec::new();
-        for idx in 0..self.cells.len() {
-            if self.cells[idx] != 0 {
-                continue;
+        (0..self.cells.len())
+            .filter(|&idx| {
+                self.cells[idx] == 0 && !self.is_true_eye(idx, color) && self.is_legal(idx, color)
+            })
+            .collect()
+    }
+
+    /// Whether `color` may play at the empty point `idx`, decided without
+    /// playing it: the stone has a liberty, joins a group that keeps one,
+    /// or captures a group whose last liberty is `idx`.
+    fn is_legal(&self, idx: usize, color: Color) -> bool {
+        let own = color.cell();
+        self.neighbors(idx).iter().any(|&n| {
+            let n = n as usize;
+            match self.cells[n] {
+                0 => true,
+                cell if cell == own => self.group_if_captured(n, idx).is_none(),
+                _ => self.group_if_captured(n, idx).is_some(),
             }
-            if self.is_true_eye(idx, color) {
-                continue;
-            }
-            let mut probe = self.clone();
-            if probe
-                .play(idx % self.size, idx / self.size, color)
-                .is_some()
-            {
-                out.push(idx);
-            }
-        }
-        out
+        })
     }
 
     /// A single-point eye: all neighbours are the mover's stones.
     fn is_true_eye(&self, idx: usize, color: Color) -> bool {
-        self.neighbors(idx).all(|n| self.cells[n] == color.cell())
+        self.neighbors(idx)
+            .iter()
+            .all(|&n| self.cells[n as usize] == color.cell())
     }
 
     /// Area score from black's perspective: stones plus territory whose
@@ -271,8 +331,8 @@ impl GoBoard {
                     let mut touches_black = false;
                     let mut touches_white = false;
                     while let Some(s) = stack.pop() {
-                        let (neigh, count) = self.neighbors4(s);
-                        for &n in neigh.iter().take(count) {
+                        for &n in self.neighbors(s) {
+                            let n = n as usize;
                             match self.cells[n] {
                                 1 => touches_black = true,
                                 2 => touches_white = true,
@@ -345,8 +405,7 @@ fn playout(
         let mut played = false;
         let start = (splitmix(rng) % points as u64) as usize;
         let mut probes = 0;
-        for k in 0..points {
-            let m = (start + k) % points;
+        for m in (start..points).chain(0..start) {
             if b.cells[m] != 0 {
                 continue;
             }
@@ -360,7 +419,7 @@ fn playout(
                 continue;
             }
             profiler.branch(1, false);
-            if b.play(m % b.size(), m / b.size(), to_move).is_some() {
+            if b.play_at(m, to_move).is_some() {
                 profiler.store(BOARD_REGION + m as u64 % (1 << 20));
                 profiler.retire(6);
                 played = true;
@@ -386,6 +445,19 @@ fn playout(
     profiler.exit();
     profiler.exit();
     s
+}
+
+/// Plays one uniform random playout from `board`, `to_move` to play,
+/// under `profiler`; returns black's area score. This is the playout
+/// the engine runs for each of its UCB1 samples.
+pub fn random_playout(
+    board: &GoBoard,
+    to_move: Color,
+    rng: &mut u64,
+    profiler: &mut Profiler,
+) -> i32 {
+    let fns = register(profiler);
+    playout(board, to_move, rng, profiler, &fns)
 }
 
 /// Picks a move for `color` by UCB1 over the root moves.
@@ -430,7 +502,7 @@ pub(crate) fn engine_move(
         profiler.exit();
         let m = moves[pick];
         let mut b = board.clone();
-        b.play(m % b.size(), m / b.size(), color);
+        b.play_at(m, color);
         let score = playout(&b, color.other(), rng, profiler, fns);
         let won = match color {
             Color::Black => score > 0,
@@ -459,7 +531,7 @@ pub(crate) fn play_game(spec: &GameSpec, profiler: &mut Profiler, fns: &Fns) -> 
             break;
         }
         let m = moves[(splitmix(&mut rng) % moves.len() as u64) as usize];
-        board.play(m % board.size(), m / board.size(), to_move);
+        board.play_at(m, to_move);
         to_move = to_move.other();
     }
     // Engine finishes the game.
@@ -467,7 +539,7 @@ pub(crate) fn play_game(spec: &GameSpec, profiler: &mut Profiler, fns: &Fns) -> 
     for _ in 0..spec.moves_to_play {
         match engine_move(&board, to_move, spec.playouts, &mut rng, profiler, fns) {
             Some(m) => {
-                board.play(m % board.size(), m / board.size(), to_move);
+                board.play_at(m, to_move);
                 engine_moves += 1;
             }
             None => break,

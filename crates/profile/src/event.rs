@@ -53,8 +53,12 @@ pub struct EventTrace {
     /// counts by this factor times the per-kind sampling interval.
     weight: u64,
     decimations: u32,
-    /// Offered-event counter used to downsample after decimation.
-    phase: u64,
+    /// Offers left until the next lattice point: the next offer phase
+    /// that is a multiple of `weight`. Retention counts down to it
+    /// instead of dividing the phase on every offer.
+    countdown: u64,
+    /// That lattice point's index: its phase over `weight`.
+    next_lattice: u64,
 }
 
 impl EventTrace {
@@ -71,8 +75,14 @@ impl EventTrace {
             capacity,
             weight: 1,
             decimations: 0,
-            phase: 0,
+            countdown: 1,
+            next_lattice: 1,
         }
+    }
+
+    /// Events offered so far: the phase of the latest offer.
+    fn offered(&self) -> u64 {
+        self.next_lattice * self.weight - self.countdown
     }
 
     /// Offers an event, decimating `chunks` first if the trace is full,
@@ -112,7 +122,6 @@ impl EventTrace {
     pub fn push_diluted(&mut self, chunks: &mut EventChunks, event: Event, dilution: u64) -> bool {
         assert!(dilution > 0, "dilution must be positive");
         debug_assert_eq!(chunks.len(), self.len, "columns out of step with the trace");
-        self.phase += 1;
         // Decimate *before* the retention check: the weight must double
         // first so the triggering offer is itself judged against the
         // post-decimation lattice. (Decimating after the check retained
@@ -122,7 +131,16 @@ impl EventTrace {
         if self.len >= self.capacity {
             self.decimate(chunks);
         }
-        if !self.phase.is_multiple_of(self.weight * dilution) {
+        // The offer's phase is a multiple of `weight * dilution` iff it
+        // is a lattice point whose index is a multiple of `dilution`.
+        self.countdown -= 1;
+        if self.countdown > 0 {
+            return false;
+        }
+        self.countdown = self.weight;
+        let lattice = self.next_lattice;
+        self.next_lattice += 1;
+        if !lattice.is_multiple_of(dilution) {
             return false;
         }
         chunks.push(event);
@@ -155,8 +173,17 @@ impl EventTrace {
     fn decimate(&mut self, chunks: &mut EventChunks) {
         chunks.keep_odd_indices();
         self.len = chunks.len();
+        let offered = self.offered();
         self.weight *= 2;
         self.decimations += 1;
+        self.aim_countdown(offered);
+    }
+
+    /// Points the countdown at the first lattice point after phase
+    /// `offered`, for the current weight.
+    fn aim_countdown(&mut self, offered: u64) {
+        self.next_lattice = offered / self.weight + 1;
+        self.countdown = self.next_lattice * self.weight - offered;
     }
 
     /// Number of retained events.
@@ -186,10 +213,11 @@ impl EventTrace {
     pub fn preset_weight(&mut self, weight: u64) {
         assert!(weight > 0, "trace weight must be positive");
         assert!(
-            self.phase == 0 && self.len == 0,
+            self.offered() == 0 && self.len == 0,
             "weight must be preset before any event is offered"
         );
         self.weight = weight;
+        self.aim_countdown(0);
     }
 
     /// How many times the buffer was decimated.

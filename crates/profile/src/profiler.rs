@@ -3,8 +3,9 @@
 use crate::calltree::{CallTree, PathTable};
 use crate::chunks::EventChunks;
 use crate::event::{Event, EventTrace, DEFAULT_TRACE_CAPACITY};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of an instrumented function, issued by
 /// [`Profiler::register_function`].
@@ -473,6 +474,31 @@ struct Frame {
     offered: bool,
 }
 
+/// Hashes a page number with one wide multiply, folding the high half
+/// of the product into the low so that both the bucket index (low bits)
+/// and the control tag (high bits) of the map depend on every input bit.
+/// Page numbers come from the benchmarks, not from an adversary, so the
+/// map needs no keyed hash.
+#[derive(Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Collects instrumentation events from a mini-benchmark run.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
@@ -504,15 +530,20 @@ pub struct Profiler {
     window_cursor: usize,
     trace_gated: bool,
     trace_on: bool,
-    /// Footprint state: distinct line/page numbers seen, with a
-    /// last-seen memo so the sequential hot path skips the set probe.
-    /// The shifts are the fixed `Footprint` granularities (6 and 12),
-    /// so a real line/page number can never equal the `u64::MAX`
-    /// "nothing seen yet" memo value.
-    seen_lines: HashSet<u64>,
-    seen_pages: HashSet<u64>,
+    /// Footprint state: one mask of touched lines per touched page
+    /// (a 4 KiB page holds 64 lines of 64 B), found through
+    /// `page_slots` only when the page changes, and the count of set
+    /// mask bits. `last_line` and `last_page` memo the latest access,
+    /// so the sequential hot path skips even the mask update, and
+    /// `page_slot` indexes `last_page`'s mask. The shifts are the fixed
+    /// `Footprint` granularities (6 and 12), so a real line/page number
+    /// can never equal the `u64::MAX` "nothing seen yet" memo value.
+    page_slots: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
+    line_masks: Vec<u64>,
+    lines_seen: u64,
     last_line: u64,
     last_page: u64,
+    page_slot: usize,
 }
 
 /// Dilution factor of the *control* warming stream (branches, calls,
@@ -563,10 +594,12 @@ impl Profiler {
             window_cursor: 0,
             trace_gated: false,
             trace_on: true,
-            seen_lines: HashSet::new(),
-            seen_pages: HashSet::new(),
+            page_slots: HashMap::default(),
+            line_masks: Vec::new(),
+            lines_seen: 0,
             last_line: u64::MAX,
             last_page: u64::MAX,
+            page_slot: 0,
         }
     }
 
@@ -659,23 +692,42 @@ impl Profiler {
     fn touch(&mut self, addr: u64) {
         const LINE_SHIFT: u32 = Footprint::LINE_BYTES.trailing_zeros();
         const PAGE_SHIFT: u32 = Footprint::PAGE_BYTES.trailing_zeros();
+        const LINES_PER_PAGE: u64 = Footprint::PAGE_BYTES / Footprint::LINE_BYTES;
+        const _: () = assert!(LINES_PER_PAGE == u64::BITS as u64);
         let line = addr >> LINE_SHIFT;
         if line != self.last_line {
             self.last_line = line;
-            self.seen_lines.insert(line);
             let page = addr >> PAGE_SHIFT;
             if page != self.last_page {
                 self.last_page = page;
-                self.seen_pages.insert(page);
+                self.page_slot = self.page_slot_of(page);
+            }
+            let bit = 1 << (line % LINES_PER_PAGE);
+            let mask = &mut self.line_masks[self.page_slot];
+            if *mask & bit == 0 {
+                *mask |= bit;
+                self.lines_seen += 1;
             }
         }
+    }
+
+    /// The index of `page`'s line mask, adding an empty one the first
+    /// time the page is touched. Out of line, so the inlined `touch`
+    /// stays small.
+    #[inline(never)]
+    fn page_slot_of(&mut self, page: u64) -> usize {
+        let masks = &mut self.line_masks;
+        *self.page_slots.entry(page).or_insert_with(|| {
+            masks.push(0);
+            masks.len() - 1
+        })
     }
 
     /// The cumulative footprint at the present point of the run.
     fn current_footprint(&self) -> Footprint {
         Footprint {
-            lines: self.seen_lines.len() as u64,
-            pages: self.seen_pages.len() as u64,
+            lines: self.lines_seen,
+            pages: self.line_masks.len() as u64,
         }
     }
 

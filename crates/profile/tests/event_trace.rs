@@ -7,9 +7,11 @@
 //! another), and presetting a weight reproduces exactly the density a
 //! decimated full run would have. Each lattice test encodes the offer
 //! phase in the event payload so the retained set can be checked
-//! against the lattice directly. The last property shadows capture into
-//! [`EventChunks`] columns against a plain `Vec<Event>` buffer on
-//! streams that mix every event kind.
+//! against the lattice directly. The last two properties shadow the
+//! trace against a reference that keeps a plain `Vec<Event>` buffer and
+//! tests every offer's phase with a modulo: one over interleaved
+//! dilutions and preset weights, one on streams that mix every event
+//! kind into the [`EventChunks`] columns.
 
 use alberta_profile::{Event, EventChunks, EventTrace, FnId};
 use proptest::prelude::*;
@@ -151,6 +153,37 @@ proptest! {
         prop_assert_eq!(phases(&diluted_chunks), lattice);
         let all = phases(&full_chunks);
         prop_assert!(phases(&diluted_chunks).iter().all(|p| all.contains(p)));
+    }
+
+    /// The countdown to the next lattice point retains exactly the
+    /// offers the reference's per-offer modulo retains: under preset
+    /// weights that need not be powers of two, through the decimations
+    /// that double them, and with dilutions of 1 and 2 interleaved offer
+    /// by offer, as window-gated capture interleaves in-window, memory
+    /// warming and control warming offers.
+    #[test]
+    fn countdown_matches_the_modulo_reference(
+        capacity in 1usize..64,
+        preset in 1u64..13,
+        dilutions in prop::collection::vec(1u64..3, 1..2000),
+    ) {
+        let mut reference = Reference::with_capacity(capacity);
+        reference.weight = preset;
+        let (mut trace, mut chunks) = trace(capacity);
+        trace.preset_weight(preset);
+        for (i, &dilution) in dilutions.iter().enumerate() {
+            let phase = i as u64 + 1;
+            let kept = reference.push_diluted(tagged(phase), dilution);
+            prop_assert_eq!(
+                trace.push_diluted(&mut chunks, tagged(phase), dilution),
+                kept,
+                "offer {}", phase
+            );
+            prop_assert_eq!(trace.weight(), reference.weight);
+            prop_assert_eq!(trace.decimations(), reference.decimations);
+            prop_assert_eq!(trace.len(), reference.events.len());
+        }
+        prop_assert_eq!(chunks.events(), reference.events);
     }
 
     /// Column capture keeps exactly what the `Vec<Event>` buffer kept,
