@@ -3,8 +3,10 @@
 //! search kernels of the two largest mini-benchmarks, and the profiler
 //! hooks.
 
-use alberta_benchmarks::minideepsjeng::Board;
+use alberta_benchmarks::minideepsjeng::{self, Board};
 use alberta_benchmarks::minileela::{self, Color, GoBoard};
+use alberta_core::sampling::pilot_config;
+use alberta_core::PhaseSampling;
 use alberta_profile::{Profiler, SampleConfig};
 use alberta_stats::variation::TopDownRatios;
 use alberta_stats::TopDownSummary;
@@ -171,6 +173,25 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(moves)
         })
     });
+    // Depth-3 searches of eight scrambled positions: evaluation, move
+    // ordering and the piece scan under the default profiler.
+    let searches: Vec<chess::PositionSpec> = (0..8u64)
+        .map(|seed| chess::PositionSpec {
+            seed,
+            random_moves: 10 + (seed * 5) as u32,
+            depth: 3,
+        })
+        .collect();
+    group.bench_function("deepsjeng_search", |b| {
+        b.iter(|| {
+            let mut p = Profiler::default();
+            let nodes: u64 = searches
+                .iter()
+                .map(|spec| minideepsjeng::analyze(spec, &mut p).1)
+                .sum();
+            black_box((nodes, p.finish().totals.retired_ops))
+        })
+    });
     // A 13×13 board a quarter filled by a seeded random prefix.
     let mut board = GoBoard::new(13);
     let mut rng = 0x5EEDu64;
@@ -214,6 +235,32 @@ fn bench_profiler(c: &mut Criterion) {
             })
         });
     }
+    // The pilot pass's configuration over a nested, retire-heavy stream
+    // shaped like deepsjeng's evaluation: per rank one load and a few
+    // two-op retires. The pilot slices intervals and traces almost
+    // nothing, so this times the checkpoint compare and the deferred
+    // scope credit.
+    let pilot = pilot_config(SampleConfig::default(), &PhaseSampling::default());
+    group.bench_function("pilot", |b| {
+        b.iter(|| {
+            let mut p = Profiler::new(pilot);
+            let search = p.register_function("search", 2600);
+            let evaluate = p.register_function("evaluate", 1400);
+            p.enter(search);
+            for i in 0..12_500u64 {
+                p.enter(evaluate);
+                for rank in 0..8 {
+                    p.load(0x6000_0000 + rank * 16);
+                    for _ in 0..(i + rank) % 4 {
+                        p.retire(2);
+                    }
+                }
+                p.exit();
+            }
+            p.exit();
+            black_box(p.finish().intervals.len())
+        })
+    });
     // Loads scattered over 1 GiB: nearly every access changes page, so
     // this times the footprint's page lookup.
     group.bench_function("random_pages", |b| {

@@ -86,54 +86,86 @@ impl Board {
         sq & 0x88 == 0 && sq >= 0
     }
 
-    /// Generates pseudo-legal moves (may leave own king in check).
+    /// Generates pseudo-legal moves (may leave own king in check), in
+    /// ascending order of the moving piece's square.
     pub fn pseudo_moves(&self, out: &mut Vec<Move>) {
-        use piece::*;
         out.clear();
-        for from in 0..128u8 {
-            if from & 0x88 != 0 {
-                continue;
+        for rank in 0..8 {
+            let mut own = self.own_pieces(rank);
+            while own != 0 {
+                let from = rank as u8 * 16 + (own.trailing_zeros() / 8) as u8;
+                own &= own - 1;
+                self.piece_moves(from, out);
             }
-            let p = self.squares[from as usize];
-            if p == 0 || p.signum() != self.side {
-                continue;
-            }
-            match p.abs() {
-                PAWN => {
-                    let dir: i16 = if self.side == 1 { 16 } else { -16 };
-                    let fwd = from as i16 + dir;
-                    if Board::on_board(fwd) && self.squares[fwd as usize] == 0 {
-                        out.push(self.mk(from, fwd as u8));
-                        // Double push from the home rank.
-                        let home = if self.side == 1 { 1 } else { 6 };
-                        let fwd2 = fwd + dir;
-                        if (from >> 4) == home
-                            && Board::on_board(fwd2)
-                            && self.squares[fwd2 as usize] == 0
-                        {
-                            out.push(self.mk(from, fwd2 as u8));
-                        }
+        }
+    }
+
+    /// The eight squares of `rank` as one word, file 0 in the low byte.
+    fn rank_word(&self, rank: usize) -> u64 {
+        let base = rank * 16;
+        let files: [i8; 8] = self.squares[base..base + 8]
+            .try_into()
+            .expect("a rank has eight files");
+        u64::from_le_bytes(files.map(|p| p as u8))
+    }
+
+    /// The side to move's pieces on `rank`: the top bit of each of their
+    /// bytes in [`Board::rank_word`]. White pieces are the nonzero bytes
+    /// with the sign bit clear, black ones the bytes with it set.
+    fn own_pieces(&self, rank: usize) -> u64 {
+        let word = self.rank_word(rank);
+        let negative = word & BYTE_TOPS;
+        if self.side == 1 {
+            nonzero_bytes(word) & !negative
+        } else {
+            negative
+        }
+    }
+
+    /// The number of occupied squares on `rank`.
+    fn rank_occupancy(&self, rank: usize) -> u32 {
+        nonzero_bytes(self.rank_word(rank)).count_ones()
+    }
+
+    /// Pushes the pseudo-legal moves of the side to move's piece on
+    /// `from`.
+    fn piece_moves(&self, from: u8, out: &mut Vec<Move>) {
+        use piece::*;
+        match self.squares[from as usize].abs() {
+            PAWN => {
+                let dir: i16 = if self.side == 1 { 16 } else { -16 };
+                let fwd = from as i16 + dir;
+                if Board::on_board(fwd) && self.squares[fwd as usize] == 0 {
+                    out.push(self.mk(from, fwd as u8));
+                    // Double push from the home rank.
+                    let home = if self.side == 1 { 1 } else { 6 };
+                    let fwd2 = fwd + dir;
+                    if (from >> 4) == home
+                        && Board::on_board(fwd2)
+                        && self.squares[fwd2 as usize] == 0
+                    {
+                        out.push(self.mk(from, fwd2 as u8));
                     }
-                    for dd in [dir - 1, dir + 1] {
-                        let t = from as i16 + dd;
-                        if Board::on_board(t) {
-                            let q = self.squares[t as usize];
-                            if q != 0 && q.signum() != self.side {
-                                out.push(self.mk(from, t as u8));
-                            }
+                }
+                for dd in [dir - 1, dir + 1] {
+                    let t = from as i16 + dd;
+                    if Board::on_board(t) {
+                        let q = self.squares[t as usize];
+                        if q != 0 && q.signum() != self.side {
+                            out.push(self.mk(from, t as u8));
                         }
                     }
                 }
-                KNIGHT => self.step_moves(from, &KNIGHT_D, out),
-                KING => self.step_moves(from, &KING_D, out),
-                BISHOP => self.slide_moves(from, &BISHOP_D, out),
-                ROOK => self.slide_moves(from, &ROOK_D, out),
-                QUEEN => {
-                    self.slide_moves(from, &BISHOP_D, out);
-                    self.slide_moves(from, &ROOK_D, out);
-                }
-                _ => unreachable!("invalid piece code"),
             }
+            KNIGHT => self.step_moves(from, &KNIGHT_D, out),
+            KING => self.step_moves(from, &KING_D, out),
+            BISHOP => self.slide_moves(from, &BISHOP_D, out),
+            ROOK => self.slide_moves(from, &ROOK_D, out),
+            QUEEN => {
+                self.slide_moves(from, &BISHOP_D, out);
+                self.slide_moves(from, &ROOK_D, out);
+            }
+            _ => unreachable!("invalid piece code"),
         }
     }
 
@@ -379,6 +411,32 @@ impl Board {
         delta
     }
 
+    /// Material plus piece-square score from white's side, summed over
+    /// the board: what the search's evaluation keeps by
+    /// [`Board::material_delta`].
+    fn material(&self) -> i32 {
+        let mut score = 0;
+        for s in 0..128u8 {
+            if s & 0x88 == 0 {
+                score += piece_square(self.squares[s as usize], s);
+            }
+        }
+        score
+    }
+
+    /// What [`Board::make`]`(m)` adds to [`Board::material`], read
+    /// before the move is made (or after it is unmade), with the same
+    /// terms as [`Board::hash_delta`].
+    fn material_delta(&self, m: Move) -> i32 {
+        let p = self.squares[m.from as usize];
+        let arrives = if m.promotion {
+            piece::QUEEN * p.signum()
+        } else {
+            p
+        };
+        piece_square(arrives, m.to) - piece_square(p, m.from) - piece_square(m.captured, m.to)
+    }
+
     /// Derives a position by playing `spec.random_moves` seeded random
     /// legal moves from the initial position (stops early at mate or
     /// stalemate).
@@ -425,7 +483,24 @@ static ZOBRIST: [[u64; 128]; 13] = {
     table
 };
 
+/// The top bit of each byte of a word.
+const BYTE_TOPS: u64 = 0x8080_8080_8080_8080;
+
+/// The top bit of each nonzero byte of `word`: adding seven ones to a
+/// byte's low seven bits carries into its top bit unless they are all
+/// zero, and no carry crosses into the next byte.
+const fn nonzero_bytes(word: u64) -> u64 {
+    const LOW_SEVENS: u64 = !BYTE_TOPS;
+    (((word & LOW_SEVENS) + LOW_SEVENS) | word) & BYTE_TOPS
+}
+
 const PIECE_VALUE: [i32; 7] = [0, 100, 320, 330, 500, 900, 20000];
+
+/// Piece `p`'s value plus its bonus on `sq`, signed by colour; zero for
+/// an empty square.
+fn piece_square(p: i8, sq: u8) -> i32 {
+    (PIECE_VALUE[p.unsigned_abs() as usize] + square_bonus(sq)) * p.signum() as i32
+}
 
 /// Center-weighted piece-square bonus.
 fn square_bonus(sq: u8) -> i32 {
@@ -441,6 +516,8 @@ struct Engine<'a> {
     /// `board.hash()`, kept incrementally by [`Engine::make`] and
     /// [`Engine::unmake`].
     hash: u64,
+    /// `board.material()`, kept incrementally the same way.
+    material: i32,
     profiler: &'a mut Profiler,
     fns: Fns,
     tt: Vec<(u64, i32, u32)>, // (hash, score, depth)
@@ -448,6 +525,8 @@ struct Engine<'a> {
     /// Move buffers not held by a node on the search stack, reused so
     /// that a node allocates none.
     spare_moves: Vec<Vec<Move>>,
+    /// [`Engine::ordered_moves`]'s sort buffer of (MVV-LVA key, move).
+    keyed_moves: Vec<(i32, Move)>,
 }
 
 struct Fns {
@@ -476,6 +555,7 @@ impl<'a> Engine<'a> {
         let fns = register(profiler);
         Engine {
             hash: board.hash(),
+            material: board.material(),
             board,
             profiler,
             fns,
@@ -485,31 +565,23 @@ impl<'a> Engine<'a> {
             tt: vec![(u64::MAX, 0, 0); TT_SIZE],
             nodes: 0,
             spare_moves: Vec::new(),
+            keyed_moves: Vec::new(),
         }
     }
 
     fn evaluate(&mut self) -> i32 {
         self.profiler.enter(self.fns.evaluate);
-        let mut score = 0;
-        for s in 0..128u8 {
-            if s & 0x88 != 0 {
-                continue;
-            }
-            let p = self.board.squares[s as usize];
+        for rank in 0..8 {
             // The board scan reads one cache line per rank; reporting one
             // load per eight squares models that without drowning the
-            // profiler in events.
-            if s % 8 == 0 {
-                self.profiler.load(BOARD_REGION + s as u64);
-            }
-            if p != 0 {
-                let v = PIECE_VALUE[p.unsigned_abs() as usize] + square_bonus(s);
-                score += v * p.signum() as i32;
+            // profiler in events. Each occupied square retires two ops.
+            self.profiler.load(BOARD_REGION + rank as u64 * 16);
+            for _ in 0..self.board.rank_occupancy(rank) {
                 self.profiler.retire(2);
             }
         }
         self.profiler.exit();
-        score * self.board.side as i32
+        self.material * self.board.side as i32
     }
 
     /// The ordered moves of the current position, in a buffer taken from
@@ -526,11 +598,18 @@ impl<'a> Engine<'a> {
             moves.retain(|m| m.captured != 0);
         }
         // MVV-LVA: most valuable victim, least valuable attacker first.
-        moves.sort_by_key(|m| {
+        // Each key is computed once; the stable sort keeps generation
+        // order among equal keys.
+        self.keyed_moves.clear();
+        self.keyed_moves.extend(moves.iter().map(|&m| {
             let victim = PIECE_VALUE[m.captured.unsigned_abs() as usize];
             let attacker = PIECE_VALUE[self.board.squares[m.from as usize].unsigned_abs() as usize];
-            -(victim * 100 - attacker)
-        });
+            (-(victim * 100 - attacker), m)
+        }));
+        self.keyed_moves.sort_by_key(|&(key, _)| key);
+        for (slot, &(_, m)) in moves.iter_mut().zip(&self.keyed_moves) {
+            *slot = m;
+        }
         self.profiler.exit();
         moves
     }
@@ -570,6 +649,7 @@ impl<'a> Engine<'a> {
         self.profiler.store(BOARD_REGION + m.from as u64);
         self.profiler.retire(3);
         self.hash ^= self.board.hash_delta(m);
+        self.material += self.board.material_delta(m);
         self.board.make(m);
         self.profiler.exit();
     }
@@ -577,6 +657,7 @@ impl<'a> Engine<'a> {
     fn unmake(&mut self, m: Move) {
         self.board.unmake(m);
         self.hash ^= self.board.hash_delta(m);
+        self.material -= self.board.material_delta(m);
         self.profiler.retire(3);
     }
 
@@ -757,30 +838,111 @@ mod tests {
         let _ = p.finish();
     }
 
+    /// `Engine::make` and `Engine::unmake` keep the hash and the
+    /// material score equal to `Board::hash` and the full-board
+    /// `Board::material` scan.
     #[test]
     fn engine_make_and_unmake_keep_the_hash() {
-        let spec = PositionSpec {
-            seed: 7,
-            random_moves: 12,
-            depth: 1,
-        };
         let mut p = Profiler::default();
-        let mut engine = Engine::new(Board::from_spec(&spec), &mut p);
-        let mut state = spec.seed;
-        for _ in 0..150 {
-            let moves = engine.board.legal_moves();
-            if moves.is_empty() {
-                break;
+        let mut promotions = 0;
+        for seed in [7, 8, 9, 10] {
+            let spec = PositionSpec {
+                seed,
+                random_moves: 12,
+                depth: 1,
+            };
+            let mut engine = Engine::new(Board::from_spec(&spec), &mut p);
+            let mut state = spec.seed;
+            for _ in 0..150 {
+                let moves = engine.board.legal_moves();
+                if moves.is_empty() {
+                    break;
+                }
+                for &m in &moves {
+                    promotions += m.promotion as usize;
+                    engine.make(m);
+                    assert_eq!(engine.hash, engine.board.hash(), "make {m:?}");
+                    assert_eq!(engine.material, engine.board.material(), "make {m:?}");
+                    engine.unmake(m);
+                    assert_eq!(engine.hash, engine.board.hash(), "unmake {m:?}");
+                    assert_eq!(engine.material, engine.board.material(), "unmake {m:?}");
+                }
+                state = splitmix(state);
+                engine.make(moves[(state % moves.len() as u64) as usize]);
             }
-            for &m in &moves {
-                engine.make(m);
-                assert_eq!(engine.hash, engine.board.hash(), "make {m:?}");
-                engine.unmake(m);
-                assert_eq!(engine.hash, engine.board.hash(), "unmake {m:?}");
-            }
-            state = splitmix(state);
-            engine.make(moves[(state % moves.len() as u64) as usize]);
         }
+        assert!(promotions > 0, "the walk reaches promotions");
+        let _ = p.finish();
+    }
+
+    /// The 128-square scan that `Board::pseudo_moves` replaced with a
+    /// per-rank piece scan: every square, in ascending order.
+    fn scanned_pseudo_moves(board: &Board) -> Vec<Move> {
+        let mut out = Vec::new();
+        for from in 0..128u8 {
+            let p = board.squares[from as usize];
+            if from & 0x88 == 0 && p != 0 && p.signum() == board.side {
+                board.piece_moves(from, &mut out);
+            }
+        }
+        out
+    }
+
+    /// The ordering `Engine::ordered_moves` replaced: `sort_by_key`
+    /// recomputing both board lookups per comparison.
+    fn sorted_by_key(board: &mut Board, captures_only: bool) -> Vec<Move> {
+        let mut moves = board.legal_moves();
+        if captures_only {
+            moves.retain(|m| m.captured != 0);
+        }
+        moves.sort_by_key(|m| {
+            let victim = PIECE_VALUE[m.captured.unsigned_abs() as usize];
+            let attacker = PIECE_VALUE[board.squares[m.from as usize].unsigned_abs() as usize];
+            -(victim * 100 - attacker)
+        });
+        moves
+    }
+
+    /// At every ply of seeded legal walks, for either side to move, the
+    /// per-rank piece scan and occupancy count equal the 128-square
+    /// scan, and `ordered_moves` equals the `sort_by_key` ordering.
+    #[test]
+    fn piece_scan_and_move_order_match_the_references() {
+        let mut p = Profiler::default();
+        let mut captures = 0;
+        for seed in 0..6 {
+            let mut engine = Engine::new(Board::initial(), &mut p);
+            let mut state = seed;
+            for ply in 0..120 {
+                for _ in 0..2 {
+                    let board = &engine.board;
+                    let mut pseudo = Vec::new();
+                    board.pseudo_moves(&mut pseudo);
+                    assert_eq!(pseudo, scanned_pseudo_moves(board), "seed {seed} ply {ply}");
+                    for rank in 0..8 {
+                        let occupied = (0..8)
+                            .filter(|&file| board.squares[rank * 16 + file] != 0)
+                            .count() as u32;
+                        assert_eq!(board.rank_occupancy(rank), occupied, "rank {rank}");
+                    }
+                    engine.board.side = -engine.board.side;
+                }
+                for captures_only in [false, true] {
+                    let ordered = engine.ordered_moves(captures_only);
+                    let reference = sorted_by_key(&mut engine.board, captures_only);
+                    assert_eq!(ordered, reference, "seed {seed} ply {ply}");
+                    captures += captures_only as usize * ordered.len();
+                    engine.spare_moves.push(ordered);
+                }
+                let moves = engine.board.legal_moves();
+                if moves.is_empty() {
+                    break;
+                }
+                state = splitmix(state);
+                engine.make(moves[(state % moves.len() as u64) as usize]);
+            }
+        }
+        assert!(captures > 100, "the walks order captures: {captures}");
         let _ = p.finish();
     }
 

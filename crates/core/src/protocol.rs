@@ -671,8 +671,11 @@ fn decode_profiler_fault(value: &Value) -> Result<ProfilerFault, DecodeError> {
     }
 }
 
+/// Parses a profiler configuration, rejecting the zero trace capacity
+/// and zero interval length that no run can use: `Profiler::new` would
+/// panic on either.
 fn decode_sample_config(value: &Value) -> Result<SampleConfig, DecodeError> {
-    Ok(SampleConfig {
+    let config = SampleConfig {
         branch_interval: req(value, "branch_interval")?,
         mem_interval: req(value, "mem_interval")?,
         call_interval: req(value, "call_interval")?,
@@ -682,7 +685,14 @@ fn decode_sample_config(value: &Value) -> Result<SampleConfig, DecodeError> {
         fault: nullable(value, "fault")?
             .map(decode_profiler_fault)
             .transpose()?,
-    })
+    };
+    if config.trace_capacity == 0 {
+        return Err("field \"trace_capacity\" must be positive".to_owned());
+    }
+    if config.interval_work == Some(0) {
+        return Err("field \"interval_work\" must be positive".to_owned());
+    }
+    Ok(config)
 }
 
 /// Parses a sampling policy from its canonical wire object.
@@ -1122,6 +1132,46 @@ mod tests {
         assert_eq!(decoded.faults, config.faults);
         assert_eq!(decoded.deadline_work, config.deadline_work);
         assert_eq!(decoded.beat_ms, config.beat_ms);
+    }
+
+    #[test]
+    fn config_rejects_a_profiler_no_run_can_use() {
+        let line = |sampling: SampleConfig| {
+            let reference = TopDownModel::reference();
+            SupervisorMsg::Config(Box::new(WorkerConfig {
+                mode: WorkerMode::Strict,
+                scale: Scale::Test,
+                sampling,
+                policy: SamplingPolicy::Full,
+                machine: *reference.config(),
+                predictor: reference.predictor(),
+                faults: FaultPlan::new(0),
+                deadline_work: None,
+                beat_ms: 40,
+            }))
+            .encode()
+        };
+        let zero_capacity = SampleConfig {
+            trace_capacity: 0,
+            ..SampleConfig::default()
+        };
+        let zero_interval = SampleConfig {
+            interval_work: Some(0),
+            ..SampleConfig::default()
+        };
+        for (sampling, field) in [
+            (zero_capacity, "trace_capacity"),
+            (zero_interval, "interval_work"),
+        ] {
+            let err = SupervisorMsg::decode(&line(sampling))
+                .err()
+                .unwrap_or_else(|| panic!("{field} 0 must be rejected"));
+            assert!(
+                err.contains(&format!("{field:?} must be positive")),
+                "{err}"
+            );
+        }
+        assert!(SupervisorMsg::decode(&line(SampleConfig::default())).is_ok());
     }
 
     #[test]

@@ -518,6 +518,19 @@ pub struct Profiler {
     mem_phase: u32,
     call_phase: u32,
     events: u64,
+    /// The event index at which `sampling.fault` fires (`u64::MAX`
+    /// without a fault), so `tick` is one compare.
+    fault_at: u64,
+    /// Ops retired since the innermost scope was last credited. They
+    /// go to its `fn_work` and call-tree node where the innermost scope
+    /// changes or is read: `enter`, `exit` and `cut_interval`. `finish`
+    /// needs no credit: every scope has closed by then, and ops retired
+    /// outside all scopes stay unattributed.
+    pending: u64,
+    /// The retired-op count at which `pass_checkpoint` next has work:
+    /// the least of the op past the budget, the next interval end and
+    /// the next edge of the detail window under the cursor.
+    checkpoint: u64,
     /// Interval-slicing state (active iff `sampling.interval_work`).
     intervals: Vec<IntervalSnapshot>,
     interval_start: Totals,
@@ -567,11 +580,31 @@ pub const WARM_DILUTION: u64 = 2;
 /// L3-vs-DRAM split is the one estimate that cannot survive dilution.
 pub const WARM_MEMORY_DILUTION: u64 = 1;
 
+/// The retired-op count at which a work budget trips: the first count
+/// above it. It saturates, so a budget of `u64::MAX` trips at that
+/// count, which no run reaches without overflowing its counter.
+fn budget_trip(budget: u64) -> u64 {
+    budget.saturating_add(1)
+}
+
 impl Profiler {
     /// Creates a profiler with the given sampling configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sampling.interval_work` is `Some(0)` or
+    /// `sampling.trace_capacity` is zero.
     pub fn new(sampling: SampleConfig) -> Self {
+        assert!(
+            sampling.interval_work != Some(0),
+            "interval work must be positive"
+        );
         let next_interval_end = sampling.interval_work.unwrap_or(u64::MAX);
-        Profiler {
+        let fault_at = match sampling.fault {
+            Some(ProfilerFault::PanicAtEvent(at) | ProfilerFault::CorruptEvents { at }) => at,
+            None => u64::MAX,
+        };
+        let mut profiler = Profiler {
             functions: Vec::new(),
             name_index: HashMap::new(),
             fn_work: Vec::new(),
@@ -586,6 +619,9 @@ impl Profiler {
             mem_phase: 0,
             call_phase: 0,
             events: 0,
+            fault_at,
+            pending: 0,
+            checkpoint: 0,
             intervals: Vec::new(),
             interval_start: Totals::default(),
             interval_fn_work: Vec::new(),
@@ -600,7 +636,9 @@ impl Profiler {
             last_line: u64::MAX,
             last_page: u64::MAX,
             page_slot: 0,
-        }
+        };
+        profiler.aim_checkpoint();
+        profiler
     }
 
     /// Creates a profiler whose trace capture is gated to the given
@@ -647,12 +685,12 @@ impl Profiler {
         p.trace_gated = true;
         p.trace_on = false;
         p.update_windows();
+        p.aim_checkpoint();
         p
     }
 
     /// Advances the window gate after the retired-op cursor moved.
     /// Windows that were jumped over entirely get an empty trace range.
-    #[inline]
     fn update_windows(&mut self) {
         if !self.trace_gated {
             return;
@@ -733,6 +771,7 @@ impl Profiler {
 
     /// Cuts the current fixed-work interval at the present counter state.
     fn cut_interval(&mut self) {
+        self.credit_pending();
         let totals = self.totals.delta_since(&self.interval_start);
         let fn_work: Vec<u64> = self
             .fn_work
@@ -758,46 +797,93 @@ impl Profiler {
     #[inline]
     fn tick(&mut self) {
         self.events += 1;
+        if self.events == self.fault_at {
+            self.inject_fault();
+        }
+    }
+
+    /// Applies the injected fault at its event. Out of line: it runs at
+    /// most once per run.
+    #[cold]
+    #[inline(never)]
+    fn inject_fault(&mut self) {
         match self.sampling.fault {
-            Some(ProfilerFault::PanicAtEvent(n)) if self.events == n => {
+            Some(ProfilerFault::PanicAtEvent(n)) => {
                 panic!("injected fault: forced panic at event {n}");
             }
-            Some(ProfilerFault::CorruptEvents { at }) if self.events == at => {
+            Some(ProfilerFault::CorruptEvents { .. }) => {
                 // Inflate past any count a real run could reach so
                 // `Profile::validate` is guaranteed to notice.
                 self.totals.taken_branches += 1 << 40;
             }
-            _ => {}
+            None => {}
         }
     }
 
-    /// Adds retired ops and enforces the work budget. Every retiring hook
-    /// funnels through here, so the budget is checked against exact
-    /// counts and trips at the same op count on every repetition.
+    /// Adds retired ops. Every retiring hook funnels through here, so the
+    /// budget is checked against exact counts and trips at the same op
+    /// count on every repetition. The common path is one add and one
+    /// compare; the budget, interval and window checks wait for the
+    /// checkpoint.
     #[inline]
     fn add_retired(&mut self, n: u64) {
         self.totals.retired_ops += n;
+        self.pending += n;
+        if self.totals.retired_ops >= self.checkpoint {
+            self.pass_checkpoint();
+        }
+    }
+
+    /// Runs the checks due at the checkpoint — the budget abort, the
+    /// interval cut and the window gate, in that order — and aims the
+    /// next checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with a [`BudgetExceeded`] payload once retired ops exceed
+    /// the work budget.
+    #[cold]
+    #[inline(never)]
+    fn pass_checkpoint(&mut self) {
+        let ops = self.totals.retired_ops;
         if let Some(budget) = self.sampling.work_budget {
-            if self.totals.retired_ops > budget {
+            if ops >= budget_trip(budget) {
                 std::panic::panic_any(BudgetExceeded {
                     budget,
-                    retired_ops: self.totals.retired_ops,
+                    retired_ops: ops,
                 });
             }
         }
-        if let Some(frame) = self.stack.last() {
-            self.fn_work[frame.id.0 as usize] += n;
-        }
-        self.calltree.retire(n);
-        if self.totals.retired_ops >= self.next_interval_end {
+        if ops >= self.next_interval_end {
             // interval_work is Some here: the boundary is u64::MAX otherwise.
             let iw = self.sampling.interval_work.unwrap_or(u64::MAX);
             self.cut_interval();
-            self.next_interval_end = (self.totals.retired_ops / iw + 1).saturating_mul(iw);
+            self.next_interval_end = (ops / iw + 1).saturating_mul(iw);
         }
-        if self.trace_gated {
-            self.update_windows();
+        self.update_windows();
+        self.aim_checkpoint();
+    }
+
+    /// Aims the checkpoint at the least retired-op count at which
+    /// [`Profiler::pass_checkpoint`] has work.
+    fn aim_checkpoint(&mut self) {
+        let past_budget = self.sampling.work_budget.map_or(u64::MAX, budget_trip);
+        let window_edge = match self.windows.get(self.window_cursor) {
+            Some(window) if self.trace_on => window.end_ops,
+            Some(window) => window.start_ops,
+            None => u64::MAX,
+        };
+        self.checkpoint = past_budget.min(self.next_interval_end).min(window_edge);
+    }
+
+    /// Credits the pending ops to the innermost scope, if any.
+    #[inline]
+    fn credit_pending(&mut self) {
+        if let Some(frame) = self.stack.last() {
+            self.fn_work[frame.id.0 as usize] += self.pending;
+            self.calltree.retire(self.pending);
         }
+        self.pending = 0;
     }
 
     /// Instrumentation events recorded so far (for tests and fault
@@ -838,6 +924,7 @@ impl Profiler {
             "unregistered function id {id:?}"
         );
         self.tick();
+        self.credit_pending();
         self.fn_calls[id.0 as usize] += 1;
         self.totals.calls += 1;
         self.calltree.descend(id);
@@ -869,6 +956,7 @@ impl Profiler {
     #[inline]
     pub fn exit(&mut self) {
         self.tick();
+        self.credit_pending();
         let frame = self.stack.pop().expect("exit without matching enter");
         self.calltree.ascend();
         // Emit the Return iff *this* scope's Call was sampled, so the
@@ -1269,6 +1357,15 @@ mod tests {
         let mut p = Profiler::default();
         p.retire(u64::MAX / 2);
         assert_eq!(p.finish().totals.retired_ops, u64::MAX / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "interval work must be positive")]
+    fn zero_interval_work_panics() {
+        let _ = Profiler::new(SampleConfig {
+            interval_work: Some(0),
+            ..SampleConfig::default()
+        });
     }
 
     #[test]
