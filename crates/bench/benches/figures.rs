@@ -1,12 +1,22 @@
 //! Figure benchmarks: the cost of regenerating Figure 1 (Top-Down stacks
 //! for xalancbmk vs xz) and Figure 2 (method-coverage variation for
-//! deepsjeng vs xz) from scratch.
+//! deepsjeng vs xz) from scratch: the sweep, its report, and the series
+//! built from the report.
 
-use alberta_core::figures::{fig1_series, fig2_series};
 use alberta_core::Suite;
+use alberta_report::{view, BenchmarkReport, SuiteReport};
 use alberta_workloads::Scale;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
+
+/// Characterizes one benchmark and returns its section of the report.
+fn sweep(suite: &Suite, name: &str) -> BenchmarkReport {
+    let result = suite
+        .characterize_resilient_metered(name)
+        .expect("characterization");
+    let mut report = SuiteReport::from_resilient(suite.scale(), std::slice::from_ref(&result));
+    report.benchmarks.pop().expect("one benchmark")
+}
 
 fn bench_fig1(c: &mut Criterion) {
     let suite = Suite::new(Scale::Test);
@@ -18,8 +28,7 @@ fn bench_fig1(c: &mut Criterion) {
     for name in ["xalancbmk", "xz"] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let chara = suite.characterize(name).expect("characterization");
-                let series = fig1_series(&chara);
+                let series = view::fig1_series(&sweep(&suite, name)).expect("runs survived");
                 (series.stacks.len(), series.visual_variation().to_bits())
             })
         });
@@ -39,8 +48,7 @@ fn bench_fig2(c: &mut Criterion) {
     // pair via xz (right panel) plus a reduced deepsjeng series.
     group.bench_function("xz", |b| {
         b.iter(|| {
-            let chara = suite.characterize("xz").expect("characterization");
-            let series = fig2_series(&chara);
+            let series = view::fig2_series(&sweep(&suite, "xz")).expect("runs survived");
             series.method_ranges().len()
         })
     });

@@ -3,7 +3,7 @@
 //! One Criterion benchmark per Table II row. Each iteration runs the
 //! benchmark's cheapest canonical workload (train) through the full
 //! pipeline — instrumented execution, Top-Down analysis — which is the
-//! unit of work the `table2` binary repeats over every workload.
+//! unit of work a `bench-report` sweep repeats over every workload.
 
 use alberta_core::{Profiler, SampleConfig, Suite, TopDownModel};
 use alberta_workloads::Scale;

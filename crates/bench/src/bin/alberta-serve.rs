@@ -20,7 +20,7 @@
 //! daemon with retries. The daemon exits when a client sends
 //! `shutdown`.
 
-use alberta_bench::{usage_error, value_from_args};
+use alberta_bench::{usage_error, Args};
 use alberta_core::ExecPolicy;
 use alberta_serve::{Daemon, Engine, ResultCache, ServeConfig};
 
@@ -28,24 +28,23 @@ fn main() {
     // Under --host-exec processes the host pools re-execute this binary
     // in the hidden worker mode; intercept that before anything else.
     alberta_bench::maybe_worker();
+    let args = Args::parse(
+        &[
+            "--listen",
+            "--cache-dir",
+            "--hosts",
+            "--host-exec",
+            "--host-jobs",
+        ],
+        &[],
+    )
+    .without_operands();
 
-    let listen = value_from_args("--listen").unwrap_or_else(|| "127.0.0.1:0".to_owned());
-    let cache_dir = value_from_args("--cache-dir").unwrap_or_else(|| "serve-cache".to_owned());
-    let hosts = match value_from_args("--hosts") {
-        None => 4,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => usage_error(&format!("--hosts expects a positive count, got {v:?}")),
-        },
-    };
-    let host_jobs = match value_from_args("--host-jobs") {
-        None => 2,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => usage_error(&format!("--host-jobs expects a positive count, got {v:?}")),
-        },
-    };
-    let host_exec = match value_from_args("--host-exec").as_deref() {
+    let listen = args.value("--listen").unwrap_or("127.0.0.1:0");
+    let cache_dir = args.value("--cache-dir").unwrap_or("serve-cache");
+    let hosts = args.count("--hosts", 4);
+    let host_jobs = args.count("--host-jobs", 2);
+    let host_exec = match args.value("--host-exec") {
         None | Some("serial") => ExecPolicy::serial(),
         Some("threads") => ExecPolicy::with_jobs(host_jobs),
         Some("processes") => ExecPolicy::processes_with_jobs(host_jobs),
@@ -59,8 +58,8 @@ fn main() {
         host_exec,
         ..ServeConfig::default()
     };
-    let engine = Engine::new(config, ResultCache::new(&cache_dir));
-    let daemon = match Daemon::bind(&listen, engine) {
+    let engine = Engine::new(config, ResultCache::new(cache_dir));
+    let daemon = match Daemon::bind(listen, engine) {
         Ok(daemon) => daemon,
         Err(e) => usage_error(&format!("cannot listen on {listen}: {e}")),
     };

@@ -21,27 +21,15 @@
 //! workloads or the machine model are retuned; losing a workload never
 //! does.
 
-use alberta_bench::{flag_from_args, operands_from_args, usage_error, value_from_args};
-use alberta_report::{DiffOptions, ReportDiff, SuiteReport};
-use std::path::Path;
-
-fn load(path: &str) -> SuiteReport {
-    match alberta_report::load(Path::new(path)) {
-        Ok(report) => report,
-        Err(e) => usage_error(&format!("{path}: {e}")),
-    }
-}
+use alberta_bench::{load_report, usage_error, Args};
+use alberta_report::{DiffOptions, ReportDiff};
 
 fn main() {
-    // Under --exec processes the supervisor re-executes this binary in
-    // a hidden worker mode; that must be intercepted before any
-    // argument parsing sees the worker flag.
-    alberta_bench::maybe_worker();
-    let operands = operands_from_args();
-    let [base_path, new_path] = operands.as_slice() else {
+    let args = Args::parse(&["--threshold"], &["--check"]);
+    let [base_path, new_path] = args.operands() else {
         usage_error("expected exactly two reports: bench-diff BASELINE.json NEW.json");
     };
-    let threshold = match value_from_args("--threshold") {
+    let threshold = match args.value("--threshold") {
         None => DiffOptions::default().threshold,
         Some(text) => match text.parse::<f64>() {
             Ok(pct) if pct >= 0.0 && pct.is_finite() => pct / 100.0,
@@ -50,10 +38,10 @@ fn main() {
             )),
         },
     };
-    let check = flag_from_args("--check");
+    let check = args.switch("--check");
 
-    let base = load(base_path);
-    let new = load(new_path);
+    let base = load_report(base_path);
+    let new = load_report(new_path);
     let diff = ReportDiff::compute(&base, &new, DiffOptions { threshold });
 
     println!("bench-diff: {base_path} -> {new_path}\n");

@@ -30,10 +30,7 @@
 //! supervisor's recovery — single-shot faults are absorbed by
 //! redispatch, so the chaos report still matches the clean one.
 
-use alberta_bench::{
-    chaos_from_args, exec_from_args, flag_from_args, sampling_from_args, scale_from_args,
-    value_from_args,
-};
+use alberta_bench::Args;
 use alberta_core::Suite;
 use alberta_report::SuiteReport;
 use std::path::PathBuf;
@@ -43,16 +40,30 @@ fn main() {
     // a hidden worker mode; that must be intercepted before any
     // argument parsing sees the worker flag.
     alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let out = value_from_args("--out")
+    let args = Args::parse(
+        &[
+            "--exec",
+            "--jobs",
+            "--out",
+            "--chaos",
+            "--chaos-seed",
+            "--sample-interval",
+            "--sample-k",
+            "--sample-seed",
+        ],
+        &["--telemetry", "--sample"],
+    );
+    let scale = args.scale();
+    let exec = args.exec();
+    let out = args
+        .value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", scale.name())));
 
     let suite = Suite::new(scale)
         .with_exec(exec)
-        .with_sampling_policy(sampling_from_args());
-    let suite = match chaos_from_args() {
+        .with_sampling_policy(args.sampling());
+    let suite = match args.chaos() {
         None => suite,
         Some((count, seed)) => {
             let plan = suite.scattered_process_faults(seed, count);
@@ -71,7 +82,7 @@ fn main() {
     }
 
     let mut report = SuiteReport::from_resilient(scale, &results);
-    if !flag_from_args("--telemetry") {
+    if !args.switch("--telemetry") {
         report.strip_telemetry();
     }
     if let Err(e) = alberta_report::save(&report, &out) {

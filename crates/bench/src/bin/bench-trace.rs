@@ -25,23 +25,10 @@
 //! the sweep ran serially or under `--jobs N` — CI compares the two
 //! byte for byte.
 
-use alberta_bench::{
-    exec_from_args, flag_from_args, scale_from_args, usage_error, value_from_args,
-};
+use alberta_bench::Args;
 use alberta_core::Suite;
 use alberta_report::{render_trace, SuiteReport, TraceMode, DEFAULT_LANES};
 use std::path::{Path, PathBuf};
-
-/// Parses a `--flag N` positive integer, with a default.
-fn count_arg(flag: &str, default: usize) -> usize {
-    match value_from_args(flag) {
-        None => default,
-        Some(text) => match text.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => usage_error(&format!("{flag} expects a positive count, got {text:?}")),
-        },
-    }
-}
 
 fn write_artifact(path: &Path, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
@@ -55,12 +42,17 @@ fn main() {
     // a hidden worker mode; that must be intercepted before any
     // argument parsing sees the worker flag.
     alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let top_k = count_arg("--top-k", 10);
-    let lanes = count_arg("--lanes", DEFAULT_LANES);
-    let telemetry = flag_from_args("--telemetry");
-    let out_dir = value_from_args("--out-dir")
+    let args = Args::parse(
+        &["--exec", "--jobs", "--out-dir", "--top-k", "--lanes"],
+        &["--telemetry"],
+    );
+    let scale = args.scale();
+    let exec = args.exec();
+    let top_k = args.count("--top-k", 10);
+    let lanes = args.count("--lanes", DEFAULT_LANES);
+    let telemetry = args.switch("--telemetry");
+    let out_dir = args
+        .value("--out-dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("trace-{}", scale.name())));
     if let Err(e) = std::fs::create_dir_all(&out_dir) {

@@ -6,16 +6,14 @@
 //! cargo run --release -p alberta-bench --bin fdo_eval
 //! ```
 
+use alberta_bench::Args;
 use alberta_fdo::experiments::{classic_train_ref, cross_validate, hidden_learning};
 use alberta_fdo::programs::{alberta_inputs, classifier_program, Distribution, InputGen};
 use alberta_fdo::FdoPipeline;
 use alberta_workloads::Named;
 
 fn main() {
-    // Under --exec processes the supervisor re-executes this binary in
-    // a hidden worker mode; that must be intercepted before any
-    // argument parsing sees the worker flag.
-    alberta_bench::maybe_worker();
+    Args::parse(&[], &[]).without_operands();
     let source = classifier_program(4, &[1, 4, 20, 48]);
     let pipeline = FdoPipeline::new(&source).expect("program compiles");
     let named = |name: &str, dist, seed| {

@@ -1,50 +1,33 @@
-//! Regenerates Figure 2: method-coverage variation across workloads for
+//! Renders Figure 2: method-coverage variation across workloads for
 //! `531.deepsjeng_r` (left) and `557.xz_r` (right).
 //!
 //! ```text
-//! cargo run --release -p alberta-bench --bin fig2 [test|train|ref] [--exec serial|threads|processes] [--jobs N]
+//! cargo run --release -p alberta-bench --bin fig2 -- REPORT
 //! ```
 //!
-//! Runs through the resilient pipeline: a failing workload costs one row,
-//! not the figure. Lost runs are reported on stderr and the plot title is
-//! annotated `(n of m workloads)`. `--jobs N` runs the workloads on N
-//! worker threads with bit-identical output.
-//!
-//! The series is extracted from a [`SuiteReport`] — the same structured
-//! document `bench-report` persists — so the figure and the JSON
-//! artifact share one source of truth.
+//! Reads a saved [`SuiteReport`](alberta_report::SuiteReport) (write
+//! one with `bench-report <scale> --out REPORT`) and prints the figure
+//! from it; no sweep runs. A lost workload costs one row, not the
+//! figure: the plot title is annotated `(n of m workloads)`. A
+//! benchmark with no surviving run gets a note on stderr instead.
 
-use alberta_bench::{exec_from_args, scale_from_args};
-use alberta_core::Suite;
-use alberta_report::{view, SuiteReport};
+use alberta_bench::Args;
+use alberta_report::view;
 
 fn main() {
-    // Under --exec processes the supervisor re-executes this binary in
-    // a hidden worker mode; that must be intercepted before any
-    // argument parsing sees the worker flag.
-    alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let suite = Suite::new(scale).with_exec(exec);
+    let report = Args::parse(&[], &[]).report();
     for name in ["deepsjeng", "xz"] {
-        let result = suite
-            .characterize_resilient_metered(name)
-            .expect("benchmark exists");
-        for incident in result.0.incidents() {
-            eprintln!("fig2: {name}/{}: {:?}", incident.workload, incident.status);
-        }
-        let mut report = SuiteReport::from_resilient(scale, std::slice::from_ref(&result));
-        report.strip_telemetry();
-        let bench = &report.benchmarks[0];
-        match view::fig2_series(bench) {
+        let bench = report.benchmark(name);
+        match bench.and_then(view::fig2_series) {
             Some(series) => {
                 println!("{}", series.render());
                 println!("per-method range (max − min %):");
                 for (method, range) in series.method_ranges() {
                     println!("  {method:>28}  {range:6.2}");
                 }
-                let summary = bench.summary.as_ref().expect("series implies survivors");
-                println!("μg(M) = {:.2}\n", summary.mu_g_m);
+                if let Some(summary) = bench.and_then(|b| b.summary.as_ref()) {
+                    println!("μg(M) = {:.2}\n", summary.mu_g_m);
+                }
             }
             None => eprintln!("fig2: {name}: no surviving runs, figure omitted"),
         }

@@ -18,11 +18,9 @@
 //! enforces the same bound. `--out PATH` persists the sampled report
 //! with per-run `estimate_error` fields embedded.
 
-use alberta_bench::{
-    exec_from_args, sampling_from_args, scale_from_args, usage_error, value_from_args,
-};
-use alberta_core::report::{format_table, Align};
+use alberta_bench::{usage_error, Args};
 use alberta_core::{SamplingPolicy, Suite, PHASE_ERROR_BOUND_PCT};
+use alberta_report::view::{format_table, Align};
 use alberta_report::SuiteReport;
 use std::path::PathBuf;
 
@@ -31,15 +29,28 @@ fn main() {
     // a hidden worker mode; that must be intercepted before any
     // argument parsing sees the worker flag.
     alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let policy = match sampling_from_args() {
+    let args = Args::parse(
+        &[
+            "--exec",
+            "--jobs",
+            "--bound",
+            "--out",
+            "--sample-interval",
+            "--sample-k",
+            "--sample-seed",
+        ],
+        &[],
+    );
+    let scale = args.scale();
+    let exec = args.exec();
+    let policy = match args.sampling() {
         // sample-eval exists to evaluate sampling, so it is on by
         // default; the --sample-* flags only tune the parameters.
         SamplingPolicy::Full => SamplingPolicy::phase(),
         configured => configured,
     };
-    let bound = value_from_args("--bound")
+    let bound = args
+        .value("--bound")
         .map(|value| match value.parse::<f64>() {
             Ok(pct) if pct.is_finite() && pct >= 0.0 => pct,
             _ => usage_error(&format!(
@@ -128,7 +139,7 @@ fn main() {
     );
     println!("aggregate work saved           {overall_saved:.1}x");
 
-    if let Some(path) = value_from_args("--out").map(PathBuf::from) {
+    if let Some(path) = args.value("--out").map(PathBuf::from) {
         if let Err(e) = alberta_report::save(&sampled, &path) {
             eprintln!("sample-eval: {e}");
             std::process::exit(1);

@@ -28,7 +28,7 @@
 //! Exit codes: 0 on success, 1 when the daemon misbehaves, 2 for usage
 //! errors.
 
-use alberta_bench::{flag_from_args, usage_error, value_from_args};
+use alberta_bench::{usage_error, Args};
 use alberta_report::render_service_timeline;
 use alberta_serve::Client;
 
@@ -39,14 +39,23 @@ fn write_or_die(path: &str, text: &str) {
 }
 
 fn main() {
-    // Worker-mode hook first: under `--exec processes` elsewhere in the
-    // workspace, supervisors re-execute the current binary.
-    alberta_bench::maybe_worker();
-
-    let addr = value_from_args("--addr")
+    let args = Args::parse(
+        &[
+            "--addr",
+            "--out",
+            "--json",
+            "--deterministic-out",
+            "--volatile-out",
+            "--timeline",
+        ],
+        &["--shutdown"],
+    )
+    .without_operands();
+    let addr = args
+        .value("--addr")
         .unwrap_or_else(|| usage_error("--addr HOST:PORT is required (see alberta-serve)"));
 
-    let mut client = Client::connect_named(&addr, Some("serve-metrics"), None)
+    let mut client = Client::connect_named(addr, Some("serve-metrics"), None)
         .unwrap_or_else(|e| usage_error(&e));
     let document = match client.metrics() {
         Ok(document) => document,
@@ -56,27 +65,27 @@ fn main() {
         }
     };
 
-    match value_from_args("--out") {
+    match args.value("--out") {
         Some(path) => {
-            write_or_die(&path, &document.to_prometheus());
+            write_or_die(path, &document.to_prometheus());
             println!("serve-metrics: Prometheus exposition -> {path}");
         }
         None => print!("{}", document.to_prometheus()),
     }
-    if let Some(path) = value_from_args("--json") {
-        write_or_die(&path, &document.to_json());
+    if let Some(path) = args.value("--json") {
+        write_or_die(path, &document.to_json());
         println!("serve-metrics: metrics document -> {path}");
     }
-    if let Some(path) = value_from_args("--deterministic-out") {
-        write_or_die(&path, &document.deterministic_to_json());
+    if let Some(path) = args.value("--deterministic-out") {
+        write_or_die(path, &document.deterministic_to_json());
         println!("serve-metrics: deterministic plane -> {path}");
     }
-    if let Some(path) = value_from_args("--volatile-out") {
-        write_or_die(&path, &document.volatile_to_json());
+    if let Some(path) = args.value("--volatile-out") {
+        write_or_die(path, &document.volatile_to_json());
         println!("serve-metrics: volatile plane -> {path}");
     }
 
-    if let Some(path) = value_from_args("--timeline") {
+    if let Some(path) = args.value("--timeline") {
         let spans = match client.spans() {
             Ok(spans) => spans,
             Err(e) => {
@@ -100,7 +109,7 @@ fn main() {
         }
         match render_service_timeline(&spans) {
             Ok(trace) => {
-                write_or_die(&path, &trace);
+                write_or_die(path, &trace);
                 println!("serve-metrics: service timeline -> {path}");
             }
             Err(e) => {
@@ -110,11 +119,11 @@ fn main() {
         }
     }
 
-    if flag_from_args("--shutdown") {
+    if args.switch("--shutdown") {
         // The daemon drains its handler threads on shutdown; close our
         // own connection first.
         drop(client);
-        let client = Client::connect(&addr, None).unwrap_or_else(|e| usage_error(&e));
+        let client = Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e));
         if let Err(e) = client.shutdown() {
             eprintln!("serve-metrics: shutdown: {e}");
             std::process::exit(1);

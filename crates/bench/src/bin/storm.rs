@@ -34,14 +34,14 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use alberta_bench::{flag_from_args, scale_from_args, usage_error, value_from_args};
+use alberta_bench::{usage_error, Args};
 use alberta_core::benchmark_suite;
 use alberta_report::{BenchmarkReport, LatencyReport, StormReport, SuiteReport, SCHEMA_VERSION};
 use alberta_serve::{Client, GroupInfo, RequestSpec, ResponseCounts};
 use alberta_workloads::Scale;
 
-fn parsed_flag(flag: &str, default: u64) -> u64 {
-    match value_from_args(flag) {
+fn parsed_flag(args: &Args, flag: &str, default: u64) -> u64 {
+    match args.value(flag) {
         None => default,
         Some(v) => match v.parse::<u64>() {
             Ok(n) if n > 0 => n,
@@ -120,13 +120,27 @@ fn run_round(
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let addr = value_from_args("--addr")
+    let args = Args::parse(
+        &[
+            "--addr",
+            "--requests",
+            "--clients",
+            "--seed",
+            "--out",
+            "--latency-out",
+            "--sweep-out",
+        ],
+        &["--shutdown"],
+    );
+    let scale = args.scale();
+    let addr = args
+        .value("--addr")
         .unwrap_or_else(|| usage_error("--addr HOST:PORT is required (see alberta-serve)"));
-    let requests = parsed_flag("--requests", 96);
-    let clients = parsed_flag("--clients", 4);
-    let seed = parsed_flag("--seed", 42);
-    let out = value_from_args("--out")
+    let requests = parsed_flag(&args, "--requests", 96);
+    let clients = parsed_flag(&args, "--clients", 4);
+    let seed = parsed_flag(&args, "--seed", 42);
+    let out = args
+        .value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("STORM_{}.json", scale.name())));
 
@@ -159,7 +173,7 @@ fn main() {
         .len() as u64;
 
     let mut stats_client =
-        Client::connect(&addr, None).unwrap_or_else(|e| usage_error(&e.to_string()));
+        Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e.to_string()));
     let before = stats_client.stats().unwrap_or_else(|e| usage_error(&e));
 
     // Two rounds over the same mix: cold (computes) then warm (all
@@ -170,7 +184,7 @@ fn main() {
     let mut bodies: BTreeMap<usize, String> = BTreeMap::new();
     let mut failures = 0u64;
     for round in 0..2 {
-        match run_round(&addr, round, seed, clients, &mix) {
+        match run_round(addr, round, seed, clients, &mix) {
             Err(e) => {
                 eprintln!("storm: round {round}: {e}");
                 failures += 1;
@@ -243,9 +257,9 @@ fn main() {
         out.display()
     );
 
-    if let Some(path) = value_from_args("--latency-out") {
+    if let Some(path) = args.value("--latency-out") {
         let latency = LatencyReport::from_samples(&mut latencies);
-        if let Err(e) = std::fs::write(&path, latency.to_json()) {
+        if let Err(e) = std::fs::write(path, latency.to_json()) {
             usage_error(&format!("cannot write {path}: {e}"));
         }
         println!(
@@ -258,16 +272,16 @@ fn main() {
         );
     }
 
-    if let Some(path) = value_from_args("--sweep-out") {
+    if let Some(path) = args.value("--sweep-out") {
         // One benchmark-level request per benchmark, assembled into the
         // same document bench-report writes.
-        match sweep(&addr, scale) {
+        match sweep(addr, scale) {
             Err(e) => {
                 eprintln!("storm: sweep: {e}");
                 failures += 1;
             }
             Ok(report) => {
-                if let Err(e) = std::fs::write(&path, report.to_json()) {
+                if let Err(e) = std::fs::write(path, report.to_json()) {
                     usage_error(&format!("cannot write {path}: {e}"));
                 }
                 println!("storm: assembled sweep report -> {path}");
@@ -275,11 +289,11 @@ fn main() {
         }
     }
 
-    if flag_from_args("--shutdown") {
+    if args.switch("--shutdown") {
         // The daemon drains its handler threads on shutdown; close our
         // own idle connection first.
         drop(stats_client);
-        let client = Client::connect(&addr, None).unwrap_or_else(|e| usage_error(&e));
+        let client = Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e));
         if let Err(e) = client.shutdown() {
             eprintln!("storm: shutdown: {e}");
             failures += 1;

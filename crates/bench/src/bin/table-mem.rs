@@ -23,9 +23,7 @@
 //! terminates with exit code 2 and the offending values, instead of
 //! panicking mid-sweep.
 
-use alberta_bench::{
-    exec_from_args, flag_from_args, scale_from_args, usage_error, value_from_args,
-};
+use alberta_bench::{usage_error, Args};
 use alberta_core::{MachineConfig, Suite, TopDownModel};
 use alberta_report::mem::MemoryDocument;
 use alberta_report::view::{render_memory_table, render_mpki_curves};
@@ -34,8 +32,8 @@ use alberta_uarch::PredictorKind;
 use std::path::PathBuf;
 
 /// The value of a numeric geometry flag, when present.
-fn geometry_value(flag: &str) -> Option<u64> {
-    value_from_args(flag).map(|value| match value.parse::<u64>() {
+fn geometry_value(args: &Args, flag: &str) -> Option<u64> {
+    args.value(flag).map(|value| match value.parse::<u64>() {
         Ok(n) => n,
         Err(_) => usage_error(&format!("{flag} expects an integer, got {value:?}")),
     })
@@ -44,21 +42,21 @@ fn geometry_value(flag: &str) -> Option<u64> {
 /// The reference machine with the CLI geometry overrides applied —
 /// validated as a whole, so one bad flag reports the full offending
 /// configuration rather than the first panic on the replay path.
-fn machine_from_args() -> MachineConfig {
+fn machine_from_args(args: &Args) -> MachineConfig {
     let mut cfg = MachineConfig::default();
-    if let Some(bytes) = geometry_value("--l3-size") {
+    if let Some(bytes) = geometry_value(args, "--l3-size") {
         cfg.l3.size_bytes = bytes;
     }
-    if let Some(ways) = geometry_value("--l3-ways") {
+    if let Some(ways) = geometry_value(args, "--l3-ways") {
         cfg.l3.ways = ways;
     }
-    if let Some(bytes) = geometry_value("--l3-line") {
+    if let Some(bytes) = geometry_value(args, "--l3-line") {
         cfg.l3.line_bytes = bytes;
     }
-    if let Some(banks) = geometry_value("--dram-banks") {
+    if let Some(banks) = geometry_value(args, "--dram-banks") {
         cfg.dram.banks = banks;
     }
-    if let Some(bytes) = geometry_value("--dram-row") {
+    if let Some(bytes) = geometry_value(args, "--dram-row") {
         cfg.dram.row_bytes = bytes;
     }
     if let Err(problem) = cfg.validate() {
@@ -73,10 +71,24 @@ fn main() {
     // a hidden worker mode; that must be intercepted before any
     // argument parsing sees the worker flag.
     alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let machine = machine_from_args();
-    let out = value_from_args("--out")
+    let args = Args::parse(
+        &[
+            "--exec",
+            "--jobs",
+            "--out",
+            "--l3-size",
+            "--l3-ways",
+            "--l3-line",
+            "--dram-banks",
+            "--dram-row",
+        ],
+        &["--curves"],
+    );
+    let scale = args.scale();
+    let exec = args.exec();
+    let machine = machine_from_args(&args);
+    let out = args
+        .value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("MEM_{}.json", scale.name())));
 
@@ -102,7 +114,7 @@ fn main() {
     }
 
     print!("{}", render_memory_table(&document));
-    if flag_from_args("--curves") {
+    if args.switch("--curves") {
         println!();
         print!("{}", render_mpki_curves(&document));
     }

@@ -1,42 +1,20 @@
-//! Regenerates Table I: the SPEC CPU 2006 → 2017 evolution, with our
+//! Renders Table I: the SPEC CPU 2006 → 2017 evolution, with our
 //! mini-benchmark refrate cycles as the measured column.
 //!
 //! ```text
-//! cargo run --release -p alberta-bench --bin table1 [test|train|ref] [--exec serial|threads|processes] [--jobs N]
+//! cargo run --release -p alberta-bench --bin table1 -- REPORT
 //! ```
 //!
-//! The measured column is rendered from a [`SuiteReport`] — the same
-//! structured document `bench-report` persists — so the table and the
-//! JSON artifact can never disagree. The sweep runs through the
-//! resilient pipeline: a benchmark that loses its refrate run shows `—`
-//! instead of aborting the table.
+//! Reads a saved [`SuiteReport`](alberta_report::SuiteReport) (write
+//! one with `bench-report <scale> --out REPORT`) and prints the table
+//! from it; no sweep runs. A benchmark that lost its refrate run shows
+//! `—`.
 
-use alberta_bench::{exec_from_args, scale_from_args};
-use alberta_core::{tables, Suite};
-use alberta_report::{view, SuiteReport};
+use alberta_bench::Args;
+use alberta_report::view;
 
 fn main() {
-    // Under --exec processes the supervisor re-executes this binary in
-    // a hidden worker mode; that must be intercepted before any
-    // argument parsing sees the worker flag.
-    alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let suite = Suite::new(scale).with_exec(exec);
-    let results = suite.characterize_all_resilient_metered();
-    for (r, _) in &results {
-        for incident in r.incidents() {
-            eprintln!(
-                "table1: {}/{}: {:?}",
-                r.short_name, incident.workload, incident.status
-            );
-        }
-    }
-    let mut report = SuiteReport::from_resilient(scale, &results);
-    report.strip_telemetry();
-    println!("Reproduced Table I ({scale:?} scale)\n");
-    println!(
-        "{}",
-        tables::table1_from_cycles(&view::refrate_cycles(&report))
-    );
+    let report = Args::parse(&[], &[]).report();
+    println!("Reproduced Table I ({:?} scale)\n", report.scale);
+    println!("{}", view::table1(&report));
 }

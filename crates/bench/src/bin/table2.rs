@@ -1,61 +1,26 @@
-//! Regenerates Table II: the per-benchmark behaviour-variation summary.
+//! Renders Table II: the per-benchmark behaviour-variation summary.
 //!
 //! ```text
-//! cargo run --release -p alberta-bench --bin table2 \
-//!     [test|train|ref] [--keep-going] [--exec serial|threads|processes] [--jobs N] [--sample]
+//! cargo run --release -p alberta-bench --bin table2 -- REPORT
 //! ```
 //!
-//! By default the first failing benchmark aborts the regeneration. With
-//! `--keep-going` the resilient pipeline runs instead: per-run failures
-//! are reported on stderr, and the table is emitted over the surviving
-//! runs with `n of m` workload annotations. `--jobs N` (with `--exec threads|processes`) fans the runs out
-//! to N worker threads; the table is bit-identical either way.
-//!
-//! The table is rendered from a [`SuiteReport`] — the same structured
-//! document `bench-report` persists — so the terminal output and the
-//! JSON artifact share one source of truth.
-//!
-//! `--sample` (with the optional `--sample-interval`/`--sample-k`/
-//! `--sample-seed` overrides) regenerates the table from phase-sampled
-//! estimates instead of full measurement.
+//! Reads a saved [`SuiteReport`](alberta_report::SuiteReport) (write
+//! one with `bench-report <scale> --out REPORT`; add `--sample` there
+//! for a table of phase-sampled estimates) and prints the table from
+//! it; no sweep runs. Rows cover the surviving runs, annotated `n of m`
+//! in the workload column when runs were lost; a benchmark that lost
+//! every run gets no row and a note on stderr.
 
-use alberta_bench::{exec_from_args, flag_from_args, sampling_from_args, scale_from_args};
-use alberta_core::Suite;
-use alberta_report::{view, SuiteReport};
+use alberta_bench::Args;
+use alberta_report::view;
 
 fn main() {
-    // Under --exec processes the supervisor re-executes this binary in
-    // a hidden worker mode; that must be intercepted before any
-    // argument parsing sees the worker flag.
-    alberta_bench::maybe_worker();
-    let scale = scale_from_args();
-    let exec = exec_from_args();
-    let suite = Suite::new(scale)
-        .with_exec(exec)
-        .with_sampling_policy(sampling_from_args());
-    let mut report = if flag_from_args("--keep-going") {
-        let results = suite.characterize_all_resilient_metered();
-        for (r, _) in &results {
-            for incident in r.incidents() {
-                eprintln!(
-                    "table2: {}/{}: {:?}",
-                    r.short_name, incident.workload, incident.status
-                );
-            }
-            if r.characterization.is_none() {
-                eprintln!("table2: {}: no surviving runs, row omitted", r.short_name);
-            }
-        }
-        SuiteReport::from_resilient(scale, &results)
-    } else {
-        let results = suite
-            .characterize_all_metered()
-            .expect("suite characterization (rerun with --keep-going to tolerate failures)");
-        SuiteReport::from_strict(scale, &results)
-    };
-    report.strip_telemetry();
+    let report = Args::parse(&[], &[]).report();
+    for b in report.benchmarks.iter().filter(|b| b.summary.is_none()) {
+        eprintln!("table2: {}: no surviving runs, row omitted", b.short_name);
+    }
     let table = view::table2(&report);
-    println!("Reproduced Table II ({scale:?} scale)\n");
+    println!("Reproduced Table II ({:?} scale)\n", report.scale);
     println!("{}", table.render());
     println!("\nMeasured vs paper (headline columns)\n");
     println!("{}", table.render_comparison());

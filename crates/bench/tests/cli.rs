@@ -137,16 +137,16 @@ fn bench_diff_rejects_wrong_operand_count_with_exit_2() {
 /// skipped silently and cost a full sweep without the requested mode.
 #[test]
 fn unknown_flags_exit_2_before_any_sweep() {
-    let (report, timing) = (
-        env!("CARGO_BIN_EXE_bench-report"),
-        env!("CARGO_BIN_EXE_timing"),
-    );
+    let report = env!("CARGO_BIN_EXE_bench-report");
     let cases: &[(&str, &[&str])] = &[
         (report, &["test", "--speed-only"]),
         (report, &["test", "--sampel"]),
-        (timing, &["--speed-only"]),
-        (timing, &["--speed-out", "speed.json"]),
     ];
+    assert_unknown_flag(cases);
+}
+
+/// Asserts each invocation exits 2 and names the flag it rejected.
+fn assert_unknown_flag(cases: &[(&str, &[&str])]) {
     for (bin, args) in cases {
         let output = Command::new(bin).args(*args).output().expect("spawn");
         assert_eq!(output.status.code(), Some(2), "{bin} {args:?} must exit 2");
@@ -156,4 +156,168 @@ fn unknown_flags_exit_2_before_any_sweep() {
             "{bin} {args:?} must name the flag, got: {stderr}"
         );
     }
+}
+
+/// Each binary checks the command line against its own flags only: a
+/// flag that belongs to another binary is as unknown as a typo, and
+/// is rejected before any work starts (sweep, socket or file).
+#[test]
+fn every_bin_rejects_a_flag_it_does_not_read() {
+    let report = fixture();
+    let report = report.to_str().expect("utf-8 path");
+    let cases: &[(&str, &[&str])] = &[
+        (
+            env!("CARGO_BIN_EXE_bench-diff"),
+            &[report, report, "--out", "nowhere.json"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench-diff"),
+            &[report, report, "--lanes", "3", "--keep-going"],
+        ),
+        (env!("CARGO_BIN_EXE_bench-report"), &["test", "--curves"]),
+        (env!("CARGO_BIN_EXE_bench-trace"), &["test", "--out", "x"]),
+        (env!("CARGO_BIN_EXE_table-mem"), &["test", "--sample"]),
+        (env!("CARGO_BIN_EXE_sample-eval"), &["test", "--top-k", "3"]),
+        (env!("CARGO_BIN_EXE_fdo_eval"), &["--bogus-flag"]),
+        (env!("CARGO_BIN_EXE_table1"), &[report, "--exec", "threads"]),
+        (env!("CARGO_BIN_EXE_table2"), &[report, "--jobs", "2"]),
+        (env!("CARGO_BIN_EXE_table2"), &[report, "--sample"]),
+        (env!("CARGO_BIN_EXE_table2"), &[report, "--keep-going"]),
+        (env!("CARGO_BIN_EXE_fig1"), &[report, "--jobs", "2"]),
+        (env!("CARGO_BIN_EXE_fig2"), &[report, "--telemetry"]),
+        // The address fails fast should the flag ever be skipped again:
+        // nothing listens on port 1, and `nonsense` cannot be bound.
+        (
+            env!("CARGO_BIN_EXE_serve-metrics"),
+            &["--addr", "127.0.0.1:1", "--shutdwon"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_storm"),
+            &["test", "--addr", "127.0.0.1:1", "--sample"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_alberta-serve"),
+            &["--listen", "nonsense", "--cache"],
+        ),
+    ];
+    assert_unknown_flag(cases);
+}
+
+/// A binary that takes no operand rejects one, and a scale binary
+/// rejects a second: stray words on a command line are mistakes.
+#[test]
+fn unexpected_operands_exit_2() {
+    let cases: &[(&str, &[&str])] = &[
+        (env!("CARGO_BIN_EXE_fdo_eval"), &["test"]),
+        (
+            env!("CARGO_BIN_EXE_serve-metrics"),
+            &["extra", "--addr", "127.0.0.1:1"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_alberta-serve"),
+            &["extra", "--listen", "nonsense"],
+        ),
+        (env!("CARGO_BIN_EXE_bench-report"), &["test", "extra"]),
+    ];
+    for (bin, args) in cases {
+        let output = Command::new(bin).args(*args).output().expect("spawn");
+        assert_eq!(output.status.code(), Some(2), "{bin} {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unexpected operand"),
+            "{bin} {args:?} must name the operand, got: {stderr}"
+        );
+    }
+}
+
+/// The committed two-benchmark report: `mcf` survives (one run `ok`,
+/// one `degraded`), `xz` failed every run and has no summary.
+fn fixture() -> PathBuf {
+    PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../report/tests/golden/two_bench.json"
+    ))
+}
+
+fn render(bin: &str, report: &std::path::Path) -> std::process::Output {
+    Command::new(bin).arg(report).output().expect("spawn")
+}
+
+/// The rendering binaries project a saved report: each exits 0 on one
+/// with a lost benchmark, prints no Table II row for it, shows its
+/// Table I refrate cell as `—`, and notes the omitted figures.
+#[test]
+fn renderers_project_a_saved_report() {
+    let report = fixture();
+    for bin in [
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_table2"),
+        env!("CARGO_BIN_EXE_fig1"),
+        env!("CARGO_BIN_EXE_fig2"),
+    ] {
+        let output = render(bin, &report);
+        assert_eq!(output.status.code(), Some(0), "{bin}");
+    }
+
+    let table2 = render(env!("CARGO_BIN_EXE_table2"), &report);
+    let stdout = String::from_utf8(table2.stdout).expect("utf-8");
+    let starts = |prefix: &str| stdout.lines().any(|l| l.trim_start().starts_with(prefix));
+    assert!(starts("mcf"), "{stdout}");
+    assert!(!starts("xz"), "xz has no summary and no row: {stdout}");
+    let stderr = String::from_utf8_lossy(&table2.stderr);
+    assert!(stderr.contains("xz: no surviving runs"), "{stderr}");
+
+    let table1 = render(env!("CARGO_BIN_EXE_table1"), &report);
+    let stdout = String::from_utf8(table1.stdout).expect("utf-8");
+    let xz = stdout
+        .lines()
+        .find(|l| l.contains("557.xz_r"))
+        .expect("xz row");
+    assert!(xz.ends_with('—'), "{xz}");
+
+    let fig1 = render(env!("CARGO_BIN_EXE_fig1"), &report);
+    let stderr = String::from_utf8_lossy(&fig1.stderr);
+    assert!(stderr.contains("xz: no surviving runs"), "{stderr}");
+}
+
+/// A report the renderers cannot read is a usage error that names the
+/// path and the command that writes a report — so is the old
+/// `table2 test` form, whose operand is now a path.
+#[test]
+fn renderers_reject_unreadable_reports_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("render-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let future = dir.join("future.json");
+    let text = std::fs::read_to_string(fixture()).expect("read fixture");
+    let text = text.replacen(
+        &format!("\"schema_version\": {SCHEMA_VERSION}"),
+        "\"schema_version\": 999",
+        1,
+    );
+    assert!(text.contains("999"), "fixture carries a schema_version");
+    std::fs::write(&future, text).expect("write report");
+    let missing = dir.join("missing.json");
+    for bin in [
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_table2"),
+        env!("CARGO_BIN_EXE_fig1"),
+        env!("CARGO_BIN_EXE_fig2"),
+    ] {
+        for args in [
+            vec![missing.to_str().expect("utf-8 path")],
+            vec![future.to_str().expect("utf-8 path")],
+            vec!["test"],
+        ] {
+            let output = Command::new(bin).args(&args).output().expect("spawn");
+            assert_eq!(output.status.code(), Some(2), "{bin} {args:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains(args[0]) && stderr.contains("bench-report <scale> --out"),
+                "{bin} {args:?} must name the path and the fix, got: {stderr}"
+            );
+        }
+        let output = Command::new(bin).output().expect("spawn");
+        assert_eq!(output.status.code(), Some(2), "{bin} without a report");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -140,7 +140,7 @@ pub struct ResilientCharacterization {
 }
 
 impl ResilientCharacterization {
-    /// Workloads attempted (`m` in "(n of m workloads)").
+    /// Workloads attempted (`m` in a report's `n of m` annotation).
     pub fn attempted(&self) -> usize {
         self.statuses.len()
     }
@@ -153,13 +153,6 @@ impl ResilientCharacterization {
     /// True when every attempted run survived intact.
     pub fn is_complete(&self) -> bool {
         self.statuses.iter().all(|r| r.status.is_ok())
-    }
-
-    /// The degradation annotation for reports: `Some("(9 of 12
-    /// workloads)")` when runs were lost, `None` when all survived.
-    pub fn annotation(&self) -> Option<String> {
-        let (n, m) = (self.survived(), self.attempted());
-        (n < m).then(|| format!("({n} of {m} workloads)"))
     }
 
     /// The reports for runs that did not come back `Ok`.

@@ -10,12 +10,12 @@
 //!   refrate, and Alberta workload sets, and runs the characterization
 //!   pipeline (instrumented execution → Top-Down model → geometric
 //!   summarization);
-//! * [`tables`] — regenerates Table I (SPEC 2006 → 2017 evolution) and
-//!   Table II (the per-benchmark behaviour-variation summary);
-//! * [`figures`] — regenerates Figure 1 (Top-Down stacks per workload)
-//!   and Figure 2 (method-coverage variation);
 //! * [`specdata`] — the published numbers from the paper, kept as data
 //!   for side-by-side comparison.
+//!
+//! This crate renders nothing. A sweep becomes a `SuiteReport` in
+//! `alberta-report`, whose `view` module builds Tables I–II and
+//! Figures 1–2 from it.
 //!
 //! # Examples
 //!
@@ -35,16 +35,13 @@
 pub mod characterize;
 pub mod exec;
 pub mod faults;
-pub mod figures;
 pub mod json;
 pub mod log;
 pub mod process;
 pub mod protocol;
-pub mod report;
 pub mod sampling;
 pub mod specdata;
 pub mod suite;
-pub mod tables;
 pub mod telemetry;
 
 pub use characterize::{

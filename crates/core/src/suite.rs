@@ -884,7 +884,6 @@ mod tests {
         let r = s.characterize_resilient("xz").unwrap();
         assert!(r.is_complete());
         assert_eq!(r.survived(), r.attempted());
-        assert!(r.annotation().is_none());
         assert_eq!(r.incidents().count(), 0);
         let c = r.characterization.expect("all runs survived");
         let strict = s.characterize("xz").unwrap();
@@ -909,7 +908,7 @@ mod tests {
             }
             other => panic!("expected Failed, got {other:?}"),
         }
-        assert_eq!(r.annotation().unwrap(), "(8 of 9 workloads)");
+        assert_eq!((r.survived(), r.attempted()), (8, 9));
         let c = r.characterization.expect("eight survivors");
         assert!(
             c.run("alberta.2").is_none(),
@@ -938,8 +937,7 @@ mod tests {
                 other => panic!("expected Degraded, got {other:?}"),
             }
         }
-        // Survivors include the retried runs, so no annotation is needed.
-        assert!(r.annotation().is_none());
+        // Survivors include the retried runs, so none is lost.
         assert_eq!(
             r.characterization.as_ref().unwrap().workload_count(),
             r.attempted()

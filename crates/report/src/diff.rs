@@ -19,7 +19,7 @@
 //! was deliberately altered, which a human should confirm.
 
 use crate::schema::{StatusKind, SuiteReport};
-use alberta_core::report::{format_table, Align};
+use crate::view::{format_table, Align};
 use alberta_core::MemoryProfile;
 
 /// Knobs for [`ReportDiff::compute`].

@@ -1,28 +1,29 @@
 //! `alberta-report`: structured run reports for the characterization
-//! pipeline.
+//! pipeline, and the paper's artifacts rendered from them.
 //!
-//! The rendering binaries (`table1`, `table2`, `fig1`, `fig2`,
-//! `timing`) print human-readable artifacts and discard everything
-//! else; nothing machine-readable survives a run. This crate closes
-//! that gap with three layers:
+//! A sweep runs once and is saved as a report; the paper's tables and
+//! figures are projections of that document. The crate has four
+//! layers:
 //!
 //! * [`json`] — a deterministic, dependency-free JSON model: ordered
 //!   objects, exact `u64`s, shortest-round-trip floats, and a strict
 //!   parser whose output re-emits byte-identically (re-exported from
 //!   `alberta_core`, which also uses it for the worker pipe protocol);
 //! * [`schema`] — the versioned [`SuiteReport`] document built from a
-//!   metered sweep ([`Suite::characterize_all_metered`] or its
-//!   resilient sibling), carrying per-run status, accounting, and
-//!   measured behaviour plus per-benchmark Table II summaries;
+//!   resilient metered sweep
+//!   ([`Suite::characterize_all_resilient_metered`]), carrying per-run
+//!   status, accounting, and measured behaviour plus per-benchmark
+//!   Table II summaries;
+//! * [`view`] — the only builders of the paper's artifacts: Table I,
+//!   Table II and the Figure 1 and 2 series, each built from a
+//!   [`SuiteReport`] and rendered as text. The `table1`, `table2`,
+//!   `fig1` and `fig2` binaries load a saved report ([`load`]) and print
+//!   from it;
 //! * [`diff`] — comparison of two reports into structural regressions
 //!   (status flips, lost workloads) and numeric deltas (modelled
 //!   cycles, behaviour variation), the engine behind `bench-diff`.
 //!
-//! The [`view`] module rebuilds the rendering structs of
-//! `alberta-core` (Table II rows, figure series) from a parsed report,
-//! so the binaries can print from the same document they persist.
-//!
-//! [`Suite::characterize_all_metered`]: alberta_core::Suite::characterize_all_metered
+//! [`Suite::characterize_all_resilient_metered`]: alberta_core::Suite::characterize_all_resilient_metered
 
 pub mod diff;
 pub use alberta_core::json;

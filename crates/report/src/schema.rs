@@ -327,48 +327,6 @@ pub struct SummaryRecord {
 }
 
 impl SuiteReport {
-    /// Builds a report from a strict metered sweep
-    /// ([`Suite::characterize_all_metered`](alberta_core::Suite::characterize_all_metered)):
-    /// every run is `ok`.
-    pub fn from_strict(scale: Scale, results: &[(Characterization, Vec<RunMetrics>)]) -> Self {
-        let benchmarks = results
-            .iter()
-            .map(|(c, metrics)| {
-                let runs = c
-                    .runs
-                    .iter()
-                    .zip(metrics)
-                    .map(|(run, m)| RunRecord {
-                        workload: run.workload.clone(),
-                        status: StatusKind::Ok,
-                        error: None,
-                        retried_at: None,
-                        retries: m.retries,
-                        budget_consumed: m.budget_consumed,
-                        wall_nanos: Some(m.wall_nanos),
-                        start_nanos: Some(m.start_nanos),
-                        worker: Some(m.worker as u64),
-                        dispatches: Some(m.dispatches.max(1)),
-                        measures: Some(MeasureRecord::from_run(run)),
-                        sampling: run.sampling.as_ref().map(SamplingRecord::from_stats),
-                    })
-                    .collect();
-                BenchmarkReport {
-                    spec_id: c.spec_id.clone(),
-                    short_name: c.short_name.clone(),
-                    runs,
-                    summary: Some(SummaryRecord::from_characterization(c)),
-                    hot_paths: None,
-                }
-            })
-            .collect();
-        SuiteReport {
-            schema_version: SCHEMA_VERSION,
-            scale,
-            benchmarks,
-        }
-    }
-
     /// Assembles a report from already-built benchmark sections — the
     /// entry the characterization service uses to reconstruct a sweep
     /// document from individually computed (or cached) benchmark

@@ -210,9 +210,19 @@ fn golden_report_views_expose_expected_shape() {
     assert_eq!(xz.survived(), 0);
     assert!(xz.summary.is_none());
 
-    let cycles = alberta_report::view::refrate_cycles(&report);
-    assert_eq!(cycles["mcf"], Some(72872.0));
-    assert_eq!(cycles["xz"], None);
+    let table1 = alberta_report::view::table1(&report);
+    let row = |spec: &str| {
+        table1
+            .lines()
+            .find(|l| l.contains(spec))
+            .unwrap_or_else(|| panic!("{spec} row"))
+    };
+    assert!(row("505.mcf_r").ends_with("0.07"), "mcf refrate cycles");
+    assert!(row("557.xz_r").ends_with('—'), "xz lost its refrate run");
+    assert!(
+        row("502.gcc_r").ends_with("346"),
+        "gcc is not in the report: its measured cell is empty"
+    );
 
     let table = alberta_report::view::table2(&report);
     assert_eq!(table.rows.len(), 1, "xz lost every run and has no row");

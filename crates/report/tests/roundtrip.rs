@@ -11,9 +11,9 @@
 
 use alberta_core::{MemoryProfile, MpkiPoint};
 use alberta_report::{
-    BenchmarkReport, CacheDocument, CategoryRecord, DiffOptions, HotPathRecord, MeasureRecord,
-    MemoryDocument, MetricsDocument, ReportDiff, ReportError, RunRecord, SamplingRecord,
-    StatusKind, StormReport, SuiteReport, SummaryRecord, SCHEMA_VERSION,
+    view, BenchmarkReport, CacheDocument, CategoryRecord, DiffOptions, HotPathRecord,
+    MeasureRecord, MemoryDocument, MetricsDocument, ReportDiff, ReportError, RunRecord,
+    SamplingRecord, StatusKind, StormReport, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 use alberta_workloads::Scale;
 use proptest::prelude::*;
@@ -224,6 +224,40 @@ proptest! {
         if let Some(ratio) = diff.geo_mean_cycle_ratio {
             prop_assert!((ratio - 1.0).abs() < 1e-12);
         }
+    }
+
+    /// The renderers never panic on a parsed report: the rendering
+    /// binaries print from bytes read off disk, so every `view` builder
+    /// and `render*` method must cope with anything the schema admits.
+    #[test]
+    fn views_render_any_parsed_report(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let mut report = arb_report(&mut rng);
+        // Give Table I a measured cell to fill now and then.
+        if let Some(b) = report.benchmarks.first_mut() {
+            if rng.below(2) == 0 {
+                b.short_name = "xz".to_owned();
+            }
+        }
+        let report = SuiteReport::parse(&report.to_json()).expect("emitted report parses");
+        prop_assert!(view::table1(&report).contains("Arithmetic Average"));
+        let table = view::table2(&report);
+        table.render();
+        table.render_comparison();
+        for b in &report.benchmarks {
+            if let Some(series) = view::fig1_series(b) {
+                series.render();
+                series.render_numeric();
+                series.visual_variation();
+            }
+            if let Some(series) = view::fig2_series(b) {
+                series.render();
+                series.method_ranges();
+            }
+        }
+        let memory = MemoryDocument::from_report(&report);
+        view::render_memory_table(&memory);
+        view::render_mpki_curves(&memory);
     }
 }
 

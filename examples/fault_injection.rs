@@ -2,7 +2,7 @@
 //! characterization pipeline.
 //!
 //! ```text
-//! cargo run --release -p alberta-core --example fault_injection
+//! cargo run --release --example fault_injection
 //! ```
 //!
 //! Scatters a handful of deterministic faults over the suite — a forced
@@ -11,8 +11,8 @@
 //! prints each sabotaged run's fate next to the Table II assembled from
 //! the surviving runs.
 
-use alberta_core::tables::table2_resilient;
-use alberta_core::{RunStatus, Scale, Suite};
+use alberta::core::{RunStatus, Scale, Suite};
+use alberta::report::{view, SuiteReport};
 
 fn main() {
     let suite = Suite::new(Scale::Test);
@@ -29,10 +29,10 @@ fn main() {
     }
 
     let suite = suite.with_faults(plan);
-    let results = suite.characterize_all_resilient();
+    let results = suite.characterize_all_resilient_metered();
 
     println!("\nRun incidents:");
-    for r in &results {
+    for (r, _) in &results {
         for incident in r.incidents() {
             let fate = match &incident.status {
                 RunStatus::Degraded { error, retried_at } => {
@@ -43,11 +43,14 @@ fn main() {
             };
             println!("  {}/{}: {fate}", r.short_name, incident.workload);
         }
-        if let Some(note) = r.annotation() {
-            println!("  {} summarized over {note}", r.short_name);
+        let (n, m) = (r.survived(), r.attempted());
+        if n < m {
+            println!("  {} summarized over ({n} of {m} workloads)", r.short_name);
         }
     }
 
+    // Every artifact renders from the sweep's report.
+    let report = SuiteReport::from_resilient(suite.scale(), &results);
     println!("\nTable II over the surviving runs:\n");
-    println!("{}", table2_resilient(&results).render());
+    println!("{}", view::table2(&report).render());
 }

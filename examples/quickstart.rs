@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use alberta::core::figures::fig1_series;
 use alberta::core::Suite;
+use alberta::report::{view, SuiteReport};
 use alberta::workloads::Scale;
 
 fn main() -> Result<(), alberta::core::CoreError> {
@@ -15,20 +15,24 @@ fn main() -> Result<(), alberta::core::CoreError> {
 
     // Characterize 557.xz_r: run train, refrate, and every Alberta
     // workload under the instrumented profiler and the Top-Down model.
-    let c = suite.characterize("xz")?;
+    // The report is the document every paper artifact renders from.
+    let result = suite.characterize_resilient_metered("xz")?;
+    let report = SuiteReport::from_resilient(suite.scale(), std::slice::from_ref(&result));
+    let xz = &report.benchmarks[0];
+    let summary = xz.summary.as_ref().expect("xz has surviving runs");
     println!(
         "{} characterized over {} workloads",
-        c.spec_id,
-        c.workload_count()
+        xz.spec_id,
+        xz.survived()
     );
 
     // The Table II row quantities (Section V of the paper).
     println!("\nTop-Down geometric summary (Eq. 1-4):");
     for (name, cat) in [
-        ("front-end", &c.topdown.front_end),
-        ("back-end", &c.topdown.back_end),
-        ("bad-spec", &c.topdown.bad_speculation),
-        ("retiring", &c.topdown.retiring),
+        ("front-end", &summary.front_end),
+        ("back-end", &summary.back_end),
+        ("bad-spec", &summary.bad_speculation),
+        ("retiring", &summary.retiring),
     ] {
         println!(
             "  {name:>9}: μg = {:5.1}%  σg = {:.2}  V = {:6.2}",
@@ -39,14 +43,16 @@ fn main() -> Result<(), alberta::core::CoreError> {
     }
     println!(
         "  μg(V) = {:.2}   (single-number behaviour-variation proxy)",
-        c.topdown.mu_g_v
+        summary.mu_g_v
     );
     println!(
         "  μg(M) = {:.2}   (method-coverage variation, Eq. 5)",
-        c.coverage.mu_g_m
+        summary.mu_g_m
     );
 
     // Per-workload stacks (Figure 1 for this benchmark).
-    println!("\n{}", fig1_series(&c).render());
+    if let Some(series) = view::fig1_series(xz) {
+        println!("\n{}", series.render());
+    }
     Ok(())
 }

@@ -2,12 +2,14 @@
 //!
 //! This crate re-exports the workspace's layers under one roof, which is
 //! what the runnable examples and integration tests build against. Most
-//! users want [`core`] (the [`core::Suite`] facade); the other modules
-//! expose the substrates individually.
+//! users want [`core`] (the [`core::Suite`] facade) and [`report`] (the
+//! sweep document and the paper's artifacts built from it); the other
+//! modules expose the substrates individually.
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `alberta-core` | suite facade, characterization, tables, figures |
+//! | [`core`] | `alberta-core` | suite facade, characterization, published paper data |
+//! | [`report`] | `alberta-report` | sweep reports; Tables I–II and Figures 1–2 built from them |
 //! | [`stats`] | `alberta-stats` | the paper's geometric summarization (Eq. 1–5) |
 //! | [`profile`] | `alberta-profile` | instrumentation substrate |
 //! | [`uarch`] | `alberta-uarch` | predictors, caches, Top-Down model |
@@ -35,6 +37,7 @@ pub use alberta_core as core;
 pub use alberta_fdo as fdo;
 pub use alberta_onefile as onefile;
 pub use alberta_profile as profile;
+pub use alberta_report as report;
 pub use alberta_stats as stats;
 pub use alberta_uarch as uarch;
 pub use alberta_workloads as workloads;

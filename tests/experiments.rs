@@ -2,43 +2,64 @@
 //! claims of the paper's Section V must hold in our reproduction at test
 //! scale. These tests pin the *shape* of Table II and Figures 1–2 (who
 //! varies more, where the summarization inflates), not absolute numbers.
+//! They sweep once and read everything from the sweep's report, as the
+//! rendering binaries do.
 
-use alberta::core::characterize::Characterization;
-use alberta::core::figures::{fig1_series, fig2_series};
 use alberta::core::specdata;
 use alberta::core::Suite;
+use alberta::report::{view, BenchmarkReport, StatusKind, SuiteReport, SummaryRecord};
 use alberta::workloads::Scale;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Characterizes the whole suite once; shared across the assertions.
-fn suite_data() -> &'static BTreeMap<String, Characterization> {
-    static DATA: OnceLock<BTreeMap<String, Characterization>> = OnceLock::new();
-    DATA.get_or_init(|| {
-        let suite = Suite::new(Scale::Test);
-        suite
-            .characterize_all()
-            .expect("full suite characterizes")
-            .into_iter()
-            .map(|c| (c.short_name.clone(), c))
-            .collect()
+/// Sweeps the whole suite once; shared across the assertions. Every run
+/// must come back `ok`.
+fn suite_report() -> &'static SuiteReport {
+    static REPORT: OnceLock<SuiteReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let results = Suite::new(Scale::Test).characterize_all_resilient_metered();
+        let report = SuiteReport::from_resilient(Scale::Test, &results);
+        for b in &report.benchmarks {
+            for run in &b.runs {
+                assert_eq!(
+                    run.status,
+                    StatusKind::Ok,
+                    "{}/{}",
+                    b.short_name,
+                    run.workload
+                );
+            }
+        }
+        report
     })
+}
+
+fn benchmark(name: &str) -> &'static BenchmarkReport {
+    suite_report()
+        .benchmark(name)
+        .unwrap_or_else(|| panic!("{name} is in the suite"))
+}
+
+fn summary(name: &str) -> &'static SummaryRecord {
+    benchmark(name).summary.as_ref().expect("runs survived")
 }
 
 #[test]
 fn every_table_ii_benchmark_characterizes() {
-    let data = suite_data();
-    assert_eq!(data.len(), 15);
-    for (name, c) in data {
-        assert!(c.workload_count() >= 8, "{name} has too few workloads");
-        assert!(c.topdown.mu_g_v >= 1.0, "{name}");
-        assert!(c.coverage.mu_g_m > 0.0, "{name}");
+    let report = suite_report();
+    assert_eq!(report.benchmarks.len(), 15);
+    for b in &report.benchmarks {
+        let name = &b.short_name;
+        let s = summary(name);
+        assert!(b.survived() >= 8, "{name} has too few workloads");
+        assert!(s.mu_g_v >= 1.0, "{name}");
+        assert!(s.mu_g_m > 0.0, "{name}");
         assert!(
-            c.refrate_cycles.expect("refrate run survived") > 0.0,
+            s.refrate_cycles.expect("refrate run survived") > 0.0,
             "{name}"
         );
-        for run in &c.runs {
-            let sum: f64 = run.report.ratios.as_array().iter().sum();
+        for run in &b.runs {
+            let measures = run.measures.as_ref().expect("ok runs carry measures");
+            let sum: f64 = measures.ratios.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{name}/{}", run.workload);
         }
     }
@@ -48,7 +69,6 @@ fn every_table_ii_benchmark_characterizes() {
 fn workload_counts_mirror_the_paper() {
     // Our sets are train + refrate + the Alberta workloads whose counts
     // follow the paper's Section IV (gcc 19, lbm 30, leela 9, …).
-    let data = suite_data();
     let expect = [
         ("gcc", 21),
         ("mcf", 9),
@@ -62,7 +82,7 @@ fn workload_counts_mirror_the_paper() {
         ("nab", 13),
     ];
     for (name, count) in expect {
-        assert_eq!(data[name].workload_count(), count, "{name}");
+        assert_eq!(benchmark(name).survived(), count, "{name}");
     }
 }
 
@@ -71,38 +91,41 @@ fn workload_counts_mirror_the_paper() {
 /// appear to reflect the variability in the behaviour".
 #[test]
 fn tiny_bad_speculation_means_inflate_mu_g_v() {
-    let data = suite_data();
     for name in ["lbm", "cactuBSSN"] {
-        let c = &data[name];
+        let s = summary(name);
         assert!(
-            c.topdown.bad_speculation.geo_mean < 0.03,
+            s.bad_speculation.geo_mean < 0.03,
             "{name} s mean {}",
-            c.topdown.bad_speculation.geo_mean
+            s.bad_speculation.geo_mean
         );
     }
     // Their μg(V) exceeds the suite median — inflated exactly as the
     // paper warns.
-    let mut all: Vec<f64> = data.values().map(|c| c.topdown.mu_g_v).collect();
+    let mut all: Vec<f64> = suite_report()
+        .benchmarks
+        .iter()
+        .map(|b| summary(&b.short_name).mu_g_v)
+        .collect();
     all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let median = all[all.len() / 2];
-    assert!(data["lbm"].topdown.mu_g_v >= median, "lbm");
-    assert!(data["cactuBSSN"].topdown.mu_g_v >= median, "cactuBSSN");
+    assert!(summary("lbm").mu_g_v >= median, "lbm");
+    assert!(summary("cactuBSSN").mu_g_v >= median, "cactuBSSN");
 }
 
 /// Figure 2's contrast: xz's method coverage swings hard with the
 /// workload (match finder vs entropy coder), deepsjeng's does not.
 #[test]
 fn xz_method_coverage_varies_more_than_deepsjeng() {
-    let data = suite_data();
-    let max_range = |c: &Characterization| -> f64 {
-        fig2_series(c)
+    let max_range = |name: &str| -> f64 {
+        view::fig2_series(benchmark(name))
+            .expect("runs survived")
             .method_ranges()
             .into_iter()
             .map(|(_, r)| r)
             .fold(0.0, f64::max)
     };
-    let xz = max_range(&data["xz"]);
-    let deepsjeng = max_range(&data["deepsjeng"]);
+    let xz = max_range("xz");
+    let deepsjeng = max_range("deepsjeng");
     assert!(
         xz > deepsjeng * 2.0,
         "xz range {xz:.1}% vs deepsjeng {deepsjeng:.1}%"
@@ -113,10 +136,9 @@ fn xz_method_coverage_varies_more_than_deepsjeng() {
 /// both render with full-width stacks.
 #[test]
 fn figure_one_series_render() {
-    let data = suite_data();
     for name in ["xalancbmk", "xz"] {
-        let series = fig1_series(&data[name]);
-        assert_eq!(series.stacks.len(), data[name].workload_count());
+        let series = view::fig1_series(benchmark(name)).expect("runs survived");
+        assert_eq!(series.stacks.len(), benchmark(name).survived());
         assert!(series.visual_variation() > 0.0, "{name} is not constant");
     }
 }
@@ -126,12 +148,10 @@ fn figure_one_series_render() {
 /// live in the core. (Matches the paper's b column ordering for these.)
 #[test]
 fn backend_bound_ordering_matches_algorithm_class() {
-    let data = suite_data();
     for memory_bound in ["omnetpp", "xalancbmk", "lbm"] {
         for compute_bound in ["povray", "exchange2", "leela"] {
             assert!(
-                data[memory_bound].topdown.back_end.geo_mean
-                    > data[compute_bound].topdown.back_end.geo_mean,
+                summary(memory_bound).back_end.geo_mean > summary(compute_bound).back_end.geo_mean,
                 "{memory_bound} vs {compute_bound}"
             );
         }
@@ -142,11 +162,10 @@ fn backend_bound_ordering_matches_algorithm_class() {
 /// the paper (27.6%) and here.
 #[test]
 fn game_engines_have_highest_bad_speculation() {
-    let data = suite_data();
-    let leela = data["leela"].topdown.bad_speculation.geo_mean;
+    let leela = summary("leela").bad_speculation.geo_mean;
     for stencil in ["lbm", "cactuBSSN", "wrf", "parest", "povray", "nab"] {
         assert!(
-            leela > data[stencil].topdown.bad_speculation.geo_mean,
+            leela > summary(stencil).bad_speculation.geo_mean,
             "leela vs {stencil}"
         );
     }
