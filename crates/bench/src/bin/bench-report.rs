@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p alberta-bench --bin bench-report \
 //!     [test|train|ref] [--exec serial|threads|processes] [--jobs N] \
-//!     [--out PATH] [--telemetry] [--chaos N] [--chaos-seed SEED] \
+//!     [--out PATH] [--trace-dir DIR] [--telemetry] [--chaos N] [--chaos-seed SEED] \
 //!     [--sample] [--sample-interval OPS] [--sample-k N] [--sample-seed SEED]
 //! ```
 //!
@@ -13,6 +13,17 @@
 //! bit-identical whether the sweep ran serially or under `--jobs N`;
 //! `--telemetry` keeps the volatile wall-clock and worker-id fields for
 //! local inspection, at the cost of that guarantee.
+//!
+//! `--trace-dir DIR` also writes the same sweep's observability
+//! artifacts into `DIR` ([`trace_directory`]): one collapsed-stack
+//! `<benchmark>.<workload>.folded` file per surviving run, the
+//! `trace.json` timeline (the virtual schedule over
+//! [`DEFAULT_LANES`](alberta_report::DEFAULT_LANES) lanes, the measured
+//! one under `--telemetry`), and `report.json`, the report with each
+//! benchmark's [`HOT_PATH_COUNT`](alberta_report::HOT_PATH_COUNT)
+//! hottest call paths embedded. Without `--telemetry` they too are
+//! bit-identical across execution policies; CI compares the directories
+//! with `diff -r`.
 //!
 //! Per-run failures cost a run, not the report: they land in the
 //! document as `degraded`/`failed` records and are echoed on stderr.
@@ -32,8 +43,14 @@
 
 use alberta_bench::Args;
 use alberta_core::Suite;
-use alberta_report::SuiteReport;
-use std::path::PathBuf;
+use alberta_report::{trace_directory, SuiteReport};
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+
+fn fail(context: impl Display, e: impl Display) -> ! {
+    eprintln!("bench-report: {context}: {e}");
+    std::process::exit(1);
+}
 
 fn main() {
     // Under --exec processes the supervisor re-executes this binary in
@@ -45,6 +62,7 @@ fn main() {
             "--exec",
             "--jobs",
             "--out",
+            "--trace-dir",
             "--chaos",
             "--chaos-seed",
             "--sample-interval",
@@ -59,6 +77,12 @@ fn main() {
         .value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", scale.name())));
+    let telemetry = args.switch("--telemetry");
+    let trace_dir = args.value("--trace-dir").map(Path::new);
+    // An unwritable trace directory fails before the sweep, not after.
+    if let Some(dir) = trace_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir.display(), e));
+    }
 
     let suite = Suite::new(scale)
         .with_exec(exec)
@@ -82,12 +106,25 @@ fn main() {
     }
 
     let mut report = SuiteReport::from_resilient(scale, &results);
-    if !args.switch("--telemetry") {
+    if !telemetry {
         report.strip_telemetry();
     }
     if let Err(e) = alberta_report::save(&report, &out) {
         eprintln!("bench-report: {e}");
         std::process::exit(1);
+    }
+    if let Some(dir) = trace_dir {
+        let files = trace_directory(&report, &results, telemetry)
+            .unwrap_or_else(|e| fail(dir.display(), e));
+        for (name, bytes) in &files {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap_or_else(|e| fail(path.display(), e));
+        }
+        println!(
+            "bench-report: {} trace files -> {}",
+            files.len(),
+            dir.display()
+        );
     }
 
     let benchmarks = report.benchmarks.len();

@@ -24,8 +24,9 @@
 //! percentiles — CI uploads those as an artifact and never gates on
 //! them. `--sweep-out` fires one benchmark-level request per benchmark
 //! and writes the assembled suite report, which must be byte-identical
-//! to a fresh `bench-report` sweep at the same scale. `--shutdown`
-//! stops the daemon afterwards.
+//! to a `bench-report` sweep at the same scale (CI compares it with the
+//! committed `BENCH_test.json`). `--shutdown` stops the daemon
+//! afterwards.
 //!
 //! Exit codes: 0 on success, 1 when any response failed or the
 //! cached-vs-computed comparison found a mismatch, 2 for usage errors.
@@ -39,16 +40,6 @@ use alberta_core::benchmark_suite;
 use alberta_report::{BenchmarkReport, LatencyReport, StormReport, SuiteReport, SCHEMA_VERSION};
 use alberta_serve::{Client, GroupInfo, RequestSpec, ResponseCounts};
 use alberta_workloads::Scale;
-
-fn parsed_flag(args: &Args, flag: &str, default: u64) -> u64 {
-    match args.value(flag) {
-        None => default,
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => usage_error(&format!("{flag} expects a positive count, got {v:?}")),
-        },
-    }
-}
 
 /// One client's share of a round: the responses (as spec index, counts,
 /// and canonical body bytes) plus the drain's wall time. The wall time
@@ -136,9 +127,9 @@ fn main() {
     let addr = args
         .value("--addr")
         .unwrap_or_else(|| usage_error("--addr HOST:PORT is required (see alberta-serve)"));
-    let requests = parsed_flag(&args, "--requests", 96);
-    let clients = parsed_flag(&args, "--clients", 4);
-    let seed = parsed_flag(&args, "--seed", 42);
+    let requests = args.count("--requests", 96) as u64;
+    let clients = args.count("--clients", 4) as u64;
+    let seed = args.seed("--seed", 42);
     let out = args
         .value("--out")
         .map(PathBuf::from)
@@ -307,8 +298,8 @@ fn main() {
 }
 
 /// Requests every benchmark at benchmark level and assembles the bodies
-/// into a [`SuiteReport`] — the document a fresh `bench-report` sweep
-/// at the same scale must match byte for byte.
+/// into a [`SuiteReport`] — the document a `bench-report` sweep at the
+/// same scale must match byte for byte.
 fn sweep(addr: &str, scale: Scale) -> Result<SuiteReport, String> {
     let mut client = Client::connect(addr, None)?;
     let names: Vec<String> = benchmark_suite(scale)

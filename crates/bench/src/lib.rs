@@ -137,6 +137,17 @@ impl Args {
         }
     }
 
+    /// The value of a seed flag, `default` when absent. Any `u64` is a
+    /// seed, 0 included; anything else is a usage error.
+    pub fn seed(&self, flag: &str, default: u64) -> u64 {
+        match self.value(flag) {
+            None => default,
+            Some(text) => text.parse().unwrap_or_else(|_| {
+                usage_error(&format!("{flag} expects an integer, got {text:?}"))
+            }),
+        }
+    }
+
     /// The optional scale operand (`test`, `train`, `ref`); defaults to
     /// [`Scale::Test`] so every binary completes in seconds. An
     /// unrecognized scale or a second operand terminates with a usage
@@ -227,9 +238,8 @@ impl Args {
     /// malformed values, or `--chaos-seed` without `--chaos`, terminate
     /// with a usage error.
     pub fn chaos(&self) -> Option<(usize, u64)> {
-        let seed = self.value("--chaos-seed");
         let Some(count) = self.value("--chaos") else {
-            if seed.is_some() {
+            if self.value("--chaos-seed").is_some() {
                 usage_error("--chaos-seed without --chaos N has nothing to seed");
             }
             return None;
@@ -240,14 +250,7 @@ impl Args {
                 "--chaos expects a positive fault count, got {count:?}"
             )),
         };
-        let seed = match seed {
-            None => 0,
-            Some(value) => match value.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => usage_error(&format!("--chaos-seed expects an integer, got {value:?}")),
-            },
-        };
-        Some((count, seed))
+        Some((count, self.seed("--chaos-seed", 0)))
     }
 
     /// Parses the phase-sampling flags into a [`SamplingPolicy`].
@@ -281,12 +284,7 @@ impl Args {
                 )),
             };
         }
-        if let Some(value) = seed {
-            config.seed = match value.parse::<u64>() {
-                Ok(n) => n,
-                _ => usage_error(&format!("--sample-seed expects an integer, got {value:?}")),
-            };
-        }
+        config.seed = self.seed("--sample-seed", config.seed);
         SamplingPolicy::Phase(config)
     }
 }

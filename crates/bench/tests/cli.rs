@@ -2,7 +2,7 @@
 //! the repo convention (0 success, 1 regression/gate failure, 2 usage
 //! error) so CI pipelines can branch on them.
 
-use alberta_report::{SuiteReport, SCHEMA_VERSION};
+use alberta_report::{MemoryDocument, SuiteReport, SCHEMA_VERSION};
 use alberta_workloads::Scale;
 use std::path::PathBuf;
 use std::process::Command;
@@ -175,8 +175,11 @@ fn every_bin_rejects_a_flag_it_does_not_read() {
             &[report, report, "--lanes", "3", "--keep-going"],
         ),
         (env!("CARGO_BIN_EXE_bench-report"), &["test", "--curves"]),
-        (env!("CARGO_BIN_EXE_bench-trace"), &["test", "--out", "x"]),
-        (env!("CARGO_BIN_EXE_table-mem"), &["test", "--sample"]),
+        (
+            env!("CARGO_BIN_EXE_bench-report"),
+            &["test", "--out-dir", "x"],
+        ),
+        (env!("CARGO_BIN_EXE_table-mem"), &[report, "--l3-size", "1"]),
         (env!("CARGO_BIN_EXE_sample-eval"), &["test", "--top-k", "3"]),
         (env!("CARGO_BIN_EXE_fdo_eval"), &["--bogus-flag"]),
         (env!("CARGO_BIN_EXE_table1"), &[report, "--exec", "threads"]),
@@ -201,6 +204,20 @@ fn every_bin_rejects_a_flag_it_does_not_read() {
         ),
     ];
     assert_unknown_flag(cases);
+}
+
+/// A seed is any integer, 0 included: `storm --seed 0` gets as far as
+/// connecting (nothing listens on port 1), and the refused connection
+/// is what it reports.
+#[test]
+fn storm_takes_seed_zero() {
+    let output = Command::new(env!("CARGO_BIN_EXE_storm"))
+        .args(["test", "--addr", "127.0.0.1:1", "--seed", "0"])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("connect 127.0.0.1:1"), "{stderr}");
+    assert!(!stderr.contains("--seed"), "{stderr}");
 }
 
 /// A binary that takes no operand rejects one, and a scale binary
@@ -245,7 +262,8 @@ fn render(bin: &str, report: &std::path::Path) -> std::process::Output {
 
 /// The rendering binaries project a saved report: each exits 0 on one
 /// with a lost benchmark, prints no Table II row for it, shows its
-/// Table I refrate cell as `—`, and notes the omitted figures.
+/// Table I refrate cell as `—`, notes the omitted figures, and writes a
+/// memory row per surviving run.
 #[test]
 fn renderers_project_a_saved_report() {
     let report = fixture();
@@ -258,6 +276,25 @@ fn renderers_project_a_saved_report() {
         let output = render(bin, &report);
         assert_eq!(output.status.code(), Some(0), "{bin}");
     }
+
+    let dir = std::env::temp_dir().join(format!("table-mem-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = dir.join("mem.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_table-mem"))
+        .arg(&report)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn");
+    assert_eq!(output.status.code(), Some(0), "table-mem");
+    let text = std::fs::read_to_string(&out).expect("memory document written");
+    let document = MemoryDocument::parse(&text).expect("memory document parses");
+    let saved = alberta_report::load(&report).expect("fixture loads");
+    let survived: usize = saved.benchmarks.iter().map(|b| b.survived()).sum();
+    let attempted: usize = saved.benchmarks.iter().map(|b| b.attempted()).sum();
+    assert!(survived < attempted, "the fixture lost a run");
+    assert_eq!(document.rows.len(), survived);
+    std::fs::remove_dir_all(&dir).ok();
 
     let table2 = render(env!("CARGO_BIN_EXE_table2"), &report);
     let stdout = String::from_utf8(table2.stdout).expect("utf-8");
@@ -302,6 +339,7 @@ fn renderers_reject_unreadable_reports_with_exit_2() {
         env!("CARGO_BIN_EXE_table2"),
         env!("CARGO_BIN_EXE_fig1"),
         env!("CARGO_BIN_EXE_fig2"),
+        env!("CARGO_BIN_EXE_table-mem"),
     ] {
         for args in [
             vec![missing.to_str().expect("utf-8 path")],

@@ -720,13 +720,17 @@ fn decode_cache_config(value: &Value) -> Result<CacheConfig, DecodeError> {
     })
 }
 
-/// Parses a machine configuration from its canonical wire object.
+/// Parses a machine configuration from its canonical wire object. A
+/// machine no model can build is refused here, when it arrives, rather
+/// than by a panic in the model after the workload has run.
 ///
 /// # Errors
 ///
-/// The first structural problem, as text.
+/// The first structural problem, as text, or the first structure whose
+/// geometry [`MachineConfig::validate`] rejects, named with its values
+/// (e.g. `L3 geometry invalid: …`).
 pub fn decode_machine(value: &Value) -> Result<MachineConfig, DecodeError> {
-    Ok(MachineConfig {
+    let machine = MachineConfig {
         issue_width: req(value, "issue_width")?,
         mispredict_penalty: req(value, "mispredict_penalty")?,
         l2_latency: req(value, "l2_latency")?,
@@ -747,7 +751,9 @@ pub fn decode_machine(value: &Value) -> Result<MachineConfig, DecodeError> {
         dtlb_entries: req(value, "dtlb_entries")?,
         dram: decode_dram_config(req(value, "dram")?)?,
         fetch_probe_bytes: req(value, "fetch_probe_bytes")?,
-    })
+    };
+    machine.validate().map_err(|e| e.to_string())?;
+    Ok(machine)
 }
 
 fn decode_dram_config(value: &Value) -> Result<DramConfig, DecodeError> {

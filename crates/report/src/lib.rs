@@ -44,7 +44,7 @@ pub use schema::{
 };
 pub use serve::{CacheDocument, HostRecord, LatencyReport, StormReport};
 pub use timeline::render_service_timeline;
-pub use trace::{render_trace, TraceMode, DEFAULT_LANES};
+pub use trace::{render_trace, trace_directory, TraceMode, DEFAULT_LANES, HOT_PATH_COUNT};
 
 use json::Value;
 use std::fmt;

@@ -1,14 +1,15 @@
 //! The schema-versioned memory-characterization document behind
-//! `table-mem`.
+//! `table-mem`, which projects it from a saved report.
 //!
 //! A [`MemoryDocument`] is the memory view of one sweep: per surviving
 //! `(benchmark, workload)` run it carries the [`MemoryProfile`] the full
 //! [`SuiteReport`] embeds — MPKI per cache level, DRAM row-buffer hit
 //! rate, bytes read from DRAM, exact footprint, and the
 //! MPKI-vs-cache-size curve. It is a pure projection of the suite
-//! report, so it inherits the determinism contract: the serialization
-//! is bit-identical across execution policies, and CI gates it
-//! byte-for-byte against a committed `MEM_test.json` golden.
+//! report ([`MemoryDocument::from_report`]), so it inherits the
+//! determinism contract: the serialization is bit-identical across
+//! execution policies, and CI gates it byte-for-byte against a
+//! committed `MEM_test.json` golden.
 
 use crate::json::{req, DecodeError, Value};
 use crate::schema::SuiteReport;

@@ -70,10 +70,11 @@ pub struct BenchmarkReport {
     /// failed.
     pub summary: Option<SummaryRecord>,
     /// The benchmark's hottest call paths by exclusive work, merged over
-    /// surviving runs — optional observability telemetry embedded by
-    /// `bench-trace` ([`SuiteReport::embed_hot_paths`]). Deterministic
-    /// (derived from the exact call tree), absent in canonical
-    /// `bench-report` artifacts, and ignored by the diff layer.
+    /// surviving runs — optional observability telemetry embedded in the
+    /// `report.json` of `bench-report --trace-dir`
+    /// ([`trace_directory`](crate::trace_directory)). Deterministic
+    /// (derived from the exact call tree), absent from the canonical
+    /// `--out` report, and ignored by the diff layer.
     pub hot_paths: Option<Vec<HotPathRecord>>,
 }
 

@@ -15,7 +15,8 @@
 //!   work-stealing scheduler but on modelled time. The output depends
 //!   only on the report's deterministic fields, so serial and
 //!   `--jobs N` sweeps of the same suite render byte-identical traces.
-//!   This is what `bench-trace` emits and what CI byte-compares;
+//!   This is what `bench-report --trace-dir` writes and what CI
+//!   byte-compares;
 //! * [`TraceMode::Telemetry`] — the *measured* schedule, from the
 //!   `wall_nanos`/`start_nanos`/`worker` telemetry a `--telemetry`
 //!   report retains: spans sit where the runs actually executed, one
@@ -25,13 +26,72 @@
 //! The document reuses the canonical [`json::Value`](crate::json::Value) emitter, so trace
 //! output inherits the same determinism guarantees as every other
 //! artifact: ordered objects, exact integers, stable float rendering.
+//! [`trace_directory`] bundles the timeline with the sweep's collapsed
+//! stacks and hot-path report.
 
 use crate::json::Value;
 use crate::schema::{RunRecord, StatusKind, SuiteReport};
 use crate::ReportError;
+use alberta_core::{ResilientCharacterization, RunMetrics};
+use std::collections::BTreeMap;
 
-/// Lane count used by `bench-trace` when `--lanes` is not given.
+/// Lanes of a trace directory's virtual timeline.
 pub const DEFAULT_LANES: usize = 4;
+
+/// Call paths per benchmark, hottest first, that a trace directory's
+/// `report.json` embeds.
+pub const HOT_PATH_COUNT: usize = 10;
+
+/// The contents of a trace directory, file name → bytes, as
+/// `bench-report --trace-dir DIR` writes them:
+///
+/// * `<benchmark>.<workload>.folded` — one collapsed-stack file per
+///   surviving run (`caller;callee count` lines), straight from the
+///   exact call tree, for flamegraph tooling (`inferno-flamegraph`,
+///   `flamegraph.pl`);
+/// * `trace.json` — the sweep's timeline: the virtual schedule over
+///   [`DEFAULT_LANES`] lanes, or the measured one with `telemetry`;
+/// * `report.json` — `report` with each benchmark's [`HOT_PATH_COUNT`]
+///   hottest call paths embedded.
+///
+/// `report` is the report built from `results`, with its telemetry kept
+/// exactly when `telemetry` is set. Without telemetry every file is
+/// byte-identical across execution policies.
+///
+/// # Errors
+///
+/// [`ReportError::Schema`] when `telemetry` is set and a run lacks
+/// wall-clock telemetry (see [`render_trace`]).
+pub fn trace_directory(
+    report: &SuiteReport,
+    results: &[(ResilientCharacterization, Vec<RunMetrics>)],
+    telemetry: bool,
+) -> Result<BTreeMap<String, String>, ReportError> {
+    let mut files: BTreeMap<String, String> = results
+        .iter()
+        .filter_map(|(r, _)| Some((&r.short_name, r.characterization.as_ref()?)))
+        .flat_map(|(name, c)| {
+            c.runs.iter().map(move |run| {
+                (
+                    format!("{name}.{}.folded", run.workload),
+                    run.paths.folded(),
+                )
+            })
+        })
+        .collect();
+    let mut annotated = report.clone();
+    annotated.embed_hot_paths(results, HOT_PATH_COUNT);
+    let mode = if telemetry {
+        TraceMode::Telemetry
+    } else {
+        TraceMode::Virtual {
+            lanes: DEFAULT_LANES,
+        }
+    };
+    files.insert("trace.json".to_owned(), render_trace(&annotated, mode)?);
+    files.insert("report.json".to_owned(), annotated.to_json());
+    Ok(files)
+}
 
 /// Which timeline a trace renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -189,6 +189,34 @@ fn encodings_are_pinned() {
     assert_eq!(sample_cache_document().to_json(), CACHE_DOCUMENT);
 }
 
+/// A machine no model can build is refused when it arrives, on the
+/// socket (`parse_spec`) and on the worker pipe (the `Config` message)
+/// alike, with an error that names the structure. Accepted, it would
+/// run the workload, panic in the model, and run it again as a retry.
+#[test]
+fn machines_no_model_can_build_are_rejected_by_name() {
+    let spec = sample_spec().to_value().render_compact();
+    let config = sample_config().encode();
+    for (valid, invalid, structure) in [
+        (r#""ways":16}"#, r#""ways":3}"#, "L3"),
+        (r#""banks":8,"#, r#""banks":6,"#, "DRAM"),
+    ] {
+        for text in [&spec, &config] {
+            assert_eq!(text.matches(valid).count(), 1, "{valid} in {text}");
+        }
+        let err = parse_spec(&spec.replace(valid, invalid)).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{structure} geometry invalid")),
+            "{err}"
+        );
+        let err = SupervisorMsg::decode(&config.replace(valid, invalid)).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{structure} geometry invalid")),
+            "{err}"
+        );
+    }
+}
+
 const CACHE_DOCUMENT: &str = r#"{
   "schema_version": 2,
   "key": "80af1b023c74d5af6633fbbf94ca7dc6",

@@ -68,7 +68,9 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err(CacheProblem::ZeroWays);
         }
-        if !self.size_bytes.is_multiple_of(self.line_bytes * self.ways) {
+        // A set span past u64 cannot divide any capacity.
+        let span = self.line_bytes.checked_mul(self.ways);
+        if !span.is_some_and(|span| self.size_bytes.is_multiple_of(span)) {
             return Err(CacheProblem::RaggedCapacity {
                 size_bytes: self.size_bytes,
                 line_bytes: self.line_bytes,
@@ -454,28 +456,33 @@ impl Tlb {
     /// Page size assumed by the TLB model.
     pub const PAGE_BYTES: u64 = 4096;
 
-    /// Creates a TLB with `entries` page slots, 4-way, rejecting entry
-    /// counts that do not form a positive power-of-two set count.
-    pub fn try_new(entries: u64) -> Result<Self, GeometryError> {
+    /// The page-cache geometry of a TLB with `entries` page slots, 4-way,
+    /// checked without building it.
+    ///
+    /// # Errors
+    ///
+    /// A D-TLB [`GeometryError`] when `entries` does not form a positive
+    /// power-of-two set count.
+    pub(crate) fn geometry(entries: u64) -> Result<CacheConfig, GeometryError> {
         let config = CacheConfig {
-            size_bytes: entries * Self::PAGE_BYTES,
+            // Saturating: u64::MAX is never a whole number of sets.
+            size_bytes: entries.saturating_mul(Self::PAGE_BYTES),
             line_bytes: Self::PAGE_BYTES,
             ways: 4,
         };
-        match Cache::try_new_labeled("D-TLB", config) {
-            Ok(inner) => Ok(Tlb { inner }),
-            Err(e) => {
-                let problem = match e.kind {
-                    GeometryErrorKind::Cache { problem, .. } => problem,
-                    // try_new_labeled only constructs Cache errors.
-                    _ => unreachable!("cache construction reports cache problems"),
-                };
-                Err(GeometryError {
-                    structure: "D-TLB",
-                    kind: GeometryErrorKind::Tlb { entries, problem },
-                })
-            }
-        }
+        config.check().map_err(|problem| GeometryError {
+            structure: "D-TLB",
+            kind: GeometryErrorKind::Tlb { entries, problem },
+        })?;
+        Ok(config)
+    }
+
+    /// Creates a TLB with `entries` page slots, 4-way, rejecting entry
+    /// counts that do not form a positive power-of-two set count.
+    pub fn try_new(entries: u64) -> Result<Self, GeometryError> {
+        Ok(Tlb {
+            inner: Cache::new(Self::geometry(entries)?),
+        })
     }
 
     /// Creates a TLB with `entries` page slots (power of two), 4-way.
@@ -1046,6 +1053,27 @@ mod tests {
         assert!(err.to_string().contains("entries=3"), "{err}");
         assert!(Tlb::try_new(0).is_err());
         assert!(Tlb::try_new(64).is_ok());
+    }
+
+    /// Geometry checks see decoded, untrusted values: products past
+    /// `u64` are a rejection, not an overflow panic.
+    #[test]
+    fn geometry_checks_reject_overflowing_values() {
+        let huge = CacheConfig {
+            size_bytes: 0,
+            line_bytes: 1 << 32,
+            ways: 1 << 32,
+        };
+        assert!(matches!(
+            huge.check(),
+            Err(CacheProblem::RaggedCapacity { .. })
+        ));
+        let err = Tlb::geometry(u64::MAX).unwrap_err();
+        assert!(
+            err.to_string().contains("entries=18446744073709551615"),
+            "{err}"
+        );
+        assert_eq!(Tlb::geometry(64).unwrap().size_bytes, 64 * Tlb::PAGE_BYTES);
     }
 
     #[test]

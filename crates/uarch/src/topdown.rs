@@ -83,8 +83,9 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// Checks every modelled structure's geometry, reporting the first
-    /// offender by name with its offending values — so sweep bins can
-    /// diagnose a bad grid point instead of panicking mid-sweep.
+    /// offender by name with its offending values — so a decoder can
+    /// refuse a machine no model can build instead of panicking mid-run.
+    /// Builds nothing: any field values are safe to check.
     pub fn validate(&self) -> Result<(), GeometryError> {
         for (structure, config) in [
             ("I-cache", self.icache),
@@ -97,7 +98,7 @@ impl MachineConfig {
                 kind: GeometryErrorKind::Cache { config, problem },
             })?;
         }
-        Tlb::try_new(self.dtlb_entries)?;
+        Tlb::geometry(self.dtlb_entries)?;
         self.dram.check().map_err(|problem| GeometryError {
             structure: "DRAM",
             kind: GeometryErrorKind::Dram {
