@@ -35,7 +35,9 @@ fn bench_predictor_ablation(c: &mut Criterion) {
             Suite::new(Scale::Test).with_model(TopDownModel::new(MachineConfig::default(), kind));
         group.bench_function(name, |b| {
             b.iter(|| {
-                let c = suite.characterize("xz").expect("characterization");
+                let (r, _) = suite.characterize_resilient_metered("xz").expect("xz");
+                assert!(r.is_complete(), "{:?}", r.statuses);
+                let c = r.characterization.expect("every run survived");
                 black_box(c.topdown.mu_g_v.to_bits())
             })
         });
@@ -54,7 +56,11 @@ fn bench_sampling_ablation(c: &mut Criterion) {
         let suite = Suite::new(Scale::Test).with_sampling(sampling);
         group.bench_function(name, |b| {
             b.iter(|| {
-                let c = suite.characterize("omnetpp").expect("characterization");
+                let (r, _) = suite
+                    .characterize_resilient_metered("omnetpp")
+                    .expect("omnetpp");
+                assert!(r.is_complete(), "{:?}", r.statuses);
+                let c = r.characterization.expect("every run survived");
                 black_box(c.topdown.mu_g_v.to_bits())
             })
         });

@@ -72,7 +72,7 @@ impl Characterization {
     }
 }
 
-/// The fate of one workload run under the resilient pipeline.
+/// The fate of one workload run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunStatus {
     /// The run completed and its profile validated.
@@ -162,8 +162,9 @@ impl ResilientCharacterization {
 }
 
 /// Runs one workload under the panic guard and validates the resulting
-/// profile — the single-run unit both the strict and the resilient
-/// pipelines are built from.
+/// profile — the single-run unit every characterization is built from.
+/// A sweep adds the fault plan and one retry of retryable failures on
+/// top of it.
 ///
 /// # Errors
 ///
@@ -351,11 +352,17 @@ mod tests {
     use crate::{ExecPolicy, Suite};
     use alberta_workloads::Scale;
 
+    fn characterize_under(exec: ExecPolicy, short: &str) -> Characterization {
+        let (result, _) = Suite::new(Scale::Test)
+            .with_exec(exec)
+            .characterize_resilient_metered(short)
+            .unwrap();
+        assert!(result.is_complete(), "{:?}", result.statuses);
+        result.characterization.expect("every run survived")
+    }
+
     fn characterize(short: &str) -> Characterization {
-        Suite::new(Scale::Test)
-            .with_exec(ExecPolicy::Serial)
-            .characterize(short)
-            .unwrap()
+        characterize_under(ExecPolicy::Serial, short)
     }
 
     #[test]
@@ -416,10 +423,7 @@ mod tests {
     #[test]
     fn parallel_characterization_matches_serial() {
         let serial = characterize("xz");
-        let parallel = Suite::new(Scale::Test)
-            .with_exec(ExecPolicy::with_jobs(4))
-            .characterize("xz")
-            .unwrap();
+        let parallel = characterize_under(ExecPolicy::with_jobs(4), "xz");
         assert_eq!(
             serial.topdown.mu_g_v.to_bits(),
             parallel.topdown.mu_g_v.to_bits()

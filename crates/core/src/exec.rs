@@ -30,7 +30,6 @@
 //! wraps each run in a panic guard that converts an unwind into a typed
 //! failure result before it reaches this layer.
 
-use crate::log::{self, Capture, LogRecord};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -71,8 +70,8 @@ pub struct RunMetrics {
     /// Index of the worker thread (or worker process slot) that executed
     /// the run; 0 under [`ExecPolicy::Serial`] (volatile).
     pub worker: usize,
-    /// Retry attempts made for this run (0 for a clean first run). Only
-    /// the resilient pipeline retries, and it retries at most once.
+    /// Retry attempts made for this run (0 for a clean first run). A run
+    /// is retried at most once.
     pub retries: u32,
     /// Retired micro-ops the run consumed — against
     /// [`alberta_profile::SampleConfig::work_budget`] when one is set.
@@ -88,10 +87,10 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Total executions attempted for this run: dispatch attempts plus
-    /// in-run retries. A clean strict run reports 1; a degraded
-    /// resilient run (one retry) reports 2; a process task that crashed
-    /// once and succeeded on redispatch reports 2. Consistent across
-    /// the strict, resilient, and process paths.
+    /// in-run retries. A clean run reports 1; a degraded run (one
+    /// retry) reports 2; a process task that crashed once and succeeded
+    /// on redispatch reports 2. Consistent across the in-process and
+    /// process executors.
     pub fn attempts(&self) -> u32 {
         self.dispatches.max(1).saturating_add(self.retries)
     }
@@ -217,13 +216,6 @@ impl ExecPolicy {
 /// workers have drained — never swallowed, and never left as a poisoned
 /// queue.
 ///
-/// The scheduler also owns *log determinism*: each task runs under a
-/// [`log::Capture`], and the buffered records are flushed to stderr in
-/// canonical task order after reassembly — so a parallel sweep logs
-/// byte-identically to a serial one. A task that panics loses its
-/// buffered records (the capture guard discards them on unwind); the
-/// panic itself still propagates.
-///
 /// [`ExecPolicy::Processes`] degrades to the thread pool here: an
 /// arbitrary closure cannot cross a process boundary, so only the
 /// suite's executor (whose tasks are fully described by the suite
@@ -239,9 +231,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let epoch = Instant::now();
-    let level = log::max_level();
-    let meter = |worker: usize, index: usize, t: &T| -> (R, RunMetrics, Vec<LogRecord>) {
-        let capture = Capture::install(level);
+    let meter = |worker: usize, index: usize, t: &T| -> (R, RunMetrics) {
         let start = Instant::now();
         let start_nanos = u64::try_from((start - epoch).as_nanos()).unwrap_or(u64::MAX);
         let result = task(index, t);
@@ -252,10 +242,10 @@ where
             dispatches: 1,
             ..RunMetrics::default()
         };
-        (result, metrics, capture.finish())
+        (result, metrics)
     };
     let workers = policy.jobs().min(tasks.len());
-    let results: Vec<(R, RunMetrics, Vec<LogRecord>)> = if workers <= 1 {
+    if workers <= 1 {
         tasks
             .iter()
             .enumerate()
@@ -263,7 +253,7 @@ where
             .collect()
     } else {
         let cursor = AtomicUsize::new(0);
-        type Slot<R> = (usize, (R, RunMetrics, Vec<LogRecord>));
+        type Slot<R> = (usize, (R, RunMetrics));
         let slots: Mutex<Vec<Slot<R>>> = Mutex::new(Vec::with_capacity(tasks.len()));
         std::thread::scope(|scope| {
             for worker in 0..workers {
@@ -293,14 +283,7 @@ where
         debug_assert_eq!(results.len(), tasks.len());
         results.sort_unstable_by_key(|(index, _)| *index);
         results.into_iter().map(|(_, r)| r).collect()
-    };
-    results
-        .into_iter()
-        .map(|(result, metrics, records)| {
-            log::flush(&records);
-            (result, metrics)
-        })
-        .collect()
+    }
 }
 
 #[cfg(test)]
@@ -329,13 +312,13 @@ mod tests {
 
     #[test]
     fn attempts_counts_first_run_plus_retries() {
-        // Strict clean run: one dispatch, no retries.
-        let strict = RunMetrics {
+        // Clean run: one dispatch, no retries.
+        let clean = RunMetrics {
             dispatches: 1,
             ..RunMetrics::default()
         };
-        assert_eq!(strict.attempts(), 1);
-        // Resilient degraded run: one dispatch, one in-run retry.
+        assert_eq!(clean.attempts(), 1);
+        // Degraded run: one dispatch, one in-run retry.
         let degraded = RunMetrics {
             dispatches: 1,
             retries: 1,

@@ -25,7 +25,9 @@
 //!
 //! # fn main() -> Result<(), alberta_core::CoreError> {
 //! let suite = Suite::new(Scale::Test);
-//! let chara = suite.characterize("xz")?;
+//! let (xz, _metrics) = suite.characterize_resilient_metered("xz")?;
+//! assert!(xz.is_complete(), "every run comes back Ok");
+//! let chara = xz.characterization.expect("runs survived");
 //! assert!(chara.topdown.mu_g_v >= 1.0);
 //! assert!(chara.runs.len() >= 3, "train + refrate + alberta workloads");
 //! # Ok(())
@@ -49,7 +51,7 @@ pub use characterize::{
 };
 pub use exec::{ExecPolicy, RunMetrics};
 pub use faults::{Fault, FaultKind, FaultPlan};
-pub use log::{LogLevel, LogRecord};
+pub use log::LogLevel;
 pub use process::{maybe_worker, ProcessConfig};
 pub use sampling::{PhaseSampling, SamplingPolicy, SamplingStats, PHASE_ERROR_BOUND_PCT};
 pub use suite::{CoreError, LabeledTask, Suite, TaskRun};

@@ -1,19 +1,12 @@
-//! Structured, deterministic sweep logging.
+//! Leveled logging to stderr.
 //!
-//! The resilient pipeline used to handle retries, budget trips, and
-//! validation failures *silently*: the information surfaced only in the
-//! final report, long after the sweep had moved on. This module gives
-//! the suite a leveled logger with two properties the rest of the
-//! codebase already demands of every artifact:
-//!
-//! * **deterministic ordering** — a parallel sweep's workers interleave
-//!   arbitrarily, so records emitted while a [`Capture`] is installed
-//!   are buffered per run and flushed by the scheduler in canonical
-//!   task order after reassembly. A `--jobs 8` sweep logs the same
-//!   lines in the same order as a serial one;
-//! * **clean separation from artifacts** — records go to stderr, never
-//!   stdout, so CI byte-comparisons of emitted JSON stay valid with
-//!   logging enabled.
+//! The process supervisor, the characterization daemon, its engine and
+//! its cache report degradations and progress here: lost workers,
+//! redispatches, connections, evictions. Runs themselves do not log —
+//! a run's fate is its [`RunStatus`](crate::RunStatus), which every
+//! report already records. Records go to stderr, never stdout, so
+//! byte-comparisons of emitted artifacts stay valid with logging
+//! enabled.
 //!
 //! Verbosity is controlled by the `ALBERTA_LOG` environment variable
 //! (`off|error|warn|info|debug`, default `warn`); like `ALBERTA_JOBS`,
@@ -21,25 +14,24 @@
 //! than a silently applied default. Messages are built lazily — the
 //! formatting closure only runs when the record is actually kept.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Severity of a [`LogRecord`], ordered from most to least severe.
+/// Severity of a log record, ordered from most to least severe.
 /// A level also acts as a filter: `Warn` keeps `Error` and `Warn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LogLevel {
     /// Nothing is logged.
     Off,
-    /// Unrecoverable problems (a run lost for good).
+    /// Unrecoverable problems (a task lost to the process executor).
     Error,
-    /// Degradations the sweep survived: retries, budget trips,
-    /// validation failures.
+    /// Degradations survived: worker incidents and redispatches,
+    /// rejected connections, evicted cache entries.
     Warn,
-    /// Sweep-level progress.
+    /// Service progress: connections, drains, resolved batches.
     Info,
-    /// Per-run details.
+    /// Keeps every record.
     Debug,
 }
 
@@ -89,24 +81,6 @@ impl fmt::Display for LogLevel {
     }
 }
 
-/// One buffered log line. Records carry no timestamps: two repetitions
-/// of the same sweep produce byte-identical flushed output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Severity.
-    pub level: LogLevel,
-    /// Component that emitted the record (e.g. `suite`, `run`).
-    pub target: &'static str,
-    /// The formatted message.
-    pub message: String,
-}
-
-impl fmt::Display for LogRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.level, self.target, self.message)
-    }
-}
-
 /// The process-wide maximum level, resolved from `ALBERTA_LOG` on first
 /// use and cached. Defaults to [`LogLevel::Warn`] when the variable is
 /// unset.
@@ -140,113 +114,20 @@ fn level_from_u8(v: u8) -> LogLevel {
     }
 }
 
-struct CaptureState {
-    level: LogLevel,
-    records: Vec<LogRecord>,
-}
-
-thread_local! {
-    static CAPTURE: RefCell<Option<CaptureState>> = const { RefCell::new(None) };
-}
-
-/// Whether a record at `level` would currently be kept on this thread —
-/// against the installed [`Capture`]'s level if one is active, against
-/// [`max_level`] otherwise. Use to skip expensive diagnostics wholesale.
+/// Whether a record at `level` would currently be kept, against
+/// [`max_level`]. Use to skip expensive diagnostics wholesale.
 pub fn enabled(level: LogLevel) -> bool {
-    level != LogLevel::Off
-        && CAPTURE.with(|c| match &*c.borrow() {
-            Some(state) => level <= state.level,
-            None => level <= max_level(),
-        })
+    level != LogLevel::Off && level <= max_level()
 }
 
-/// Emits a record at `level` from component `target`. The message
-/// closure only runs when the record is kept. Inside a [`Capture`] the
-/// record is buffered; otherwise it is written to stderr immediately.
+/// Writes a record at `level` from component `target` to stderr as one
+/// `[level] target: message` line. The message closure only runs when
+/// the record is kept.
 pub fn emit(level: LogLevel, target: &'static str, message: impl FnOnce() -> String) {
-    if !enabled(level) {
-        return;
-    }
-    let record = LogRecord {
-        level,
-        target,
-        message: message(),
-    };
-    let uncaptured = CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        match &mut *slot {
-            Some(state) => {
-                state.records.push(record.clone());
-                false
-            }
-            None => true,
-        }
-    });
-    if uncaptured {
-        flush(std::slice::from_ref(&record));
-    }
-}
-
-/// Writes records to stderr, one line each, in the given order.
-pub fn flush(records: &[LogRecord]) {
-    if records.is_empty() {
-        return;
-    }
-    let stderr = std::io::stderr();
-    let mut out = stderr.lock();
-    for record in records {
-        // Logging must never take the sweep down; a closed stderr is
+    if enabled(level) {
+        // Logging must never take the caller down; a closed stderr is
         // the reader's choice.
-        let _ = writeln!(out, "{record}");
-    }
-}
-
-/// Buffers this thread's log records until dropped. The execution layer
-/// installs one per run so parallel workers never interleave lines, and
-/// flushes the collected buffers in canonical task order.
-///
-/// Captures do not nest: installing a second one on the same thread
-/// panics, because the inner capture would silently steal the outer
-/// run's records.
-#[derive(Debug)]
-pub struct Capture(());
-
-impl Capture {
-    /// Starts capturing records up to `level` on the current thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a capture is already installed on this thread.
-    pub fn install(level: LogLevel) -> Capture {
-        CAPTURE.with(|c| {
-            let mut slot = c.borrow_mut();
-            assert!(slot.is_none(), "log captures do not nest");
-            *slot = Some(CaptureState {
-                level,
-                records: Vec::new(),
-            });
-        });
-        Capture(())
-    }
-
-    /// Stops capturing and returns the buffered records in emission
-    /// order.
-    pub fn finish(self) -> Vec<LogRecord> {
-        CAPTURE.with(|c| {
-            c.borrow_mut()
-                .take()
-                .expect("capture installed by Capture::install")
-                .records
-        })
-        // `self` drops here; its Drop sees the slot already empty.
-    }
-}
-
-impl Drop for Capture {
-    fn drop(&mut self) {
-        // A panic mid-run unwinds through the guard: discard the
-        // buffer so the thread is clean for its next task.
-        CAPTURE.with(|c| c.borrow_mut().take());
+        let _ = writeln!(std::io::stderr(), "[{level}] {target}: {}", message());
     }
 }
 
@@ -274,14 +155,6 @@ macro_rules! log_info {
     };
 }
 
-/// Emits a [`LogLevel::Debug`] record.
-#[macro_export]
-macro_rules! log_debug {
-    ($target:expr, $($arg:tt)+) => {
-        $crate::log::emit($crate::log::LogLevel::Debug, $target, || format!($($arg)+))
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,68 +172,21 @@ mod tests {
     }
 
     #[test]
-    fn capture_buffers_up_to_its_level() {
-        let capture = Capture::install(LogLevel::Warn);
-        log_error!("t", "e{}", 1);
-        log_warn!("t", "w");
-        log_info!("t", "dropped");
-        log_debug!("t", "dropped");
-        let records = capture.finish();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].level, LogLevel::Error);
-        assert_eq!(records[0].message, "e1");
-        assert_eq!(records[1].level, LogLevel::Warn);
-        assert_eq!(records[0].to_string(), "[error] t: e1");
-    }
-
-    #[test]
-    fn capture_with_off_keeps_nothing() {
-        let capture = Capture::install(LogLevel::Off);
-        assert!(!enabled(LogLevel::Error));
-        log_error!("t", "dropped");
-        assert!(capture.finish().is_empty());
-    }
-
-    #[test]
     fn lazy_message_not_built_when_filtered() {
-        let capture = Capture::install(LogLevel::Error);
-        let mut built = false;
-        emit(LogLevel::Debug, "t", || {
-            built = true;
-            String::new()
-        });
-        assert!(!built, "filtered record must not format its message");
-        assert!(capture.finish().is_empty());
-    }
-
-    #[test]
-    fn dropped_capture_leaves_thread_clean() {
+        // `Off` is never kept, nor is any level above the configured
+        // one (`warn` unless `ALBERTA_LOG` raises it).
+        let levels = [LogLevel::Off, LogLevel::Info, LogLevel::Debug];
+        for level in levels
+            .into_iter()
+            .filter(|level| *level == LogLevel::Off || *level > max_level())
         {
-            let _capture = Capture::install(LogLevel::Debug);
-            log_debug!("t", "lost with the capture");
-        }
-        // A new capture starts empty.
-        let capture = Capture::install(LogLevel::Debug);
-        assert!(capture.finish().is_empty());
-    }
-
-    #[test]
-    fn captures_are_per_thread() {
-        let capture = Capture::install(LogLevel::Debug);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let inner = Capture::install(LogLevel::Debug);
-                log_info!("t", "other thread");
-                assert_eq!(inner.finish().len(), 1);
+            assert!(!enabled(level), "a {level} record must be filtered");
+            let mut built = false;
+            emit(level, "t", || {
+                built = true;
+                String::new()
             });
-        });
-        assert!(capture.finish().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "do not nest")]
-    fn nested_captures_panic() {
-        let _outer = Capture::install(LogLevel::Warn);
-        let _inner = Capture::install(LogLevel::Warn);
+            assert!(!built, "a filtered {level} record formatted its message");
+        }
     }
 }

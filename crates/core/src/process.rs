@@ -29,9 +29,7 @@
 //!
 //! Results are reassembled in canonical order and, for a clean sweep,
 //! are bit-identical to serial execution: measurements cross the pipe
-//! through the lossless codec in [`crate::protocol`], and per-task log
-//! records are buffered worker-side and flushed in canonical task order
-//! once the sweep completes — exactly like the thread scheduler.
+//! through the lossless codec in [`crate::protocol`].
 //!
 //! The supervisor never orphans children: every live worker is killed
 //! and reaped when its slot is dropped, including on unwind.
@@ -39,10 +37,8 @@
 use crate::characterize::{RunStatus, WorkloadRun};
 use crate::exec::RunMetrics;
 use crate::faults::FaultKind;
-use crate::log::{self, Capture, LogRecord};
 use crate::protocol::{
-    RemoteStatus, SupervisorMsg, TaskMsg, TaskResult, WorkerConfig, WorkerMode, WorkerMsg,
-    PROTOCOL_VERSION,
+    RemoteStatus, SupervisorMsg, TaskMsg, TaskResult, WorkerConfig, WorkerMsg, PROTOCOL_VERSION,
 };
 use crate::suite::{run_accounting, Suite, Task, TaskRun};
 use crate::{log_error, log_warn};
@@ -207,9 +203,7 @@ pub(crate) fn run_process_tasks(
         .tasks
         .into_iter()
         .map(|t| {
-            let (status, run, metrics, logs, request) =
-                t.outcome.expect("sweep resolves every task");
-            log::flush(&logs);
+            let (status, run, metrics, request) = t.outcome.expect("sweep resolves every task");
             TaskRun {
                 spec_id: t.spec_id.to_owned(),
                 short_name: t.short_name.to_owned(),
@@ -229,13 +223,7 @@ enum TaskState {
     InFlight,
 }
 
-type ResolvedTask = (
-    RunStatus,
-    Option<WorkloadRun>,
-    RunMetrics,
-    Vec<LogRecord>,
-    Option<String>,
-);
+type ResolvedTask = (RunStatus, Option<WorkloadRun>, RunMetrics, Option<String>);
 
 struct TaskSlot {
     /// `&'static` names for rehydrated errors and log lines; the short
@@ -493,7 +481,7 @@ impl Supervisor {
         };
         // Book the worker's echo, not the supervisor's copy: a span
         // built from this field proves the label crossed the pipe.
-        task.outcome = Some((status, result.run, metrics, result.logs, result.request));
+        task.outcome = Some((status, result.run, metrics, result.request));
         self.workers[w].state = SlotState::Idle;
     }
 
@@ -572,7 +560,7 @@ impl Supervisor {
         };
         // No worker echo exists for an abandoned task; the supervisor's
         // own copy keeps the failure attributable to its request.
-        task.outcome = Some((status, None, metrics, Vec::new(), task.request.clone()));
+        task.outcome = Some((status, None, metrics, task.request.clone()));
     }
 
     /// Kills busy or still-starting workers that have been silent past
@@ -742,9 +730,6 @@ fn inject_process_fault(
     current: &Mutex<Option<u64>>,
     gate: &Mutex<()>,
 ) {
-    if config.mode != WorkerMode::Resilient {
-        return;
-    }
     let Some(kind) = config.faults.fault_for(spec_id, short_name, &task.workload) else {
         return;
     };
@@ -802,7 +787,6 @@ fn run_task(
             run: None,
             retries: 0,
             budget_consumed: 0,
-            logs: Vec::new(),
             request: task.request.clone(),
         };
     };
@@ -814,17 +798,14 @@ fn run_task(
         current,
         gate,
     );
-    let capture = Capture::install(log::max_level());
-    let (status, run) = suite.guarded_run(benchmark, &task.workload, config.mode);
-    let logs = capture.finish();
-    let (retries, budget_consumed) = run_accounting(&status, run.as_ref(), config.mode);
+    let (status, run) = suite.guarded_run(benchmark, &task.workload);
+    let (retries, budget_consumed) = run_accounting(&status, run.as_ref());
     TaskResult {
         id: task.id,
         status: RemoteStatus::from_status(&status),
         run,
         retries,
         budget_consumed,
-        logs,
         request: task.request.clone(),
     }
 }

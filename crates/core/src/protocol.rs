@@ -10,8 +10,7 @@
 //! [`SupervisorMsg::Shutdown`]. The worker answers with
 //! [`WorkerMsg::Hello`] (handshake), [`WorkerMsg::Beat`] (heartbeat,
 //! carrying the in-flight task id as its progress payload), and
-//! [`WorkerMsg::Result`] (the task's fate plus its measurements and
-//! buffered log records).
+//! [`WorkerMsg::Result`] (the task's fate plus its measurements).
 //!
 //! # Determinism
 //!
@@ -27,7 +26,6 @@
 use crate::characterize::{RunStatus, WorkloadRun};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::json::{self, nullable, opt, req, DecodeError, Value};
-use crate::log::{LogLevel, LogRecord};
 use crate::sampling::{PhaseSampling, SamplingPolicy, SamplingStats};
 use alberta_benchmarks::BenchError;
 use alberta_profile::{PathRow, PathTable, ProfilerFault, SampleConfig};
@@ -37,31 +35,17 @@ use alberta_uarch::{
 };
 use alberta_workloads::Scale;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Protocol revision. A worker whose `hello` declares a different
 /// revision is killed — supervisor and worker are always the same
 /// binary, so a mismatch means the pipe is not speaking to a worker at
 /// all.
-pub const PROTOCOL_VERSION: u64 = 1;
-
-/// How the worker executes its tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerMode {
-    /// `run_workload_with` only — any failure is final (the strict
-    /// pipeline's per-run unit).
-    Strict,
-    /// The resilient unit: guarded run, in-worker retry at reduced
-    /// scale for retryable errors, fault-plan application.
-    Resilient,
-}
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// The complete suite configuration a worker needs to rebuild its runs,
 /// sent once per worker as the first message.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// Execution mode for every task of this worker.
-    pub mode: WorkerMode,
     /// Scale the suite was built at.
     pub scale: Scale,
     /// Event-sampling configuration (including any injected profiler
@@ -186,9 +170,8 @@ impl RemoteStatus {
     }
 }
 
-/// One finished task: its fate, measurements, deterministic accounting,
-/// and the log records buffered during the run (flushed by the
-/// supervisor in canonical task order, like the thread scheduler does).
+/// One finished task: its fate, measurements, and deterministic
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct TaskResult {
     /// The task id this result answers.
@@ -202,8 +185,6 @@ pub struct TaskResult {
     pub retries: u32,
     /// Retired ops consumed.
     pub budget_consumed: u64,
-    /// Log records captured during the run, in emission order.
-    pub logs: Vec<LogRecord>,
     /// The request label from [`TaskMsg`], echoed verbatim.
     pub request: Option<String>,
 }
@@ -515,14 +496,6 @@ pub fn status_value(status: &RemoteStatus) -> Value {
     }
 }
 
-fn log_record_value(record: &LogRecord) -> Value {
-    obj(vec![
-        ("level", s(&record.level.to_string())),
-        ("target", s(record.target)),
-        ("message", s(&record.message)),
-    ])
-}
-
 impl SupervisorMsg {
     /// Renders the message as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
@@ -530,13 +503,6 @@ impl SupervisorMsg {
             SupervisorMsg::Config(c) => obj(vec![
                 ("type", s("config")),
                 ("protocol", Value::UInt(PROTOCOL_VERSION)),
-                (
-                    "mode",
-                    s(match c.mode {
-                        WorkerMode::Strict => "strict",
-                        WorkerMode::Resilient => "resilient",
-                    }),
-                ),
                 ("scale", s(c.scale.name())),
                 ("sampling", sample_config_value(&c.sampling)),
                 ("policy", sampling_policy_value(&c.policy)),
@@ -612,10 +578,6 @@ impl WorkerMsg {
                     ("run", r.run.as_ref().map(run_value).unwrap_or(Value::Null)),
                     ("retries", Value::UInt(r.retries.into())),
                     ("budget_consumed", Value::UInt(r.budget_consumed)),
-                    (
-                        "logs",
-                        Value::Array(r.logs.iter().map(log_record_value).collect()),
-                    ),
                 ];
                 if let Some(request) = &r.request {
                     fields.push(("request", s(request)));
@@ -646,10 +608,6 @@ impl WorkerMsg {
                 run: nullable(&value, "run")?.map(decode_run).transpose()?,
                 retries: req(&value, "retries")?,
                 budget_consumed: req(&value, "budget_consumed")?,
-                logs: req::<&[Value]>(&value, "logs")?
-                    .iter()
-                    .map(decode_log_record)
-                    .collect::<Result<_, _>>()?,
                 request: opt(&value, "request")?,
             }))),
             other => Err(format!("unknown worker message type {other:?}")),
@@ -764,23 +722,31 @@ fn decode_dram_config(value: &Value) -> Result<DramConfig, DecodeError> {
     })
 }
 
-/// Parses a predictor kind from its canonical wire object.
+/// Parses a predictor kind from its canonical wire object. A table size
+/// no predictor can be built with is refused here, when it arrives,
+/// rather than by a panic in the model after the workload has run.
 ///
 /// # Errors
 ///
-/// The first structural problem, as text.
+/// The first structural problem, as text, or `bits` outside
+/// [`PredictorKind::TABLE_BITS`].
 pub fn decode_predictor(value: &Value) -> Result<PredictorKind, DecodeError> {
+    let bits = || -> Result<u32, DecodeError> {
+        let bits = req(value, "bits")?;
+        if PredictorKind::TABLE_BITS.contains(&bits) {
+            Ok(bits)
+        } else {
+            Err(format!(
+                "predictor table invalid: bits {bits} is outside {:?}",
+                PredictorKind::TABLE_BITS
+            ))
+        }
+    };
     match req(value, "kind")? {
         "static-taken" => Ok(PredictorKind::StaticTaken),
-        "bimodal" => Ok(PredictorKind::Bimodal {
-            bits: req(value, "bits")?,
-        }),
-        "gshare" => Ok(PredictorKind::Gshare {
-            bits: req(value, "bits")?,
-        }),
-        "tournament" => Ok(PredictorKind::Tournament {
-            bits: req(value, "bits")?,
-        }),
+        "bimodal" => Ok(PredictorKind::Bimodal { bits: bits()? }),
+        "gshare" => Ok(PredictorKind::Gshare { bits: bits()? }),
+        "tournament" => Ok(PredictorKind::Tournament { bits: bits()? }),
         other => Err(format!("unknown predictor kind {other:?}")),
     }
 }
@@ -823,11 +789,6 @@ fn decode_fault_plan(value: &Value) -> Result<FaultPlan, DecodeError> {
 
 fn decode_config(value: &Value) -> Result<WorkerConfig, DecodeError> {
     Ok(WorkerConfig {
-        mode: match req(value, "mode")? {
-            "strict" => WorkerMode::Strict,
-            "resilient" => WorkerMode::Resilient,
-            other => return Err(format!("unknown worker mode {other:?}")),
-        },
         scale: req(value, "scale")?,
         sampling: decode_sample_config(req(value, "sampling")?)?,
         policy: decode_sampling_policy(req(value, "policy")?)?,
@@ -993,33 +954,6 @@ pub fn decode_status(value: &Value) -> Result<RemoteStatus, DecodeError> {
     }
 }
 
-/// Interns a log-target name back to `&'static str`. Known targets map
-/// to their static literals; novel ones are leaked once into a global
-/// cache — the set of targets is a small fixed vocabulary, so the leak
-/// is bounded.
-fn intern_target(name: &str) -> &'static str {
-    const KNOWN: [&str; 4] = ["run", "suite", "supervisor", "worker"];
-    if let Some(known) = KNOWN.iter().find(|k| **k == name) {
-        return known;
-    }
-    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut cache = CACHE.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(hit) = cache.iter().find(|t| **t == name) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    cache.push(leaked);
-    leaked
-}
-
-fn decode_log_record(value: &Value) -> Result<LogRecord, DecodeError> {
-    Ok(LogRecord {
-        level: LogLevel::parse(req(value, "level")?)?,
-        target: intern_target(req(value, "target")?),
-        message: req(value, "message")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1099,7 +1033,6 @@ mod tests {
     fn config_round_trips() {
         let reference = TopDownModel::reference();
         let config = WorkerConfig {
-            mode: WorkerMode::Resilient,
             scale: Scale::Train,
             sampling: SampleConfig {
                 work_budget: Some(1 << 40),
@@ -1129,7 +1062,6 @@ mod tests {
         let SupervisorMsg::Config(decoded) = SupervisorMsg::decode(&line).unwrap() else {
             panic!("expected a config message");
         };
-        assert_eq!(decoded.mode, config.mode);
         assert_eq!(decoded.scale, config.scale);
         assert_eq!(decoded.sampling, config.sampling);
         assert_eq!(decoded.policy, config.policy);
@@ -1145,7 +1077,6 @@ mod tests {
         let line = |sampling: SampleConfig| {
             let reference = TopDownModel::reference();
             SupervisorMsg::Config(Box::new(WorkerConfig {
-                mode: WorkerMode::Strict,
                 scale: Scale::Test,
                 sampling,
                 policy: SamplingPolicy::Full,
@@ -1217,18 +1148,13 @@ mod tests {
         let result = TaskResult {
             id: 3,
             status: RemoteStatus::Degraded {
-                error: "benchmark mcf panicked while running \"train\": boom".to_owned(),
+                error: "benchmark mcf panicked while running \"train\": boom\nat line 2".to_owned(),
                 retryable: true,
                 retried_at: Scale::Test,
             },
             run: Some(run.clone()),
             retries: 1,
             budget_consumed: 9216,
-            logs: vec![LogRecord {
-                level: LogLevel::Warn,
-                target: "run",
-                message: "mcf/train: retrying\nwith a newline".to_owned(),
-            }],
             request: Some("e2e#11".to_owned()),
         };
         let line = WorkerMsg::Result(Box::new(result.clone())).encode();
@@ -1240,7 +1166,6 @@ mod tests {
         assert_eq!(decoded.status, result.status);
         assert_eq!(decoded.retries, result.retries);
         assert_eq!(decoded.budget_consumed, result.budget_consumed);
-        assert_eq!(decoded.logs, result.logs);
         assert_eq!(decoded.request, result.request);
         let decoded_run = decoded.run.expect("run survived");
         assert_eq!(decoded_run.workload, run.workload);
@@ -1307,17 +1232,5 @@ mod tests {
         assert!(WorkerMsg::decode("{\"type\":\"result\",\"id\":3,\"status\":").is_err());
         assert!(WorkerMsg::decode("{\"type\":\"nonsense\"}").is_err());
         assert!(SupervisorMsg::decode("[1,2,3]").is_err());
-    }
-
-    #[test]
-    fn log_targets_intern_to_static_names() {
-        assert_eq!(intern_target("run"), "run");
-        let novel = intern_target("custom-target");
-        assert_eq!(novel, "custom-target");
-        // The same novel target interns to the same leaked allocation.
-        assert!(std::ptr::eq(
-            novel.as_ptr(),
-            intern_target("custom-target").as_ptr()
-        ));
     }
 }

@@ -1,15 +1,13 @@
 //! The [`Suite`] orchestrator.
 
 use crate::characterize::{
-    run_workload_with, summarize_runs, Characterization, ResilientCharacterization, RunReport,
-    RunStatus, WorkloadRun,
+    run_workload_with, summarize_runs, ResilientCharacterization, RunReport, RunStatus, WorkloadRun,
 };
 use crate::exec::{run_indexed_metered, ExecPolicy, RunMetrics};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::process::{run_process_tasks, ProcessConfig};
-use crate::protocol::{WorkerConfig, WorkerMode};
+use crate::protocol::WorkerConfig;
 use crate::sampling::SamplingPolicy;
-use crate::{log_debug, log_error, log_warn};
 use alberta_benchmarks::{panic_message, suite as build_benchmarks, BenchError, Benchmark};
 use alberta_profile::SampleConfig;
 use alberta_uarch::TopDownModel;
@@ -34,8 +32,6 @@ pub enum CoreError {
         /// The workload name that failed to resolve.
         workload: String,
     },
-    /// A benchmark run failed.
-    Run(BenchError),
 }
 
 impl fmt::Display for CoreError {
@@ -53,25 +49,11 @@ impl fmt::Display for CoreError {
                     "benchmark {benchmark} has no workload named {workload:?}"
                 )
             }
-            CoreError::Run(e) => write!(f, "benchmark run failed: {e}"),
         }
     }
 }
 
-impl Error for CoreError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CoreError::Run(e) => Some(e),
-            CoreError::UnknownBenchmark { .. } | CoreError::UnknownWorkload { .. } => None,
-        }
-    }
-}
-
-impl From<BenchError> for CoreError {
-    fn from(e: BenchError) -> Self {
-        CoreError::Run(e)
-    }
-}
+impl Error for CoreError {}
 
 /// One executed task of a characterization — what
 /// [`Suite::characterize_tasks_labeled`] returns per task: the resolved
@@ -143,12 +125,16 @@ impl Suite {
     /// # Panics
     ///
     /// Panics when `ALBERTA_JOBS` is set to something that is not a
-    /// thread count — a misconfigured environment must be loud, not
-    /// silently serial.
+    /// thread count, or `ALBERTA_LOG` to something that is not a log
+    /// level — a misconfigured environment must be loud, not silently
+    /// serial or silent.
     pub fn new(scale: Scale) -> Self {
         let exec = ExecPolicy::from_env()
             .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or_default();
+        // Resolve `ALBERTA_LOG` up front: a bad value fails here, not at
+        // the first supervisor warning.
+        crate::log::max_level();
         Suite {
             benchmarks: build_benchmarks(scale),
             model: TopDownModel::reference(),
@@ -162,9 +148,9 @@ impl Suite {
     }
 
     /// Assembles the suite a process worker runs its tasks on from the
-    /// configuration the supervisor shipped. A resilient worker corrupts
-    /// its own workloads as the fault plan asks. Always executes
-    /// serially: a worker is itself one unit of a larger sweep.
+    /// configuration the supervisor shipped. The worker corrupts its own
+    /// workloads as the fault plan asks. Always executes serially: a
+    /// worker is itself one unit of a larger sweep.
     pub(crate) fn assemble(config: &WorkerConfig) -> Self {
         let mut sampling = config.sampling;
         if let Some(deadline) = config.deadline_work {
@@ -182,11 +168,8 @@ impl Suite {
             exec: ExecPolicy::Serial,
             process: ProcessConfig::default(),
         };
-        // Strict execution ignores the fault plan entirely.
-        if config.mode == WorkerMode::Resilient {
-            if let Some(corrupted) = suite.malformed_benchmarks() {
-                suite.benchmarks = corrupted;
-            }
+        if let Some(corrupted) = suite.malformed_benchmarks() {
+            suite.benchmarks = corrupted;
         }
         suite
     }
@@ -231,8 +214,7 @@ impl Suite {
 
     /// Overrides the measurement policy: full per-run measurement (the
     /// default) or phase-sampled estimation from clustered intervals.
-    /// The policy applies to every characterization entry point,
-    /// including the resilient pipeline and its retries.
+    /// The policy applies to every run, retries included.
     pub fn with_sampling_policy(mut self, policy: SamplingPolicy) -> Self {
         self.policy = policy;
         self
@@ -243,9 +225,9 @@ impl Suite {
         self.policy
     }
 
-    /// Installs a fault plan. Faults only apply to the resilient pipeline
-    /// ([`Suite::characterize_all_resilient`] and friends); the strict
-    /// entry points ignore them.
+    /// Installs a fault plan. Every characterization entry point applies
+    /// it: planned faults surface as non-`Ok` [`RunStatus`]es, never as
+    /// an error.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -280,104 +262,35 @@ impl Suite {
             })
     }
 
-    /// Characterizes one benchmark across all of its workloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownBenchmark`] for an unknown name or
-    /// [`CoreError::Run`] when a workload fails.
-    pub fn characterize(&self, name: &str) -> Result<Characterization, CoreError> {
-        let runs = self.sweep([self.resolve(name)?], WorkerMode::Strict);
-        let (characterization, _) = strict(runs)?
-            .pop()
-            .expect("one benchmark yields one result");
-        Ok(characterization)
-    }
-
-    /// Characterizes the whole suite in Table II order.
-    ///
-    /// Under a parallel [`ExecPolicy`] every `(benchmark, workload)`
-    /// pair is fanned out to the worker pool as one unit of work, so a
-    /// long benchmark (gcc's 21 workloads, lbm's 32) never serializes
-    /// the sweep; results are reassembled in canonical Table II order
-    /// and are bit-identical to the serial sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in canonical order. Every policy drains
-    /// the whole run queue first, so the error does not depend on it.
-    pub fn characterize_all(&self) -> Result<Vec<Characterization>, CoreError> {
-        Ok(self
-            .characterize_all_metered()?
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect())
-    }
-
-    /// [`Suite::characterize_all`] with per-run observability: each
-    /// characterization is paired with one [`RunMetrics`] per workload,
-    /// in workload order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in canonical order.
-    pub fn characterize_all_metered(
-        &self,
-    ) -> Result<Vec<(Characterization, Vec<RunMetrics>)>, CoreError> {
-        strict(self.sweep(
-            self.benchmarks.iter().map(|b| b.as_ref()),
-            WorkerMode::Strict,
-        ))
-    }
-
-    /// Characterizes the whole suite with per-run fault tolerance.
-    ///
-    /// Unlike [`Suite::characterize_all`], this never fails and never
-    /// panics: each workload run is guarded, gets a [`RunStatus`], and
-    /// summaries are computed over the surviving runs only. The installed
-    /// [`FaultPlan`] is applied (it is how the degradation paths are
-    /// exercised deterministically). Retry policy: a run failing with a
-    /// [retryable](BenchError::is_retryable) error — a caught panic or a
-    /// work-budget overrun — is retried once on a freshly built benchmark
-    /// at the next scale down (same scale at [`Scale::Test`]) with no
-    /// injected faults; success downgrades the run to
-    /// [`RunStatus::Degraded`] instead of [`RunStatus::Failed`].
-    pub fn characterize_all_resilient(&self) -> Vec<ResilientCharacterization> {
-        self.characterize_all_resilient_metered()
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect()
-    }
-
-    /// [`Suite::characterize_all_resilient`] with per-run observability:
-    /// each resilient characterization is paired with one [`RunMetrics`]
-    /// per attempted workload, aligned with its
+    /// Characterizes the whole suite in Table II order, with per-run
+    /// fault tolerance and observability. Each benchmark's resilient
+    /// characterization is paired with one [`RunMetrics`] per attempted
+    /// workload, aligned with its
     /// [`statuses`](ResilientCharacterization::statuses).
+    ///
+    /// This never fails and never panics: each workload run is guarded,
+    /// gets a [`RunStatus`], and summaries are computed over the
+    /// surviving runs only. The installed [`FaultPlan`] is applied (it is
+    /// how the degradation paths are exercised deterministically). Retry
+    /// policy: a run failing with a [retryable](BenchError::is_retryable)
+    /// error — a caught panic or a work-budget overrun — is retried once
+    /// on a freshly built benchmark at the next scale down (same scale at
+    /// [`Scale::Test`]) with no injected faults; success downgrades the
+    /// run to [`RunStatus::Degraded`] instead of [`RunStatus::Failed`].
+    ///
+    /// Under a parallel [`ExecPolicy`] every `(benchmark, workload)` pair
+    /// is fanned out to the worker pool as one unit of work, so a long
+    /// benchmark (gcc's 21 workloads, lbm's 32) never serializes the
+    /// sweep; results are reassembled in canonical Table II order and
+    /// are bit-identical to the serial sweep.
     pub fn characterize_all_resilient_metered(
         &self,
     ) -> Vec<(ResilientCharacterization, Vec<RunMetrics>)> {
-        self.sweep(
-            self.benchmarks.iter().map(|b| b.as_ref()),
-            WorkerMode::Resilient,
-        )
+        self.sweep(self.benchmarks.iter().map(|b| b.as_ref()))
     }
 
-    /// Resilient characterization of a single benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Only [`CoreError::UnknownBenchmark`] — run failures are reported
-    /// in the per-run statuses, never as an error.
-    pub fn characterize_resilient(
-        &self,
-        name: &str,
-    ) -> Result<ResilientCharacterization, CoreError> {
-        self.characterize_resilient_metered(name).map(|(r, _)| r)
-    }
-
-    /// [`Suite::characterize_resilient`] with per-run [`RunMetrics`],
-    /// aligned with the returned
-    /// [`statuses`](ResilientCharacterization::statuses).
+    /// [`Suite::characterize_all_resilient_metered`] of a single
+    /// benchmark.
     ///
     /// # Errors
     ///
@@ -387,16 +300,16 @@ impl Suite {
         &self,
         name: &str,
     ) -> Result<(ResilientCharacterization, Vec<RunMetrics>), CoreError> {
-        let mut runs = self.sweep([self.resolve(name)?], WorkerMode::Resilient);
+        let mut runs = self.sweep([self.resolve(name)?]);
         Ok(runs.pop().expect("one benchmark yields one result"))
     }
 
     /// Executes an explicit list of `(benchmark, workload)` tasks —
     /// names resolved like [`Suite::benchmark`] — under this suite's
     /// execution policy and returns one [`TaskRun`] per task, in input
-    /// order. The runs go through the resilient pipeline (guarded,
-    /// fault-plan-aware, retry-on-retryable), so per-run failures are
-    /// reported in the returned statuses, never as an error. This is
+    /// order. Each run is guarded, fault-plan-aware and retried like a
+    /// sweep's, so per-run failures are reported in the returned
+    /// statuses, never as an error. This is
     /// the entry the characterization service uses to execute an
     /// arbitrary subset of the suite's runs; because each task depends
     /// only on its inputs, the results are bit-identical across
@@ -434,15 +347,14 @@ impl Suite {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.execute(&tasks, WorkerMode::Resilient))
+        Ok(self.execute(&tasks))
     }
 
-    /// Runs every workload of `benchmarks` through the executor in
-    /// `mode` and groups the runs by benchmark.
+    /// Runs every workload of `benchmarks` through the executor and
+    /// groups the runs by benchmark.
     fn sweep<'a>(
         &'a self,
         benchmarks: impl IntoIterator<Item = &'a dyn Benchmark>,
-        mode: WorkerMode,
     ) -> Vec<(ResilientCharacterization, Vec<RunMetrics>)> {
         let tasks: Vec<Task<'_>> = benchmarks
             .into_iter()
@@ -457,42 +369,33 @@ impl Suite {
                     })
             })
             .collect();
-        group_by_benchmark(self.execute(&tasks, mode))
+        group_by_benchmark(self.execute(&tasks))
     }
 
     /// The sweep executor every entry point funnels through: runs
-    /// `tasks` under this suite's execution policy in `mode` and returns
-    /// one [`TaskRun`] per task, in input order. Every run resolves to a
+    /// `tasks` under this suite's execution policy and returns one
+    /// [`TaskRun`] per task, in input order. Every run resolves to a
     /// status — a failure never stops the queue.
-    fn execute(&self, tasks: &[Task<'_>], mode: WorkerMode) -> Vec<TaskRun> {
+    fn execute(&self, tasks: &[Task<'_>]) -> Vec<TaskRun> {
         if matches!(self.exec, ExecPolicy::Processes { .. }) {
             // Workers rebuild and corrupt their own benchmark sets; the
             // supervisor only needs the stored set for task names.
-            return run_process_tasks(
-                tasks,
-                self.worker_config(mode),
-                self.exec.jobs(),
-                &self.process,
-            );
+            return run_process_tasks(tasks, self.worker_config(), self.exec.jobs(), &self.process);
         }
         // Corruption mutates workloads, so it runs on a rebuilt suite —
-        // the stored benchmarks stay pristine for later strict runs.
-        let rebuilt = match mode {
-            WorkerMode::Resilient => self.malformed_benchmarks(),
-            WorkerMode::Strict => None,
-        };
+        // the stored benchmarks stay pristine for later sweeps.
+        let rebuilt = self.malformed_benchmarks();
         let runs = run_indexed_metered(self.exec, tasks, |_, task| {
             let benchmark = match &rebuilt {
                 Some(set) => find(set, task.benchmark.name()).expect("rebuilt suites are complete"),
                 None => task.benchmark,
             };
-            self.guarded_run(benchmark, &task.workload, mode)
+            self.guarded_run(benchmark, &task.workload)
         });
         runs.into_iter()
             .zip(tasks)
             .map(|(((status, run), mut metrics), task)| {
-                (metrics.retries, metrics.budget_consumed) =
-                    run_accounting(&status, run.as_ref(), mode);
+                (metrics.retries, metrics.budget_consumed) = run_accounting(&status, run.as_ref());
                 TaskRun {
                     spec_id: task.benchmark.name().to_owned(),
                     short_name: task.benchmark.short_name().to_owned(),
@@ -530,50 +433,33 @@ impl Suite {
             })
     }
 
-    /// One workload run in `mode` — the per-run unit of both the
-    /// in-process executor and the process worker. A strict run measures
-    /// under this suite's configuration and any failure is final; a
-    /// resilient run applies the fault plan and retries retryable
-    /// failures. A panic that escapes the per-run guard fails this run
-    /// alone.
+    /// One workload run — the per-run unit of both the in-process
+    /// executor and the process worker: it applies the fault plan and
+    /// retries retryable failures. A panic that escapes the per-run guard
+    /// fails this run alone.
     pub(crate) fn guarded_run(
         &self,
         benchmark: &dyn Benchmark,
         workload: &str,
-        mode: WorkerMode,
     ) -> (RunStatus, Option<WorkloadRun>) {
-        catch_unwind(AssertUnwindSafe(|| match mode {
-            WorkerMode::Strict => {
-                match run_workload_with(
-                    benchmark,
-                    workload,
-                    &self.model,
-                    self.sampling,
-                    &self.policy,
-                ) {
-                    Ok(run) => (RunStatus::Ok, Some(run)),
-                    Err(error) => (RunStatus::Failed { error }, None),
-                }
-            }
-            WorkerMode::Resilient => self.resilient_run(benchmark, workload),
-        }))
-        .unwrap_or_else(|payload| {
-            let error = BenchError::Panicked {
-                benchmark: benchmark.name(),
-                workload: workload.to_owned(),
-                message: panic_message(payload.as_ref()),
-            };
-            (RunStatus::Failed { error }, None)
-        })
+        catch_unwind(AssertUnwindSafe(|| self.resilient_run(benchmark, workload))).unwrap_or_else(
+            |payload| {
+                let error = BenchError::Panicked {
+                    benchmark: benchmark.name(),
+                    workload: workload.to_owned(),
+                    message: panic_message(payload.as_ref()),
+                };
+                (RunStatus::Failed { error }, None)
+            },
+        )
     }
 
     /// The worker-side configuration describing this suite's runs — what
     /// the process supervisor ships to each worker subprocess. The
     /// supervisor fills in the scheduling fields (deadline, heartbeat
     /// interval) from its [`ProcessConfig`].
-    fn worker_config(&self, mode: WorkerMode) -> WorkerConfig {
+    fn worker_config(&self) -> WorkerConfig {
         WorkerConfig {
-            mode,
             scale: self.scale,
             sampling: self.sampling,
             policy: self.policy,
@@ -603,40 +489,20 @@ impl Suite {
                 sampling = sampling.with_work_budget(budget);
             }
         }
-        log_debug!("run", "{short_name}/{workload}: start");
         match run_workload_with(benchmark, workload, &self.model, sampling, &self.policy) {
-            Ok(run) => {
-                log_debug!("run", "{short_name}/{workload}: ok");
-                (RunStatus::Ok, Some(run))
-            }
+            Ok(run) => (RunStatus::Ok, Some(run)),
             Err(error) if error.is_retryable() => {
                 // Budget trips and caught panics: degradations the sweep
-                // can survive, so they surface as warnings, not errors.
+                // can survive.
                 let retried_at = self.scale.reduced().unwrap_or(self.scale);
-                log_warn!(
-                    "run",
-                    "{short_name}/{workload}: {error}; retrying at {retried_at:?} scale"
-                );
                 match self.retry_run(spec_id, workload, retried_at) {
-                    Some(run) => {
-                        log_warn!(
-                            "run",
-                            "{short_name}/{workload}: retry succeeded, run degraded"
-                        );
-                        (RunStatus::Degraded { error, retried_at }, Some(run))
-                    }
-                    None => {
-                        log_error!("run", "{short_name}/{workload}: retry failed, run lost");
-                        (RunStatus::Failed { error }, None)
-                    }
+                    Some(run) => (RunStatus::Degraded { error, retried_at }, Some(run)),
+                    None => (RunStatus::Failed { error }, None),
                 }
             }
-            Err(error) => {
-                // Validation failures and malformed inputs are not
-                // retryable: the run is lost for good.
-                log_error!("run", "{short_name}/{workload}: run lost: {error}");
-                (RunStatus::Failed { error }, None)
-            }
+            // Validation failures and malformed inputs are not
+            // retryable: the run is lost for good.
+            Err(error) => (RunStatus::Failed { error }, None),
         }
     }
 
@@ -770,20 +636,13 @@ fn find<'a>(set: &'a [Box<dyn Benchmark>], name: &str) -> Option<&'a dyn Benchma
 
 /// Fills the deterministic accounting fields of a run's [`RunMetrics`]
 /// from its fate: retry attempts made, and the retired-op budget the run
-/// consumed. Only the resilient pipeline retries: there a `Failed` run
-/// with a retryable error *was* retried (the retry just failed too), so
-/// it counts one retry.
-pub(crate) fn run_accounting(
-    status: &RunStatus,
-    run: Option<&WorkloadRun>,
-    mode: WorkerMode,
-) -> (u32, u64) {
+/// consumed. A `Failed` run with a retryable error *was* retried (the
+/// retry just failed too), so it counts one retry.
+pub(crate) fn run_accounting(status: &RunStatus, run: Option<&WorkloadRun>) -> (u32, u64) {
     let retries = match status {
         RunStatus::Ok => 0,
         RunStatus::Degraded { .. } => 1,
-        RunStatus::Failed { error } => {
-            u32::from(mode == WorkerMode::Resilient && error.is_retryable())
-        }
+        RunStatus::Failed { error } => u32::from(error.is_retryable()),
     };
     let consumed = run.map(|r| r.report.retired_ops).unwrap_or_else(|| {
         match status.error() {
@@ -830,28 +689,6 @@ fn group_by_benchmark(runs: Vec<TaskRun>) -> Vec<(ResilientCharacterization, Vec
         .collect()
 }
 
-/// The strict pipeline's view of a grouped sweep: every run must
-/// survive, and the first `Failed` run in canonical order becomes the
-/// error.
-fn strict(
-    groups: Vec<(ResilientCharacterization, Vec<RunMetrics>)>,
-) -> Result<Vec<(Characterization, Vec<RunMetrics>)>, CoreError> {
-    groups
-        .into_iter()
-        .map(|(group, metrics)| {
-            for report in group.statuses {
-                if let RunStatus::Failed { error } = report.status {
-                    return Err(CoreError::Run(error));
-                }
-            }
-            let characterization = group
-                .characterization
-                .expect("benchmarks have at least one workload");
-            Ok((characterization, metrics))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,19 +711,27 @@ mod tests {
     #[test]
     fn unknown_benchmark_errors() {
         let s = Suite::new(Scale::Test);
-        let err = s.characterize("missing").unwrap_err();
+        let err = s.characterize_resilient_metered("missing").unwrap_err();
         assert!(err.to_string().contains("missing"));
     }
 
     #[test]
     fn resilient_without_faults_is_all_ok_and_matches_strict() {
         let s = Suite::new(Scale::Test);
-        let r = s.characterize_resilient("xz").unwrap();
+        let (r, _) = s.characterize_resilient_metered("xz").unwrap();
         assert!(r.is_complete());
         assert_eq!(r.survived(), r.attempted());
         assert_eq!(r.incidents().count(), 0);
         let c = r.characterization.expect("all runs survived");
-        let strict = s.characterize("xz").unwrap();
+        // The strict unit: each workload measured once, with no fault
+        // plan and no retry.
+        let xz = s.benchmark("xz").unwrap();
+        let strict: Vec<WorkloadRun> = xz
+            .workload_names()
+            .iter()
+            .map(|w| run_workload_with(xz, w, &s.model, s.sampling, &s.policy).unwrap())
+            .collect();
+        let strict = summarize_runs(xz.name(), xz.short_name(), strict).unwrap();
         assert_eq!(c.topdown.mu_g_v.to_bits(), strict.topdown.mu_g_v.to_bits());
         assert_eq!(c.runs.len(), strict.runs.len());
     }
@@ -895,7 +740,7 @@ mod tests {
     fn malformed_fault_fails_the_run_without_retry() {
         let plan = FaultPlan::new(11).inject("mcf", "alberta.2", FaultKind::MalformedWorkload);
         let s = Suite::new(Scale::Test).with_faults(plan);
-        let r = s.characterize_resilient("mcf").unwrap();
+        let (r, _) = s.characterize_resilient_metered("mcf").unwrap();
         assert_eq!(r.attempted() - r.survived(), 1);
         let incident = r.incidents().next().unwrap();
         assert_eq!(incident.workload, "alberta.2");
@@ -923,7 +768,7 @@ mod tests {
             .inject("xz", "train", FaultKind::ExhaustBudget { budget: 64 })
             .inject("xz", "refrate", FaultKind::PanicAtEvent(30));
         let s = Suite::new(Scale::Test).with_faults(plan);
-        let r = s.characterize_resilient("xz").unwrap();
+        let (r, _) = s.characterize_resilient_metered("xz").unwrap();
         assert_eq!(r.survived(), r.attempted(), "retries salvage both runs");
         assert!(!r.is_complete(), "but they are not Ok");
         let degraded: Vec<_> = r.incidents().collect();
@@ -948,7 +793,7 @@ mod tests {
     fn corrupt_events_fault_is_caught_by_validation() {
         let plan = FaultPlan::new(0).inject("leela", "train", FaultKind::CorruptEvents { at: 20 });
         let s = Suite::new(Scale::Test).with_faults(plan);
-        let r = s.characterize_resilient("leela").unwrap();
+        let (r, _) = s.characterize_resilient_metered("leela").unwrap();
         let incident = r.incidents().next().unwrap();
         assert!(
             matches!(
@@ -958,14 +803,6 @@ mod tests {
             "{:?}",
             incident.status
         );
-    }
-
-    #[test]
-    fn strict_entry_points_ignore_the_fault_plan() {
-        let plan = FaultPlan::new(0).inject("xz", "train", FaultKind::PanicAtEvent(1));
-        let s = Suite::new(Scale::Test).with_faults(plan);
-        assert!(s.characterize("xz").is_ok());
-        assert_eq!(s.faults().len(), 1);
     }
 
     #[test]
@@ -989,7 +826,9 @@ mod tests {
     #[test]
     fn characterize_one_benchmark_end_to_end() {
         let s = Suite::new(Scale::Test);
-        let c = s.characterize("exchange2").unwrap();
+        let (r, _) = s.characterize_resilient_metered("exchange2").unwrap();
+        assert!(r.is_complete(), "{:?}", r.statuses);
+        let c = r.characterization.expect("every run survived");
         assert_eq!(c.spec_id, "548.exchange2_r");
         assert!(c.runs.len() >= 12, "train + refrate + 10 alberta");
         // Every run's ratios sum to one.

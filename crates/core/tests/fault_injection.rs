@@ -16,7 +16,11 @@ fn k_faults_yield_exactly_k_non_ok_statuses() {
     assert_eq!(plan.len(), K);
     let suite = suite.with_faults(plan.clone());
 
-    let results = suite.characterize_all_resilient();
+    let results: Vec<_> = suite
+        .characterize_all_resilient_metered()
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
     assert_eq!(results.len(), 15, "every benchmark reports, none crashes");
 
     let non_ok: Vec<(String, String, RunStatus)> = results
@@ -122,9 +126,9 @@ fn fault_injection_is_deterministic() {
         let plan = suite.scattered_faults(0xDE7, 4);
         let suite = suite.with_faults(plan);
         suite
-            .characterize_all_resilient()
+            .characterize_all_resilient_metered()
             .into_iter()
-            .flat_map(|r| r.statuses)
+            .flat_map(|(r, _)| r.statuses)
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
@@ -137,7 +141,7 @@ fn failed_refrate_leaves_no_refrate_cycles() {
     // CorruptEvents is not retryable, so the refrate run fails outright.
     let plan = FaultPlan::new(3).inject("xz", "refrate", FaultKind::CorruptEvents { at: 10 });
     let suite = Suite::new(Scale::Test).with_faults(plan);
-    let r = suite.characterize_resilient("xz").unwrap();
+    let (r, _) = suite.characterize_resilient_metered("xz").unwrap();
     let incident = r.incidents().next().expect("refrate failed");
     assert_eq!(incident.workload, "refrate");
     assert!(matches!(incident.status, RunStatus::Failed { .. }));
@@ -150,14 +154,14 @@ fn failed_refrate_leaves_no_refrate_cycles() {
 }
 
 /// A fault aimed at nothing (unknown benchmark/workload) changes nothing:
-/// the resilient pipeline matches a fault-free pass.
+/// the sweep matches a fault-free pass.
 #[test]
 fn misaimed_faults_are_inert() {
     let plan = FaultPlan::new(1)
         .inject("no-such-benchmark", "train", FaultKind::PanicAtEvent(1))
         .inject("mcf", "no-such-workload", FaultKind::MalformedWorkload);
     let suite = Suite::new(Scale::Test).with_faults(plan);
-    let r = suite.characterize_resilient("mcf").unwrap();
+    let (r, _) = suite.characterize_resilient_metered("mcf").unwrap();
     assert!(r.is_complete());
     assert!(r.characterization.is_some());
 }

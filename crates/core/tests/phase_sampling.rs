@@ -12,8 +12,13 @@ fn characterize(policy: SamplingPolicy, exec: ExecPolicy) -> Vec<Characterizatio
     Suite::new(Scale::Test)
         .with_exec(exec)
         .with_sampling_policy(policy)
-        .characterize_all()
-        .expect("test-scale sweep succeeds")
+        .characterize_all_resilient_metered()
+        .into_iter()
+        .map(|(r, _)| {
+            assert!(r.is_complete(), "{}: {:?}", r.short_name, r.statuses);
+            r.characterization.expect("every run survived")
+        })
+        .collect()
 }
 
 /// Every benchmark's sampled estimate must reproduce full measurement

@@ -505,7 +505,12 @@ impl Hasher for PageHasher {
 #[derive(Debug)]
 pub struct Profiler {
     functions: Vec<FnMeta>,
-    name_index: HashMap<String, FnId>,
+    /// Ordered, not hashed: a default `HashMap` frees its names in an
+    /// order picked by a per-process random seed, and the allocator's
+    /// reuse of freed memory follows that order, so a process running
+    /// many workloads would reach a different peak resident set each
+    /// time.
+    name_index: BTreeMap<String, FnId>,
     fn_work: Vec<u64>,
     fn_calls: Vec<u64>,
     stack: Vec<Frame>,
@@ -606,7 +611,7 @@ impl Profiler {
         };
         let mut profiler = Profiler {
             functions: Vec::new(),
-            name_index: HashMap::new(),
+            name_index: BTreeMap::new(),
             fn_work: Vec::new(),
             fn_calls: Vec::new(),
             stack: Vec::new(),

@@ -400,9 +400,7 @@ impl SuiteReport {
     ///
     /// Embedded hot paths survive stripping: they derive from the exact
     /// call tree, not from the scheduler, so they are identical across
-    /// execution policies. Remove them with
-    /// [`SuiteReport::strip_hot_paths`] when a baseline without the
-    /// observability section is wanted.
+    /// execution policies.
     pub fn strip_telemetry(&mut self) {
         for benchmark in &mut self.benchmarks {
             for run in &mut benchmark.runs {
@@ -440,14 +438,6 @@ impl SuiteReport {
                     .fold(0.0f64, f64::max);
                 sampling.estimate_error = Some(error);
             }
-        }
-    }
-
-    /// Removes the embedded hot-path sections (the inverse of
-    /// [`SuiteReport::embed_hot_paths`]).
-    pub fn strip_hot_paths(&mut self) {
-        for benchmark in &mut self.benchmarks {
-            benchmark.hot_paths = None;
         }
     }
 

@@ -8,10 +8,9 @@ use std::panic::catch_unwind;
 
 use alberta_core::faults::{FaultKind, FaultPlan};
 use alberta_core::json::{self, Value};
-use alberta_core::log::{LogLevel, LogRecord};
 use alberta_core::protocol::{
     decode_run, run_value, RemoteStatus, SupervisorMsg, TaskMsg, TaskResult, WorkerConfig,
-    WorkerMode, WorkerMsg, PROTOCOL_VERSION,
+    WorkerMsg, PROTOCOL_VERSION,
 };
 use alberta_core::telemetry::NANOS_BUCKETS;
 use alberta_core::{
@@ -111,7 +110,6 @@ fn sample_run() -> WorkloadRun {
 fn sample_config() -> SupervisorMsg {
     let reference = TopDownModel::reference();
     SupervisorMsg::Config(Box::new(WorkerConfig {
-        mode: WorkerMode::Resilient,
         scale: Scale::Train,
         sampling: SampleConfig {
             work_budget: Some(1 << 40),
@@ -140,11 +138,6 @@ fn sample_result() -> WorkerMsg {
         run: Some(sample_run()),
         retries: 1,
         budget_consumed: 9216,
-        logs: vec![LogRecord {
-            level: LogLevel::Warn,
-            target: "run",
-            message: "mcf/train: retrying".to_owned(),
-        }],
         request: Some("e2e#11".to_owned()),
     }))
 }
@@ -172,11 +165,11 @@ fn sample_cache_document() -> CacheDocument {
 fn encodings_are_pinned() {
     assert_eq!(
         sample_config().encode(),
-        r#"{"type":"config","protocol":1,"mode":"resilient","scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"deadline_work":null,"beat_ms":40}"#
+        r#"{"type":"config","protocol":2,"scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"deadline_work":null,"beat_ms":40}"#
     );
     assert_eq!(
         sample_result().encode(),
-        r#"{"type":"result","id":3,"status":{"kind":"degraded","error":"benchmark mcf panicked: boom","retryable":true,"retried_at":"test"},"run":{"workload":"alberta.3","report":{"front_end":0.125,"back_end":0.5,"bad_speculation":0.0625,"retiring":0.3125,"cycles":12345.678,"retired_ops":18446744073709551608,"ipc":2.5,"mispredict_rate":0.01,"mispredicts_per_kops":10.5,"l1d_miss_ratio":0.02,"l2_miss_ratio":0.3,"l3_miss_ratio":0.125,"dtlb_miss_ratio":0.001,"icache_miss_ratio":0,"predictor":"gshare","memory":{"l1_mpki":6.25,"l2_mpki":1.875,"l3_mpki":0.25,"row_hit_rate":0.75,"dram_bytes":4096,"footprint_lines":321,"footprint_pages":17,"mpki_curve":[{"size_bytes":16384,"mpki":7.5},{"size_bytes":32768,"mpki":6.25}]}},"coverage":{"kernel":62.5,"main":37.5},"paths":[["main",1,3,100],["main;kernel",42,97,97]],"work":4096,"checksum":16045690984503111693,"sampling":{"interval_work":1024,"intervals":9,"clusters":3,"detailed_ops":3072,"total_ops":9216}},"retries":1,"budget_consumed":9216,"logs":[{"level":"warn","target":"run","message":"mcf/train: retrying"}],"request":"e2e#11"}"#
+        r#"{"type":"result","id":3,"status":{"kind":"degraded","error":"benchmark mcf panicked: boom","retryable":true,"retried_at":"test"},"run":{"workload":"alberta.3","report":{"front_end":0.125,"back_end":0.5,"bad_speculation":0.0625,"retiring":0.3125,"cycles":12345.678,"retired_ops":18446744073709551608,"ipc":2.5,"mispredict_rate":0.01,"mispredicts_per_kops":10.5,"l1d_miss_ratio":0.02,"l2_miss_ratio":0.3,"l3_miss_ratio":0.125,"dtlb_miss_ratio":0.001,"icache_miss_ratio":0,"predictor":"gshare","memory":{"l1_mpki":6.25,"l2_mpki":1.875,"l3_mpki":0.25,"row_hit_rate":0.75,"dram_bytes":4096,"footprint_lines":321,"footprint_pages":17,"mpki_curve":[{"size_bytes":16384,"mpki":7.5},{"size_bytes":32768,"mpki":6.25}]}},"coverage":{"kernel":62.5,"main":37.5},"paths":[["main",1,3,100],["main;kernel",42,97,97]],"work":4096,"checksum":16045690984503111693,"sampling":{"interval_work":1024,"intervals":9,"clusters":3,"detailed_ops":3072,"total_ops":9216}},"retries":1,"budget_consumed":9216,"request":"e2e#11"}"#
     );
     assert_eq!(
         sample_spec().to_value().render_compact(),
@@ -189,31 +182,58 @@ fn encodings_are_pinned() {
     assert_eq!(sample_cache_document().to_json(), CACHE_DOCUMENT);
 }
 
-/// A machine no model can build is refused when it arrives, on the
-/// socket (`parse_spec`) and on the worker pipe (the `Config` message)
-/// alike, with an error that names the structure. Accepted, it would
-/// run the workload, panic in the model, and run it again as a retry.
+/// The worker pipe refuses a configuration of another protocol
+/// revision, naming both: here, the pinned revision-1 line, which still
+/// carried the retired `mode` field.
+#[test]
+fn config_of_another_protocol_revision_is_refused() {
+    let err = SupervisorMsg::decode(PROTOCOL_1_CONFIG).unwrap_err();
+    assert_eq!(
+        err,
+        format!("protocol mismatch: worker speaks {PROTOCOL_VERSION}, supervisor sent 1")
+    );
+}
+
+const PROTOCOL_1_CONFIG: &str = r#"{"type":"config","protocol":1,"mode":"resilient","scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"deadline_work":null,"beat_ms":40}"#;
+
+/// A machine or predictor no model can build, or no host can hold, is
+/// refused when it arrives, on the socket (`parse_spec`) and on the
+/// worker pipe (the `Config` message) alike, with an error that names
+/// the structure. Accepted, it would run the workload and then panic in
+/// the model, or ask for 32 GiB or more of model state, and run again as
+/// a retry. Decoding builds nothing, so no case allocates.
 #[test]
 fn machines_no_model_can_build_are_rejected_by_name() {
     let spec = sample_spec().to_value().render_compact();
     let config = sample_config().encode();
-    for (valid, invalid, structure) in [
-        (r#""ways":16}"#, r#""ways":3}"#, "L3"),
-        (r#""banks":8,"#, r#""banks":6,"#, "DRAM"),
+    for (valid, invalid, error) in [
+        (r#""ways":16}"#, r#""ways":3}"#, "L3 geometry invalid"),
+        (r#""banks":8,"#, r#""banks":6,"#, "DRAM geometry invalid"),
+        (
+            r#""dtlb_entries":64,"#,
+            r#""dtlb_entries":4294967296,"#,
+            "D-TLB geometry invalid",
+        ),
+        (
+            r#""l3":{"size_bytes":8388608,"#,
+            r#""l3":{"size_bytes":1099511627776,"#,
+            "L3 geometry invalid",
+        ),
+        (
+            r#""banks":8,"#,
+            r#""banks":1099511627776,"#,
+            "DRAM geometry invalid",
+        ),
+        (r#""bits":14}"#, r#""bits":0}"#, "predictor table invalid"),
+        (r#""bits":14}"#, r#""bits":25}"#, "predictor table invalid"),
     ] {
         for text in [&spec, &config] {
             assert_eq!(text.matches(valid).count(), 1, "{valid} in {text}");
         }
         let err = parse_spec(&spec.replace(valid, invalid)).unwrap_err();
-        assert!(
-            err.starts_with(&format!("{structure} geometry invalid")),
-            "{err}"
-        );
+        assert!(err.starts_with(error), "{invalid}: {err}");
         let err = SupervisorMsg::decode(&config.replace(valid, invalid)).unwrap_err();
-        assert!(
-            err.starts_with(&format!("{structure} geometry invalid")),
-            "{err}"
-        );
+        assert!(err.starts_with(error), "{invalid}: {err}");
     }
 }
 

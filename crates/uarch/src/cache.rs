@@ -9,6 +9,13 @@
 
 use std::fmt;
 
+/// The most entries one modelled structure may allocate: tag slots
+/// (sets × ways) for a cache or the D-TLB, open rows (one per bank) for
+/// DRAM. The 8 MiB L3 and the top of the MPKI ladder hold 2^17 tags
+/// each, so 2^20 leaves 8× headroom while a geometry decoded from
+/// outside the program can ask for a few MiB of model state at most.
+pub const MAX_STRUCTURE_ENTRIES: u64 = 1 << 20;
+
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -57,8 +64,9 @@ impl CacheConfig {
         self.size_bytes / (self.line_bytes * self.ways)
     }
 
-    /// Checks the geometry for internal consistency, reporting the
-    /// offending values on failure.
+    /// Checks the geometry for internal consistency and for a size the
+    /// model can hold ([`MAX_STRUCTURE_ENTRIES`] tag slots), reporting
+    /// the offending values on failure.
     pub fn check(&self) -> Result<(), CacheProblem> {
         if !self.line_bytes.is_power_of_two() {
             return Err(CacheProblem::LineNotPowerOfTwo {
@@ -80,6 +88,11 @@ impl CacheConfig {
         let sets = self.sets();
         if !sets.is_power_of_two() {
             return Err(CacheProblem::SetCountNotPowerOfTwo { sets });
+        }
+        // Cannot overflow: the slots times the line size is the capacity.
+        let slots = sets * self.ways;
+        if slots > MAX_STRUCTURE_ENTRIES {
+            return Err(CacheProblem::TooManySlots { slots });
         }
         Ok(())
     }
@@ -110,6 +123,11 @@ pub enum CacheProblem {
         /// The derived set count.
         sets: u64,
     },
+    /// More tag slots than [`MAX_STRUCTURE_ENTRIES`].
+    TooManySlots {
+        /// The derived slot count (sets × ways).
+        slots: u64,
+    },
 }
 
 impl fmt::Display for CacheProblem {
@@ -131,6 +149,10 @@ impl fmt::Display for CacheProblem {
             CacheProblem::SetCountNotPowerOfTwo { sets } => {
                 write!(f, "set count {sets} is not a power of two")
             }
+            CacheProblem::TooManySlots { slots } => write!(
+                f,
+                "{slots} tag slots exceed the model's limit of {MAX_STRUCTURE_ENTRIES}"
+            ),
         }
     }
 }
@@ -141,6 +163,11 @@ impl fmt::Display for CacheProblem {
 pub enum DramProblem {
     /// The bank count is not a power of two (zero counts).
     BanksNotPowerOfTwo {
+        /// The rejected bank count.
+        banks: u64,
+    },
+    /// More banks than [`MAX_STRUCTURE_ENTRIES`].
+    TooManyBanks {
         /// The rejected bank count.
         banks: u64,
     },
@@ -169,6 +196,10 @@ impl fmt::Display for DramProblem {
             DramProblem::BanksNotPowerOfTwo { banks } => {
                 write!(f, "bank count {banks} is not a power of two")
             }
+            DramProblem::TooManyBanks { banks } => write!(
+                f,
+                "bank count {banks} exceeds the model's limit of {MAX_STRUCTURE_ENTRIES}"
+            ),
             DramProblem::RowNotPowerOfTwo { row_bytes } => {
                 write!(f, "row size {row_bytes} is not a power of two")
             }
@@ -529,11 +560,15 @@ impl DramConfig {
         }
     }
 
-    /// Checks the geometry for internal consistency, reporting the
+    /// Checks the geometry for internal consistency and for a size the
+    /// model can hold ([`MAX_STRUCTURE_ENTRIES`] banks), reporting the
     /// offending values on failure.
     pub fn check(&self) -> Result<(), DramProblem> {
         if !self.banks.is_power_of_two() {
             return Err(DramProblem::BanksNotPowerOfTwo { banks: self.banks });
+        }
+        if self.banks > MAX_STRUCTURE_ENTRIES {
+            return Err(DramProblem::TooManyBanks { banks: self.banks });
         }
         if !self.row_bytes.is_power_of_two() {
             return Err(DramProblem::RowNotPowerOfTwo {
@@ -1053,6 +1088,9 @@ mod tests {
         assert!(err.to_string().contains("entries=3"), "{err}");
         assert!(Tlb::try_new(0).is_err());
         assert!(Tlb::try_new(64).is_ok());
+        assert!(Tlb::try_new(MAX_STRUCTURE_ENTRIES).is_ok());
+        let err = Tlb::try_new(2 * MAX_STRUCTURE_ENTRIES).unwrap_err();
+        assert!(err.to_string().contains("tag slots exceed"), "{err}");
     }
 
     /// Geometry checks see decoded, untrusted values: products past
@@ -1093,6 +1131,15 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("smaller"), "{err}");
+        let err = Dram::try_new(DramConfig {
+            banks: 2 * MAX_STRUCTURE_ENTRIES,
+            ..DramConfig::ddr3()
+        })
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("exceeds the model's limit"),
+            "{err}"
+        );
     }
 
     #[test]

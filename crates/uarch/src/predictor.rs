@@ -97,7 +97,10 @@ impl Bimodal {
     ///
     /// Panics if `bits` is 0 or greater than 24.
     pub fn new(bits: u32) -> Self {
-        assert!((1..=24).contains(&bits), "bimodal bits must be in 1..=24");
+        assert!(
+            PredictorKind::TABLE_BITS.contains(&bits),
+            "bimodal bits must be in 1..=24"
+        );
         Bimodal {
             table: vec![Counter2::WEAK_TAKEN; 1 << bits],
             mask: (1 << bits) - 1,
@@ -151,7 +154,10 @@ impl Gshare {
     ///
     /// Panics if `bits` is 0 or greater than 24.
     pub fn new(bits: u32) -> Self {
-        assert!((1..=24).contains(&bits), "gshare bits must be in 1..=24");
+        assert!(
+            PredictorKind::TABLE_BITS.contains(&bits),
+            "gshare bits must be in 1..=24"
+        );
         Gshare {
             table: vec![Counter2::WEAK_TAKEN; 1 << bits],
             mask: (1 << bits) - 1,
@@ -219,7 +225,7 @@ impl Tournament {
     /// Panics if `bits` is 0 or greater than 24.
     pub fn new(bits: u32) -> Self {
         assert!(
-            (1..=24).contains(&bits),
+            PredictorKind::TABLE_BITS.contains(&bits),
             "tournament bits must be in 1..=24"
         );
         Tournament {
@@ -295,6 +301,10 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
+    /// The table sizes a predictor can be built with, as `log2` of the
+    /// counter count.
+    pub const TABLE_BITS: std::ops::RangeInclusive<u32> = 1..=24;
+
     /// Instantiates the predictor.
     pub fn build(self) -> Box<dyn BranchPredictor> {
         match self {

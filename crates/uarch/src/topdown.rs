@@ -82,10 +82,12 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// Checks every modelled structure's geometry, reporting the first
-    /// offender by name with its offending values — so a decoder can
-    /// refuse a machine no model can build instead of panicking mid-run.
-    /// Builds nothing: any field values are safe to check.
+    /// Checks every modelled structure's geometry and size (at most
+    /// [`MAX_STRUCTURE_ENTRIES`](crate::cache::MAX_STRUCTURE_ENTRIES)
+    /// entries each), reporting the first offender by name with its
+    /// offending values — so a decoder can refuse a machine no model can
+    /// build, or no host can hold, instead of failing mid-run. Builds
+    /// nothing: any field values are safe to check.
     pub fn validate(&self) -> Result<(), GeometryError> {
         for (structure, config) in [
             ("I-cache", self.icache),

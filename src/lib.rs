@@ -26,7 +26,9 @@
 //!
 //! # fn main() -> Result<(), alberta::core::CoreError> {
 //! let suite = Suite::new(Scale::Test);
-//! let row = suite.characterize("leela")?;
+//! let (leela, _metrics) = suite.characterize_resilient_metered("leela")?;
+//! assert!(leela.is_complete(), "every run comes back Ok");
+//! let row = leela.characterization.expect("runs survived");
 //! println!("leela μg(V) = {:.1}", row.topdown.mu_g_v);
 //! # Ok(())
 //! # }

@@ -1,16 +1,23 @@
 //! End-to-end integration of the suite facade: determinism, coverage
 //! accounting, error paths, and configuration knobs.
 
-use alberta::core::{MachineConfig, PredictorKind, Suite, TopDownModel};
+use alberta::core::{Characterization, MachineConfig, PredictorKind, Suite, TopDownModel};
 use alberta::profile::{Profiler, SampleConfig};
 use alberta::workloads::Scale;
+
+/// One benchmark's characterization, every run of which came back `Ok`.
+fn characterize(suite: &Suite, name: &str) -> Characterization {
+    let (result, _) = suite.characterize_resilient_metered(name).expect(name);
+    assert!(result.is_complete(), "{name}: {:?}", result.statuses);
+    result.characterization.expect("every run survived")
+}
 
 #[test]
 fn repeated_characterization_is_bit_identical() {
     let suite = Suite::new(Scale::Test);
     for name in ["mcf", "omnetpp", "xalancbmk"] {
-        let a = suite.characterize(name).expect("first run");
-        let b = suite.characterize(name).expect("second run");
+        let a = characterize(&suite, name);
+        let b = characterize(&suite, name);
         assert_eq!(a.topdown.mu_g_v.to_bits(), b.topdown.mu_g_v.to_bits());
         for (ra, rb) in a.runs.iter().zip(&b.runs) {
             assert_eq!(ra.checksum, rb.checksum, "{name}/{}", ra.workload);
@@ -27,7 +34,7 @@ fn repeated_characterization_is_bit_identical() {
 #[test]
 fn coverage_rows_are_percentages() {
     let suite = Suite::new(Scale::Test);
-    let c = suite.characterize("wrf").expect("characterization");
+    let c = characterize(&suite, "wrf");
     for run in &c.runs {
         let sum: f64 = run.coverage.values().sum();
         assert!((sum - 100.0).abs() < 1e-6, "{}", run.workload);
@@ -45,8 +52,8 @@ fn predictor_override_changes_bad_speculation() {
         MachineConfig::default(),
         PredictorKind::Tournament { bits: 14 },
     ));
-    let c_weak = weak.characterize("deepsjeng").expect("runs");
-    let c_strong = strong.characterize("deepsjeng").expect("runs");
+    let c_weak = characterize(&weak, "deepsjeng");
+    let c_strong = characterize(&strong, "deepsjeng");
     assert!(
         c_weak.topdown.bad_speculation.geo_mean > c_strong.topdown.bad_speculation.geo_mean,
         "static-taken {} vs tournament {}",
@@ -64,8 +71,8 @@ fn predictor_override_changes_bad_speculation() {
 fn sparse_sampling_bias_is_bounded_and_upward_in_memory() {
     let dense = Suite::new(Scale::Test);
     let sparse = Suite::new(Scale::Test).with_sampling(SampleConfig::sparse());
-    let c_dense = dense.characterize("omnetpp").expect("runs");
-    let c_sparse = sparse.characterize("omnetpp").expect("runs");
+    let c_dense = characterize(&dense, "omnetpp");
+    let c_sparse = characterize(&sparse, "omnetpp");
     for (rd, rs) in c_dense.runs.iter().zip(&c_sparse.runs) {
         // Exact counters are sampling-invariant: identical checksums.
         assert_eq!(rd.checksum, rs.checksum, "{}", rd.workload);
