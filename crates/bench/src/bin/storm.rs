@@ -18,7 +18,8 @@
 //! (cached-vs-computed identity) and writes the deterministic
 //! [`StormReport`] (`--out`, default `STORM_<scale>.json`): request and
 //! cache-hit counters plus the scheduler's per-host placement, steal,
-//! and redispatch counters, taken as a before/after stats delta.
+//! and redispatch counters, taken as a before/after delta of the
+//! daemon's deterministic metrics plane.
 //!
 //! `--latency-out` additionally writes the volatile drain-latency
 //! percentiles — CI uploads those as an artifact and never gates on
@@ -37,8 +38,11 @@ use std::time::Instant;
 
 use alberta_bench::{usage_error, Args};
 use alberta_core::benchmark_suite;
-use alberta_report::{BenchmarkReport, LatencyReport, StormReport, SuiteReport, SCHEMA_VERSION};
-use alberta_serve::{Client, GroupInfo, RequestSpec, ResponseCounts};
+use alberta_report::{
+    BenchmarkReport, HostRecord, LatencyReport, MetricsDocument, StormReport, SuiteReport,
+    SCHEMA_VERSION,
+};
+use alberta_serve::{host_counters, Client, GroupInfo, RequestSpec, ResponseCounts};
 use alberta_workloads::Scale;
 
 /// One client's share of a round: the responses (as spec index, counts,
@@ -163,9 +167,8 @@ fn main() {
         .collect::<std::collections::BTreeSet<_>>()
         .len() as u64;
 
-    let mut stats_client =
-        Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e.to_string()));
-    let before = stats_client.stats().unwrap_or_else(|e| usage_error(&e));
+    let mut metrics_client = Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e));
+    let before = metrics_client.metrics().unwrap_or_else(|e| usage_error(&e));
 
     // Two rounds over the same mix: cold (computes) then warm (all
     // cache hits). Responses for the same spec must match byte for
@@ -212,23 +215,29 @@ fn main() {
         failures += 1;
     }
 
-    let after = stats_client.stats().unwrap_or_else(|e| usage_error(&e));
+    let after = metrics_client.metrics().unwrap_or_else(|e| usage_error(&e));
+    // A counter no batch has touched yet reads zero.
+    let delta = |name: &str| {
+        let read = |doc: &MetricsDocument| doc.counter(name).unwrap_or(0);
+        read(&after) - read(&before)
+    };
+    let hosts = after.gauge("alberta_hosts").unwrap_or(0);
     let report = StormReport {
         schema_version: SCHEMA_VERSION,
         requests: 2 * requests,
         unique_keys,
         hits: totals.cached + totals.coalesced,
         computed: totals.computed,
-        steals: after.steals - before.steals,
-        redispatches: after.redispatches - before.redispatches,
-        hosts: after
-            .hosts
-            .iter()
-            .zip(&before.hosts)
-            .map(|(a, b)| alberta_report::HostRecord {
-                host: a.host,
-                tasks: a.tasks - b.tasks,
-                stolen: a.stolen - b.stolen,
+        steals: delta("alberta_steals_total"),
+        redispatches: delta("alberta_redispatches_total"),
+        hosts: (0..hosts)
+            .map(|host| {
+                let (tasks, stolen) = host_counters(host as usize);
+                HostRecord {
+                    host,
+                    tasks: delta(&tasks),
+                    stolen: delta(&stolen),
+                }
             })
             .collect(),
     };
@@ -283,7 +292,7 @@ fn main() {
     if args.switch("--shutdown") {
         // The daemon drains its handler threads on shutdown; close our
         // own idle connection first.
-        drop(stats_client);
+        drop(metrics_client);
         let client = Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e));
         if let Err(e) = client.shutdown() {
             eprintln!("storm: shutdown: {e}");

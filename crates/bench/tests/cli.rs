@@ -5,7 +5,8 @@
 use alberta_report::{MemoryDocument, SuiteReport, SCHEMA_VERSION};
 use alberta_workloads::Scale;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn bench_diff() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bench-diff"))
@@ -218,6 +219,40 @@ fn storm_takes_seed_zero() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("connect 127.0.0.1:1"), "{stderr}");
     assert!(!stderr.contains("--seed"), "{stderr}");
+}
+
+/// The daemon refuses a bad `ALBERTA_LOG` at start-up, naming the
+/// accepted levels, before it listens: left up, it would panic at its
+/// first log call, inside a connection handler.
+#[test]
+fn alberta_serve_refuses_a_bad_log_level_at_start_up() {
+    let cache = std::env::temp_dir().join(format!("alberta-cli-log-{}", std::process::id()));
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_alberta-serve"))
+        .args(["--listen", "127.0.0.1:0", "--cache-dir"])
+        .arg(&cache)
+        .env("ALBERTA_LOG", "verbose")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn alberta-serve");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.try_wait().expect("poll the daemon").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    if daemon.try_wait().expect("poll the daemon").is_none() {
+        let _ = daemon.kill();
+    }
+    let output = daemon.wait_with_output().expect("reap the daemon");
+    let _ = std::fs::remove_dir_all(&cache);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.code().is_some_and(|code| code != 0),
+        "the daemon exits non-zero by itself, got {:?}",
+        output.status
+    );
+    assert!(!stdout.contains("listening on"), "{stdout}");
+    assert!(stderr.contains("off|error|warn|info|debug"), "{stderr}");
 }
 
 /// A binary that takes no operand rejects one, and a scale binary

@@ -22,10 +22,12 @@
 //!   backoff between them; exhaustion degrades the task to
 //!   [`RunStatus::Failed`] with a
 //!   [`BenchError::Remote`] cause instead of sinking the sweep;
-//! * **deterministic deadlines** — [`ProcessConfig::deadline_work`] is
-//!   a per-task budget in *retired ops*, not wall-clock: the worker
-//!   clamps its work budget to it, so a deadline abort fires at the
-//!   same instruction on every repetition of the same run.
+//! * **deterministic budgets** — a task's one budget is the work budget
+//!   the worker's configuration carries
+//!   ([`alberta_profile::SampleConfig::work_budget`]), counted in
+//!   *retired ops*, not wall-clock, so a budget abort fires at the same
+//!   instruction on every repetition of the same run, under every
+//!   executor.
 //!
 //! Results are reassembled in canonical order and, for a clean sweep,
 //! are bit-identical to serial execution: measurements cross the pipe
@@ -70,12 +72,6 @@ pub struct ProcessConfig {
     /// Backoff before the first redispatch, in milliseconds; doubles
     /// with each further redispatch of the same task.
     pub backoff_ms: u64,
-    /// Per-task deadline in retired ops — a deterministic work-budget
-    /// clock, not wall-clock. Workers clamp their effective
-    /// [`alberta_profile::SampleConfig::work_budget`] to it, so a
-    /// deadline overrun aborts at the same retired-op count on every
-    /// repetition and surfaces as a `BudgetExceeded` failure.
-    pub deadline_work: Option<u64>,
 }
 
 impl Default for ProcessConfig {
@@ -84,7 +80,6 @@ impl Default for ProcessConfig {
             heartbeat_timeout_ms: 10_000,
             max_dispatches: 3,
             backoff_ms: 50,
-            deadline_work: None,
         }
     }
 }
@@ -158,7 +153,6 @@ pub(crate) fn run_process_tasks(
         std::env::var_os(WORKER_ENV).is_none(),
         "process execution cannot nest inside an alberta worker"
     );
-    config.deadline_work = process.deadline_work;
     config.beat_ms = process.beat_interval_ms();
     let epoch = Instant::now();
     let tasks: Vec<TaskSlot> = tasks
@@ -820,7 +814,6 @@ mod tests {
         assert_eq!(config.max_dispatches, 3);
         assert!(config.heartbeat_timeout_ms >= 1_000);
         assert!(config.backoff_ms > 0);
-        assert_eq!(config.deadline_work, None);
     }
 
     #[test]

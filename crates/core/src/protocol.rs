@@ -40,7 +40,10 @@ use std::collections::BTreeMap;
 /// revision is killed — supervisor and worker are always the same
 /// binary, so a mismatch means the pipe is not speaking to a worker at
 /// all.
-pub const PROTOCOL_VERSION: u64 = 2;
+///
+/// Revision 3 dropped the `Config` message's per-task deadline: the
+/// work budget in `sampling` is the one per-task budget.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// The complete suite configuration a worker needs to rebuild its runs,
 /// sent once per worker as the first message.
@@ -60,10 +63,6 @@ pub struct WorkerConfig {
     /// The fault plan, including process-level kinds the worker injects
     /// on itself.
     pub faults: FaultPlan,
-    /// Per-task deadline in retired ops — the deterministic work-budget
-    /// clock. The worker clamps its effective
-    /// [`SampleConfig::work_budget`] to this for every task.
-    pub deadline_work: Option<u64>,
     /// Heartbeat interval in milliseconds — how often the worker sends
     /// [`WorkerMsg::Beat`] while a task is in flight.
     pub beat_ms: u64,
@@ -509,7 +508,6 @@ impl SupervisorMsg {
                 ("machine", machine_value(&c.machine)),
                 ("predictor", predictor_value(c.predictor)),
                 ("faults", fault_plan_value(&c.faults)),
-                ("deadline_work", nullable_u64(c.deadline_work)),
                 ("beat_ms", Value::UInt(c.beat_ms)),
             ]),
             SupervisorMsg::Task(t) => {
@@ -795,7 +793,6 @@ fn decode_config(value: &Value) -> Result<WorkerConfig, DecodeError> {
         machine: decode_machine(req(value, "machine")?)?,
         predictor: decode_predictor(req(value, "predictor")?)?,
         faults: decode_fault_plan(req(value, "faults")?)?,
-        deadline_work: nullable(value, "deadline_work")?,
         beat_ms: req(value, "beat_ms")?,
     })
 }
@@ -1054,7 +1051,6 @@ mod tests {
                 )
                 .inject("lbm", "alberta.1", FaultKind::WorkerHang { attempts: 2 })
                 .inject("gcc", "train", FaultKind::ResultCorrupt { attempts: 3 }),
-            deadline_work: Some(1 << 30),
             beat_ms: 40,
         };
         let line = SupervisorMsg::Config(Box::new(config.clone())).encode();
@@ -1068,7 +1064,6 @@ mod tests {
         assert_eq!(decoded.machine, config.machine);
         assert_eq!(decoded.predictor, config.predictor);
         assert_eq!(decoded.faults, config.faults);
-        assert_eq!(decoded.deadline_work, config.deadline_work);
         assert_eq!(decoded.beat_ms, config.beat_ms);
     }
 
@@ -1083,7 +1078,6 @@ mod tests {
                 machine: *reference.config(),
                 predictor: reference.predictor(),
                 faults: FaultPlan::new(0),
-                deadline_work: None,
                 beat_ms: 40,
             }))
             .encode()

@@ -152,16 +152,10 @@ impl Suite {
     /// workloads as the fault plan asks. Always executes serially: a
     /// worker is itself one unit of a larger sweep.
     pub(crate) fn assemble(config: &WorkerConfig) -> Self {
-        let mut sampling = config.sampling;
-        if let Some(deadline) = config.deadline_work {
-            // The deterministic deadline clock: clamp the work budget so
-            // a runaway task aborts at a fixed retired-op count.
-            sampling.work_budget = Some(sampling.work_budget.map_or(deadline, |b| b.min(deadline)));
-        }
         let mut suite = Suite {
             benchmarks: build_benchmarks(config.scale),
             model: TopDownModel::new(config.machine, config.predictor),
-            sampling,
+            sampling: config.sampling,
             policy: config.policy,
             scale: config.scale,
             faults: config.faults.clone(),
@@ -456,8 +450,8 @@ impl Suite {
 
     /// The worker-side configuration describing this suite's runs — what
     /// the process supervisor ships to each worker subprocess. The
-    /// supervisor fills in the scheduling fields (deadline, heartbeat
-    /// interval) from its [`ProcessConfig`].
+    /// supervisor fills in the heartbeat interval from its
+    /// [`ProcessConfig`].
     fn worker_config(&self) -> WorkerConfig {
         WorkerConfig {
             scale: self.scale,
@@ -466,7 +460,6 @@ impl Suite {
             machine: *self.model.config(),
             predictor: self.model.predictor(),
             faults: self.faults.clone(),
-            deadline_work: None,
             beat_ms: 0,
         }
     }

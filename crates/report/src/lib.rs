@@ -31,7 +31,6 @@ pub mod mem;
 pub mod metrics;
 pub mod schema;
 pub mod serve;
-pub mod timeline;
 pub mod trace;
 pub mod view;
 
@@ -43,8 +42,10 @@ pub use schema::{
     StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 pub use serve::{CacheDocument, HostRecord, LatencyReport, StormReport};
-pub use timeline::render_service_timeline;
-pub use trace::{render_trace, trace_directory, TraceMode, DEFAULT_LANES, HOT_PATH_COUNT};
+pub use trace::{
+    render_service_timeline, render_trace, trace_directory, TraceMode, DEFAULT_LANES,
+    HOT_PATH_COUNT,
+};
 
 use json::Value;
 use std::fmt;

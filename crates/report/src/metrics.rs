@@ -70,6 +70,17 @@ impl MetricsDocument {
         })
     }
 
+    /// A deterministic-plane counter by name, or `None` while no batch
+    /// has touched it.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        scalar(&self.deterministic, "counters", name)
+    }
+
+    /// A deterministic-plane gauge by name (`alberta_hosts`, say).
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        scalar(&self.deterministic, "gauges", name)
+    }
+
     /// Serializes to canonical JSON text (pretty, trailing newline).
     pub fn to_json(&self) -> String {
         self.to_value().render()
@@ -131,6 +142,13 @@ fn section<'v>(plane: &'v Value, name: &str) -> &'v [(String, Value)] {
         Some(Value::Object(fields)) => fields,
         _ => &[],
     }
+}
+
+fn scalar(plane: &Value, kind: &str, name: &str) -> Option<u64> {
+    section(plane, kind)
+        .iter()
+        .find(|(k, _)| k == name)
+        .and_then(|(_, v)| v.as_u64())
 }
 
 fn render_plane(out: &mut String, plane: &str, value: &Value) {
@@ -211,6 +229,19 @@ mod tests {
         let vol = doc.volatile_to_json();
         assert!(vol.contains("alberta_connections_total"));
         assert!(!vol.contains("alberta_requests_total"));
+    }
+
+    #[test]
+    fn counters_and_gauges_read_the_deterministic_plane_by_name() {
+        let doc = sample();
+        assert_eq!(doc.counter("alberta_requests_total"), Some(96));
+        assert_eq!(doc.gauge("alberta_hosts"), Some(4));
+        assert_eq!(doc.counter("alberta_hosts"), None, "a gauge, not a counter");
+        assert_eq!(
+            doc.counter("alberta_connections_total"),
+            None,
+            "the volatile plane is not read"
+        );
     }
 
     #[test]

@@ -118,9 +118,9 @@ impl CacheDocument {
     }
 }
 
-/// Per-host placement counters of one storm run, as reported by the
-/// daemon's scheduler. Deterministic given the request mix and daemon
-/// configuration.
+/// Per-host placement counters of one storm run: the delta of the
+/// daemon's `alberta_host_<i>_{tasks,stolen}_total` metrics over the
+/// run. Deterministic given the request mix and daemon configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostRecord {
     /// Host index.
@@ -132,8 +132,7 @@ pub struct HostRecord {
 }
 
 impl HostRecord {
-    /// The record as its canonical object — shared by the storm report
-    /// and the serving engine's stats.
+    /// The record as its canonical object in the storm report.
     pub fn to_value(self) -> Value {
         Value::Object(vec![
             ("host".to_owned(), Value::UInt(self.host)),

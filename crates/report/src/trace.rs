@@ -1,12 +1,15 @@
-//! Chrome trace-event export of a characterization sweep.
+//! Chrome trace-event export of a characterization sweep and of a
+//! serving engine's span log.
 //!
-//! Renders a [`SuiteReport`] as a trace-event JSON document — the
-//! format `about:tracing` and [Perfetto](https://ui.perfetto.dev)
-//! open directly — with one complete (`"ph": "X"`) span per
-//! `(benchmark, workload)` run, grouped into per-lane timelines, and
-//! instant-event annotations marking retried and lost runs.
+//! Both render a trace-event JSON document — the format `about:tracing`
+//! and [Perfetto](https://ui.perfetto.dev) open directly — through one
+//! set of event builders: lane metadata, complete (`"ph": "X"`) spans,
+//! instant markers, and the `traceEvents` wrapper.
 //!
-//! Two timeline modes cover the two kinds of report this workspace
+//! [`render_trace`] lays out a [`SuiteReport`] with one complete span
+//! per `(benchmark, workload)` run, grouped into per-lane timelines,
+//! and instant-event annotations marking retried and lost runs. Two
+//! timeline modes cover the two kinds of report this workspace
 //! produces:
 //!
 //! * [`TraceMode::Virtual`] — a *deterministic* schedule built from
@@ -28,10 +31,28 @@
 //! artifact: ordered objects, exact integers, stable float rendering.
 //! [`trace_directory`] bundles the timeline with the sweep's collapsed
 //! stacks and hot-path report.
+//!
+//! [`render_service_timeline`] renders the *service*: the ordered
+//! [`SpanEvent`] log a daemon accumulates is laid out as one timeline
+//! lane per host, with each `placed` span positioned by the scheduler's
+//! virtual ticks (1 tick = 1 µs of trace time). Virtual time makes it
+//! deterministic too: the same request stream renders byte-identically
+//! whether the engine ran serial, threaded, or process-backed. Lanes
+//! and annotations:
+//!
+//! * one complete event per `placed` span, on the executing host's
+//!   lane, named `benchmark/workload` and tagged with the originating
+//!   request label, the cache key, and whether the task was stolen;
+//! * instant markers for `redispatched` and `retried` events, pinned to
+//!   the affected task's slot on its host lane;
+//! * a trailing *service* lane carrying `cache_hit` and `failed`
+//!   instants — events with no host to sit on — spread by their log
+//!   sequence number so they stay readable and deterministic.
 
 use crate::json::Value;
 use crate::schema::{RunRecord, StatusKind, SuiteReport};
 use crate::ReportError;
+use alberta_core::telemetry::SpanEvent;
 use alberta_core::{ResilientCharacterization, RunMetrics};
 use std::collections::BTreeMap;
 
@@ -160,11 +181,7 @@ pub fn render_trace(report: &SuiteReport, mode: TraceMode) -> Result<String, Rep
             StatusKind::Failed => events.push(instant_event(span, "lost")),
         }
     }
-    let document = Value::Object(vec![
-        ("traceEvents".to_owned(), Value::Array(events)),
-        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
-    ]);
-    Ok(document.render())
+    Ok(document(events))
 }
 
 /// The deterministic virtual schedule: runs in canonical report order,
@@ -238,19 +255,6 @@ fn telemetry_spans(report: &SuiteReport) -> Result<Vec<Span<'_>>, ReportError> {
     Ok(spans)
 }
 
-fn metadata(name: &str, tid: u64, label: &str) -> Value {
-    Value::Object(vec![
-        ("name".to_owned(), Value::Str(name.to_owned())),
-        ("ph".to_owned(), Value::Str("M".to_owned())),
-        ("pid".to_owned(), Value::UInt(0)),
-        ("tid".to_owned(), Value::UInt(tid)),
-        (
-            "args".to_owned(),
-            Value::Object(vec![("name".to_owned(), Value::Str(label.to_owned()))]),
-        ),
-    ])
-}
-
 fn span_event(span: &Span<'_>) -> Value {
     let run = span.run;
     let mut args = vec![(
@@ -269,36 +273,218 @@ fn span_event(span: &Span<'_>) -> Value {
     if let Some(error) = &run.error {
         args.push(("error".to_owned(), Value::Str(error.clone())));
     }
+    complete(
+        format!("{}/{}", span.benchmark, run.workload),
+        status_str(run.status),
+        span.start,
+        span.duration,
+        span.lane,
+        args,
+    )
+}
+
+fn instant_event(span: &Span<'_>, label: &str) -> Value {
+    instant(
+        format!("{}/{}: {label}", span.benchmark, span.run.workload),
+        span.start,
+        span.lane,
+        Vec::new(),
+    )
+}
+
+/// One placed task, indexed by cache key so later annotation events can
+/// find their slot on the timeline.
+struct Slot {
+    host: u64,
+    start_ticks: u64,
+}
+
+/// Renders a span log (the `Spans` wire response, a canonical array of
+/// span events) as trace-event JSON.
+///
+/// # Errors
+///
+/// [`ReportError::Schema`] when `spans` is not an array of well-formed
+/// span events.
+pub fn render_service_timeline(spans: &Value) -> Result<String, ReportError> {
+    let raw = spans.as_array().ok_or_else(|| ReportError::Schema {
+        message: "span log must be an array".to_owned(),
+    })?;
+    let events: Vec<SpanEvent> = raw
+        .iter()
+        .map(SpanEvent::from_value)
+        .collect::<Result<_, _>>()?;
+
+    let attr_u64 = |e: &SpanEvent, name: &str| -> Option<u64> {
+        e.attrs
+            .iter()
+            .find(|(k, _)| k == name)
+            .and_then(|(_, v)| v.as_u64())
+    };
+    let attr_str = |e: &SpanEvent, name: &str| -> Option<String> {
+        e.attrs
+            .iter()
+            .find(|(k, _)| k == name)
+            .and_then(|(_, v)| v.as_str())
+            .map(str::to_owned)
+    };
+
+    // First pass: where every placed key landed, so annotation instants
+    // can be pinned to the right slot.
+    let mut slots: Vec<(String, Slot)> = Vec::new();
+    let mut hosts: Vec<u64> = Vec::new();
+    for e in &events {
+        if e.stage != "placed" {
+            continue;
+        }
+        let (Some(key), Some(host), Some(start_ticks)) = (
+            attr_str(e, "key"),
+            attr_u64(e, "host"),
+            attr_u64(e, "start_ticks"),
+        ) else {
+            continue;
+        };
+        hosts.push(host);
+        slots.push((key, Slot { host, start_ticks }));
+    }
+    hosts.sort_unstable();
+    hosts.dedup();
+    let slot_of = |key: &str| slots.iter().find(|(k, _)| k == key).map(|(_, s)| s);
+    // Events with no host lane (cache hits, failures) park on a trailing
+    // service lane.
+    let service_lane = hosts.last().map_or(0, |h| h + 1);
+
+    let mut out: Vec<Value> = Vec::new();
+    out.push(metadata("process_name", 0, "alberta service"));
+    for host in &hosts {
+        out.push(metadata("thread_name", *host, &format!("host {host}")));
+    }
+    out.push(metadata("thread_name", service_lane, "service"));
+
+    for e in &events {
+        match e.stage.as_str() {
+            "placed" => {
+                let (Some(host), Some(start), Some(end)) = (
+                    attr_u64(e, "host"),
+                    attr_u64(e, "start_ticks"),
+                    attr_u64(e, "end_ticks"),
+                ) else {
+                    continue;
+                };
+                let name = format!(
+                    "{}/{}",
+                    attr_str(e, "benchmark").unwrap_or_default(),
+                    attr_str(e, "workload").unwrap_or_default()
+                );
+                let mut args = vec![("request".to_owned(), Value::Str(e.request.clone()))];
+                if let Some(key) = attr_str(e, "key") {
+                    args.push(("key".to_owned(), Value::Str(key)));
+                }
+                args.push((
+                    "stolen".to_owned(),
+                    e.attrs
+                        .iter()
+                        .find(|(k, _)| k == "stolen")
+                        .map(|(_, v)| v.clone())
+                        .unwrap_or(Value::Bool(false)),
+                ));
+                out.push(complete(
+                    name,
+                    "placed",
+                    start as f64,
+                    end.saturating_sub(start).max(1) as f64,
+                    host,
+                    args,
+                ));
+            }
+            "redispatched" | "retried" => {
+                // Pin the marker to the task's slot when we know it;
+                // otherwise let it fall through to the service lane.
+                let slot = attr_str(e, "key").as_deref().and_then(slot_of);
+                let (tid, ts) = match slot {
+                    Some(s) => (s.host, s.start_ticks as f64),
+                    None => (service_lane, e.seq as f64),
+                };
+                out.push(span_log_instant(e, tid, ts));
+            }
+            "cache_hit" | "failed" => {
+                out.push(span_log_instant(e, service_lane, e.seq as f64));
+            }
+            _ => {}
+        }
+    }
+
+    Ok(document(out))
+}
+
+fn span_log_instant(e: &SpanEvent, tid: u64, ts: f64) -> Value {
+    instant(
+        format!("{}: {}", e.request, e.stage),
+        ts,
+        tid,
+        vec![("request".to_owned(), Value::Str(e.request.clone()))],
+    )
+}
+
+/// The trace document around `events`, rendered.
+fn document(events: Vec<Value>) -> String {
     Value::Object(vec![
-        (
-            "name".to_owned(),
-            Value::Str(format!("{}/{}", span.benchmark, run.workload)),
-        ),
-        (
-            "cat".to_owned(),
-            Value::Str(status_str(run.status).to_owned()),
-        ),
-        ("ph".to_owned(), Value::Str("X".to_owned())),
-        ("ts".to_owned(), Value::Float(span.start)),
-        ("dur".to_owned(), Value::Float(span.duration)),
+        ("traceEvents".to_owned(), Value::Array(events)),
+        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
+    ])
+    .render()
+}
+
+/// A metadata event naming process 0 or one of its lanes.
+fn metadata(name: &str, tid: u64, label: &str) -> Value {
+    Value::Object(vec![
+        ("name".to_owned(), Value::Str(name.to_owned())),
+        ("ph".to_owned(), Value::Str("M".to_owned())),
         ("pid".to_owned(), Value::UInt(0)),
-        ("tid".to_owned(), Value::UInt(span.lane)),
+        ("tid".to_owned(), Value::UInt(tid)),
+        (
+            "args".to_owned(),
+            Value::Object(vec![("name".to_owned(), Value::Str(label.to_owned()))]),
+        ),
+    ])
+}
+
+/// A complete event: a span of `dur` µs from `ts` on lane `tid`.
+fn complete(
+    name: String,
+    cat: &str,
+    ts: f64,
+    dur: f64,
+    tid: u64,
+    args: Vec<(String, Value)>,
+) -> Value {
+    Value::Object(vec![
+        ("name".to_owned(), Value::Str(name)),
+        ("cat".to_owned(), Value::Str(cat.to_owned())),
+        ("ph".to_owned(), Value::Str("X".to_owned())),
+        ("ts".to_owned(), Value::Float(ts)),
+        ("dur".to_owned(), Value::Float(dur)),
+        ("pid".to_owned(), Value::UInt(0)),
+        ("tid".to_owned(), Value::UInt(tid)),
         ("args".to_owned(), Value::Object(args)),
     ])
 }
 
-fn instant_event(span: &Span<'_>, label: &str) -> Value {
-    Value::Object(vec![
-        (
-            "name".to_owned(),
-            Value::Str(format!("{}/{}: {label}", span.benchmark, span.run.workload)),
-        ),
+/// A thread-scoped instant marker at `ts` on lane `tid`; empty `args`
+/// are left out.
+fn instant(name: String, ts: f64, tid: u64, args: Vec<(String, Value)>) -> Value {
+    let mut fields = vec![
+        ("name".to_owned(), Value::Str(name)),
         ("ph".to_owned(), Value::Str("i".to_owned())),
-        ("ts".to_owned(), Value::Float(span.start)),
+        ("ts".to_owned(), Value::Float(ts)),
         ("pid".to_owned(), Value::UInt(0)),
-        ("tid".to_owned(), Value::UInt(span.lane)),
+        ("tid".to_owned(), Value::UInt(tid)),
         ("s".to_owned(), Value::Str("t".to_owned())),
-    ])
+    ];
+    if !args.is_empty() {
+        fields.push(("args".to_owned(), Value::Object(args)));
+    }
+    Value::Object(fields)
 }
 
 fn status_str(status: StatusKind) -> &'static str {
@@ -314,6 +500,7 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::schema::{MeasureRecord, SCHEMA_VERSION};
+    use alberta_core::telemetry::SpanLog;
     use alberta_workloads::Scale;
     use std::collections::BTreeMap;
 
@@ -466,5 +653,145 @@ mod tests {
             lane_name.get("args").unwrap().get("name").unwrap().as_str(),
             Some("worker 3")
         );
+    }
+
+    fn sample_log() -> SpanLog {
+        let mut log = SpanLog::new();
+        log.push(
+            "storm-m0#1",
+            "received",
+            vec![("benchmark".to_owned(), Value::Str("mcf".to_owned()))],
+        );
+        log.push(
+            "storm-m0#1",
+            "cache_hit",
+            vec![("key".to_owned(), Value::Str("aa11".to_owned()))],
+        );
+        log.push(
+            "storm-m0#1",
+            "placed",
+            vec![
+                ("key".to_owned(), Value::Str("bb22".to_owned())),
+                ("host".to_owned(), Value::UInt(2)),
+                ("stolen".to_owned(), Value::Bool(true)),
+                ("start_ticks".to_owned(), Value::UInt(4)),
+                ("end_ticks".to_owned(), Value::UInt(9)),
+                ("benchmark".to_owned(), Value::Str("mcf".to_owned())),
+                ("workload".to_owned(), Value::Str("train".to_owned())),
+            ],
+        );
+        log.push(
+            "storm-m0#1",
+            "redispatched",
+            vec![
+                ("key".to_owned(), Value::Str("bb22".to_owned())),
+                ("attempt".to_owned(), Value::UInt(2)),
+            ],
+        );
+        log.push("storm-m0#1", "completed", Vec::new());
+        log
+    }
+
+    #[test]
+    fn timeline_places_spans_on_host_lanes() {
+        let text = render_service_timeline(&sample_log().to_value()).unwrap();
+        let doc = json::parse(&text).expect("timeline is well-formed JSON");
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .expect("one placed span");
+        assert_eq!(span.get("name").unwrap().as_str(), Some("mcf/train"));
+        assert_eq!(span.get("tid").unwrap().as_u64(), Some(2));
+        assert_eq!(span.get("ts").unwrap().as_f64(), Some(4.0));
+        assert_eq!(span.get("dur").unwrap().as_f64(), Some(5.0));
+        assert_eq!(
+            span.get("args").unwrap().get("request").unwrap().as_str(),
+            Some("storm-m0#1"),
+            "every span is tagged with the originating request label"
+        );
+    }
+
+    #[test]
+    fn a_placed_span_ending_before_it_starts_lasts_one_tick() {
+        // The span log arrives over the wire: an inverted span must
+        // render, not overflow.
+        let mut log = SpanLog::new();
+        log.push(
+            "storm-m0#1",
+            "placed",
+            vec![
+                ("host".to_owned(), Value::UInt(0)),
+                ("start_ticks".to_owned(), Value::UInt(9)),
+                ("end_ticks".to_owned(), Value::UInt(4)),
+            ],
+        );
+        let text = render_service_timeline(&log.to_value()).unwrap();
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .expect("one placed span");
+        assert_eq!(span.get("dur").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn annotations_pin_to_slots_and_service_lane() {
+        let text = render_service_timeline(&sample_log().to_value()).unwrap();
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let instants: Vec<&Value> = events
+            .iter()
+            .filter(|e| e.get("ph").unwrap().as_str() == Some("i"))
+            .collect();
+        assert_eq!(instants.len(), 2, "cache_hit + redispatched");
+        let hit = instants
+            .iter()
+            .find(|e| {
+                e.get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .contains("cache_hit")
+            })
+            .unwrap();
+        // Host lanes end at 2, so the service lane is 3.
+        assert_eq!(hit.get("tid").unwrap().as_u64(), Some(3));
+        let redispatch = instants
+            .iter()
+            .find(|e| {
+                e.get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .contains("redispatched")
+            })
+            .unwrap();
+        assert_eq!(redispatch.get("tid").unwrap().as_u64(), Some(2));
+        assert_eq!(redispatch.get("ts").unwrap().as_f64(), Some(4.0));
+        let lanes: Vec<&Value> = events
+            .iter()
+            .filter(|e| e.get("name").unwrap().as_str() == Some("thread_name"))
+            .collect();
+        assert_eq!(lanes.len(), 2, "host 2 + service");
+    }
+
+    #[test]
+    fn timeline_is_deterministic_and_rejects_malformed_logs() {
+        let log = sample_log().to_value();
+        assert_eq!(
+            render_service_timeline(&log).unwrap(),
+            render_service_timeline(&log).unwrap()
+        );
+        assert!(render_service_timeline(&Value::UInt(3)).is_err());
+        let bad = Value::Array(vec![Value::Object(vec![(
+            "stage".to_owned(),
+            Value::Str("received".to_owned()),
+        )])]);
+        assert!(matches!(
+            render_service_timeline(&bad),
+            Err(ReportError::Schema { .. })
+        ));
     }
 }

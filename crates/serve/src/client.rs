@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use alberta_core::json::Value;
 use alberta_report::MetricsDocument;
 
-use crate::engine::{EngineStats, ResponseCounts};
+use crate::engine::ResponseCounts;
 use crate::spec::RequestSpec;
 use crate::wire::{self, ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
 
@@ -126,19 +126,6 @@ impl Client {
                 }
                 other => return Err(format!("unexpected message during drain: {other:?}")),
             }
-        }
-    }
-
-    /// Fetches the engine's counter snapshot.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or unexpected messages.
-    pub fn stats(&mut self) -> Result<EngineStats, ClientError> {
-        self.send(&ClientMsg::Stats)?;
-        match self.receive()? {
-            ServerMsg::Stats(stats) => Ok(stats),
-            other => Err(format!("unexpected reply to stats: {other:?}")),
         }
     }
 

@@ -208,9 +208,6 @@ fn handle_connection(
                 }
                 send(&mut writer, &ServerMsg::Drained { responses: count })?;
             }
-            Ok(ClientMsg::Stats) => {
-                send(&mut writer, &ServerMsg::Stats(engine.stats()))?;
-            }
             Ok(ClientMsg::Metrics) => {
                 send(
                     &mut writer,

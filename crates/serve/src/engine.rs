@@ -12,16 +12,24 @@
 //! was cached, or the order requests arrived over the wire.
 //!
 //! Batches are resolved under a global lock. That serialization is the
-//! cross-batch single-flight: when two storms race the same key set,
-//! the first batch computes and the second finds everything on disk.
-//! The lock also holds the per-scale name tables requests are validated
-//! against, each built once from the reference suite on first use.
+//! only single-flight: a key referenced twice in one batch is computed
+//! once (the second reference coalesces), and when two storms race the
+//! same key set, the first batch computes and the second finds
+//! everything on disk. The engine alone decides what to persist: a
+//! `Failed` document is never stored. The lock also holds the per-scale
+//! name tables requests are validated against, each built once from the
+//! reference suite on first use.
+//!
+//! The two-plane [`MetricsRegistry`] is the one record of what the
+//! engine did: requests, hits, coalesced and failed keys, steals,
+//! redispatches, evictions and each host's placement
+//! ([`host_counters`]) are deterministic counters, bumped every batch.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use alberta_core::json::{req, DecodeError, Value};
+use alberta_core::json::Value;
 use alberta_core::log_info;
 use alberta_core::protocol::RemoteStatus;
 use alberta_core::telemetry::{
@@ -31,9 +39,9 @@ use alberta_core::{
     benchmark_suite, summarize_runs, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig, Scale,
     Suite,
 };
-use alberta_report::{BenchmarkReport, CacheDocument, HostRecord, MetricsDocument, RunRecord};
+use alberta_report::{BenchmarkReport, CacheDocument, MetricsDocument, RunRecord};
 
-use crate::cache::{ResultCache, ShardStats};
+use crate::cache::ResultCache;
 use crate::sched::{self, Placement};
 use crate::spec::RequestSpec;
 
@@ -109,110 +117,15 @@ pub struct ResolvedRequest {
     pub result: Result<Value, String>,
 }
 
-/// A deterministic snapshot of the engine's lifetime counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineStats {
-    /// Requests resolved (including errors).
-    pub requests: u64,
-    /// Distinct keys computed.
-    pub computed_keys: u64,
-    /// Key lookups answered from disk.
-    pub cache_hits: u64,
-    /// Key references coalesced onto a computation in the same batch.
-    pub coalesced: u64,
-    /// Key references that failed (dead home host).
-    pub failed_keys: u64,
-    /// Steals performed by the placement scheduler.
-    pub steals: u64,
-    /// Extra dispatch attempts by the host pools beyond the first.
-    pub redispatches: u64,
-    /// Corrupt cache entries evicted.
-    pub evictions: u64,
-    /// Per-host placement totals.
-    pub hosts: Vec<HostRecord>,
-    /// Per-shard cache statistics (entries, bytes, evictions).
-    pub shards: Vec<ShardStats>,
-}
-
-impl EngineStats {
-    /// The stats as a wire object.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("requests".to_owned(), Value::UInt(self.requests)),
-            ("computed_keys".to_owned(), Value::UInt(self.computed_keys)),
-            ("cache_hits".to_owned(), Value::UInt(self.cache_hits)),
-            ("coalesced".to_owned(), Value::UInt(self.coalesced)),
-            ("failed_keys".to_owned(), Value::UInt(self.failed_keys)),
-            ("steals".to_owned(), Value::UInt(self.steals)),
-            ("redispatches".to_owned(), Value::UInt(self.redispatches)),
-            ("evictions".to_owned(), Value::UInt(self.evictions)),
-            (
-                "hosts".to_owned(),
-                Value::Array(self.hosts.iter().map(|h| h.to_value()).collect()),
-            ),
-            (
-                "shards".to_owned(),
-                Value::Array(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("shard".to_owned(), Value::Str(s.shard.clone())),
-                                ("entries".to_owned(), Value::UInt(s.entries)),
-                                ("bytes".to_owned(), Value::UInt(s.bytes)),
-                                ("evictions".to_owned(), Value::UInt(s.evictions)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a stats wire object.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
-        Ok(EngineStats {
-            requests: req(value, "requests")?,
-            computed_keys: req(value, "computed_keys")?,
-            cache_hits: req(value, "cache_hits")?,
-            coalesced: req(value, "coalesced")?,
-            failed_keys: req(value, "failed_keys")?,
-            steals: req(value, "steals")?,
-            redispatches: req(value, "redispatches")?,
-            evictions: req(value, "evictions")?,
-            hosts: req::<&[Value]>(value, "hosts")?
-                .iter()
-                .map(HostRecord::from_value)
-                .collect::<Result<_, _>>()?,
-            shards: req::<&[Value]>(value, "shards")?
-                .iter()
-                .map(|shard| {
-                    Ok(ShardStats {
-                        shard: req(shard, "shard")?,
-                        entries: req(shard, "entries")?,
-                        bytes: req(shard, "bytes")?,
-                        evictions: req(shard, "evictions")?,
-                    })
-                })
-                .collect::<Result<_, DecodeError>>()?,
-        })
-    }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    requests: u64,
-    computed_keys: u64,
-    cache_hits: u64,
-    coalesced: u64,
-    failed_keys: u64,
-    steals: u64,
-    redispatches: u64,
-    per_host: Vec<sched::HostLoad>,
+/// The deterministic counter names of one host's placement: the tasks
+/// it executed, and of those, the tasks it stole from another host's
+/// queue. Hosts are indexed by number, so read them by building the
+/// name, not by sorting: `host_10` sorts before `host_2`.
+pub fn host_counters(host: usize) -> (String, String) {
+    (
+        format!("alberta_host_{host}_tasks_total"),
+        format!("alberta_host_{host}_stolen_total"),
+    )
 }
 
 /// One reference benchmark's names: what a request may call it, and
@@ -261,8 +174,10 @@ struct KeyTask {
 pub struct Engine {
     config: ServeConfig,
     cache: ResultCache,
-    counters: Mutex<Counters>,
     metrics: MetricsRegistry,
+    /// Each host's `(tasks, stolen)` deterministic counter names, by
+    /// host index.
+    host_counters: Vec<(String, String)>,
     spans: Mutex<SpanLog>,
     /// Serializes batches, and holds the name tables they validate
     /// against, by scale.
@@ -271,7 +186,14 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine over a cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ALBERTA_LOG` is set to something that is not a log
+    /// level: the daemon must refuse it at start-up, not at its first
+    /// log call inside a connection handler.
     pub fn new(config: ServeConfig, cache: ResultCache) -> Self {
+        alberta_core::log::max_level();
         let hosts = config.hosts;
         let metrics = MetricsRegistry::new();
         // Roster gauges are configuration, not wall-clock — they live
@@ -285,11 +207,8 @@ impl Engine {
         Engine {
             config,
             cache,
-            counters: Mutex::new(Counters {
-                per_host: vec![sched::HostLoad::default(); hosts],
-                ..Counters::default()
-            }),
             metrics,
+            host_counters: (0..hosts).map(host_counters).collect(),
             spans: Mutex::new(SpanLog::new()),
             batch_lock: Mutex::new(HashMap::new()),
         }
@@ -322,32 +241,6 @@ impl Engine {
     /// The ordered span log as a canonical array.
     pub fn spans_value(&self) -> Value {
         self.spans.lock().expect("span log poisoned").to_value()
-    }
-
-    /// A snapshot of the lifetime counters.
-    pub fn stats(&self) -> EngineStats {
-        let c = self.counters.lock().expect("counters poisoned");
-        EngineStats {
-            requests: c.requests,
-            computed_keys: c.computed_keys,
-            cache_hits: c.cache_hits,
-            coalesced: c.coalesced,
-            failed_keys: c.failed_keys,
-            steals: c.steals,
-            redispatches: c.redispatches,
-            evictions: self.cache.evictions(),
-            hosts: c
-                .per_host
-                .iter()
-                .enumerate()
-                .map(|(i, h)| HostRecord {
-                    host: i as u64,
-                    tasks: h.tasks,
-                    stolen: h.stolen,
-                })
-                .collect(),
-            shards: self.cache.shard_stats(),
-        }
     }
 
     /// Resolves a batch of requests into canonical responses, in token
@@ -649,20 +542,6 @@ impl Engine {
             placement.unplaced
         );
 
-        let mut c = self.counters.lock().expect("counters poisoned");
-        c.requests += ordered.len() as u64;
-        c.computed_keys += computed_count;
-        c.cache_hits += hit_count as u64;
-        c.coalesced += total_coalesced;
-        c.failed_keys += placement.unplaced;
-        c.steals += placement.steals;
-        c.redispatches += redispatches;
-        for (i, load) in placement.per_host.iter().enumerate() {
-            c.per_host[i].tasks += load.tasks;
-            c.per_host[i].stolen += load.stolen;
-        }
-        drop(c);
-
         // Deterministic plane: every counter is touched every batch
         // (`by: 0` still registers it), so the snapshot's shape is
         // stable regardless of what this batch happened to exercise.
@@ -683,6 +562,10 @@ impl Engine {
         );
         m.inc(det, "alberta_retries_total", retries_total);
         m.inc(det, "alberta_redispatches_total", redispatches);
+        for ((tasks, stolen), load) in self.host_counters.iter().zip(&placement.per_host) {
+            m.inc(det, tasks, load.tasks);
+            m.inc(det, stolen, load.stolen);
+        }
         m.inc(
             det,
             "alberta_evictions_total",

@@ -13,14 +13,15 @@
 //!   version) is the content address of a result;
 //! * [`cache`] — [`ResultCache`], the sharded on-disk store of
 //!   hash-verified [`CacheDocument`](alberta_report::CacheDocument)s,
-//!   with atomic writes, corrupt-entry eviction, and single-flight
-//!   computation;
+//!   with atomic writes and corrupt-entry eviction;
 //! * [`sched`] — the deterministic virtual-time work-stealing placement
 //!   of cache misses over mock hosts;
 //! * [`engine`] — [`Engine`], batch resolution: cache pass, placement,
 //!   per-host execution through
 //!   [`Suite::characterize_tasks_labeled`](alberta_core::Suite::characterize_tasks_labeled),
-//!   and canonical-order reassembly;
+//!   and canonical-order reassembly, under a batch lock that is the one
+//!   single-flight; its [`MetricsRegistry`] is the one record of what
+//!   it did;
 //! * [`wire`] — the line-delimited versioned message protocol;
 //! * [`daemon`] / [`client`] — the TCP daemon and its blocking client.
 //!
@@ -37,10 +38,12 @@ pub mod sched;
 pub mod spec;
 pub mod wire;
 
-pub use cache::{CacheOutcome, ResultCache, ShardStats};
+pub use cache::ResultCache;
 pub use client::{Client, ClientError, Response};
 pub use daemon::Daemon;
-pub use engine::{BatchRequest, Engine, EngineStats, ResolvedRequest, ResponseCounts, ServeConfig};
+pub use engine::{
+    host_counters, BatchRequest, Engine, ResolvedRequest, ResponseCounts, ServeConfig,
+};
 pub use sched::{place, Placement, TaskPlacement};
 pub use spec::{RequestSpec, CODE_VERSION};
 pub use wire::{ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};

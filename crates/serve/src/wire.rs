@@ -21,14 +21,16 @@ use std::net::TcpStream;
 
 use alberta_core::json::{self, opt, req, DecodeError, Value};
 
-use crate::engine::{EngineStats, ResponseCounts};
+use crate::engine::ResponseCounts;
 use crate::spec::RequestSpec;
 
 /// Wire protocol version; the hello handshake rejects mismatches.
 ///
 /// v2 added the optional `client` name in the hello (the first half of
-/// every request label) and the `metrics`/`spans` telemetry commands.
-pub const WIRE_VERSION: u64 = 2;
+/// every request label) and the `metrics`/`spans` telemetry commands;
+/// v3 retired the `stats` command, whose counters the `metrics`
+/// document holds.
+pub const WIRE_VERSION: u64 = 3;
 
 /// Prepares a connected stream for the line protocol: sets
 /// `TCP_NODELAY` and splits the stream into a buffered line reader and
@@ -108,8 +110,6 @@ pub enum ClientMsg {
     /// Resolve everything enqueued (for a grouped client: wait for the
     /// whole group, then resolve the union) and stream the responses.
     Drain,
-    /// Ask for the engine's counter snapshot.
-    Stats,
     /// Ask for the engine's two-plane metrics document.
     Metrics,
     /// Ask for the engine's ordered span log.
@@ -147,9 +147,6 @@ impl ClientMsg {
             ClientMsg::Drain => {
                 Value::Object(vec![("type".to_owned(), Value::Str("drain".to_owned()))])
             }
-            ClientMsg::Stats => {
-                Value::Object(vec![("type".to_owned(), Value::Str("stats".to_owned()))])
-            }
             ClientMsg::Metrics => {
                 Value::Object(vec![("type".to_owned(), Value::Str("metrics".to_owned()))])
             }
@@ -181,7 +178,6 @@ impl ClientMsg {
                 spec: Box::new(RequestSpec::from_value(req(&value, "spec")?)?),
             }),
             "drain" => Ok(ClientMsg::Drain),
-            "stats" => Ok(ClientMsg::Stats),
             "metrics" => Ok(ClientMsg::Metrics),
             "spans" => Ok(ClientMsg::Spans),
             "shutdown" => Ok(ClientMsg::Shutdown),
@@ -219,8 +215,6 @@ pub enum ServerMsg {
         /// Responses (including errors) sent before this marker.
         responses: u64,
     },
-    /// The engine's counter snapshot.
-    Stats(EngineStats),
     /// The engine's two-plane metrics document (a
     /// `alberta_report::MetricsDocument` wire value).
     Metrics {
@@ -268,10 +262,6 @@ impl ServerMsg {
                 ("type".to_owned(), Value::Str("drained".to_owned())),
                 ("responses".to_owned(), Value::UInt(*responses)),
             ]),
-            ServerMsg::Stats(stats) => Value::Object(vec![
-                ("type".to_owned(), Value::Str("stats".to_owned())),
-                ("stats".to_owned(), stats.to_value()),
-            ]),
             ServerMsg::Metrics { document } => Value::Object(vec![
                 ("type".to_owned(), Value::Str("metrics".to_owned())),
                 ("document".to_owned(), document.clone()),
@@ -318,9 +308,6 @@ impl ServerMsg {
             "drained" => Ok(ServerMsg::Drained {
                 responses: req(&value, "responses")?,
             }),
-            "stats" => Ok(ServerMsg::Stats(EngineStats::from_value(req(
-                &value, "stats",
-            )?)?)),
             "metrics" => Ok(ServerMsg::Metrics {
                 document: req::<&Value>(&value, "document")?.clone(),
             }),
@@ -377,7 +364,6 @@ mod tests {
                 spec: Box::new(RequestSpec::new("mcf", Some("alberta.1"), Scale::Test)),
             },
             ClientMsg::Drain,
-            ClientMsg::Stats,
             ClientMsg::Metrics,
             ClientMsg::Spans,
             ClientMsg::Shutdown,

@@ -1,14 +1,17 @@
-//! Cache concurrency and integrity: single-flight computation,
-//! corrupt-entry eviction, and version-keyed misses.
+//! Cache concurrency and integrity: the engine's single-flight and
+//! what it persists, corrupt-entry eviction, and version-keyed misses.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use alberta_core::protocol::RemoteStatus;
 use alberta_core::Scale;
 use alberta_report::{CacheDocument, SCHEMA_VERSION};
-use alberta_serve::{CacheOutcome, RequestSpec, ResultCache};
+use alberta_serve::sched::home_host;
+use alberta_serve::{
+    request_label, BatchRequest, Engine, RequestSpec, ResponseCounts, ResultCache, ServeConfig,
+};
 
 /// A fresh cache root under the system temp directory, unique per test.
 fn temp_root(tag: &str) -> PathBuf {
@@ -25,48 +28,87 @@ fn doc(key: &str) -> CacheDocument {
     }
 }
 
+/// Workload-level requests, tokenized in order.
+fn batch_of(requests: &[(&str, &str)]) -> Vec<BatchRequest> {
+    requests
+        .iter()
+        .enumerate()
+        .map(|(i, (benchmark, workload))| BatchRequest {
+            token: (0, i as u64),
+            request: request_label("cache", i as u64),
+            spec: RequestSpec::new(benchmark, Some(workload), Scale::Test),
+        })
+        .collect()
+}
+
+/// The batch lock is the single-flight: two threads resolving the same
+/// batch on one engine at once compute each unique key once between
+/// them, and the batch that runs second finds every key cached.
 #[test]
 fn simultaneous_misses_compute_exactly_once() {
     let root = temp_root("single-flight");
-    let cache = ResultCache::new(&root);
-    let computes = AtomicU64::new(0);
-    const CALLERS: usize = 8;
-    let barrier = Barrier::new(CALLERS);
+    let engine = Engine::new(ServeConfig::default(), ResultCache::new(&root));
+    // Three references to two unique keys: within a batch the repeat
+    // coalesces onto the first.
+    let batch = batch_of(&[("mcf", "alberta.1"), ("xz", "train"), ("mcf", "alberta.1")]);
+    let unique = 2u64;
+    let barrier = Barrier::new(2);
 
-    let outcomes: Vec<CacheOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CALLERS)
+    let resolved: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    let (returned, outcome) = cache.get_or_compute("deadbeef", || {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        // Hold the flight open long enough that the
-                        // other callers must coalesce, not miss.
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        doc("deadbeef")
-                    });
-                    assert_eq!(returned.budget_consumed, 12_345);
-                    outcome
+                    engine.resolve_batch(&batch)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
+    let totals = |responses: &[alberta_serve::ResolvedRequest]| {
+        responses
+            .iter()
+            .fold(ResponseCounts::default(), |mut sum, r| {
+                sum.computed += r.counts.computed;
+                sum.cached += r.counts.cached;
+                sum.coalesced += r.counts.coalesced;
+                sum.failed += r.counts.failed;
+                sum
+            })
+    };
+    let mut counts: Vec<ResponseCounts> = resolved.iter().map(|r| totals(r)).collect();
+    // The batch that took the lock first computed; list it first.
+    counts.sort_by_key(|c| std::cmp::Reverse(c.computed));
     assert_eq!(
-        computes.load(Ordering::SeqCst),
-        1,
-        "one caller computes; everyone else waits"
+        counts,
+        [
+            // Each unique key computed once; the repeat coalesced.
+            ResponseCounts {
+                computed: unique,
+                coalesced: 1,
+                ..ResponseCounts::default()
+            },
+            // Every count of the later batch is cached.
+            ResponseCounts {
+                cached: batch.len() as u64,
+                ..ResponseCounts::default()
+            },
+        ]
     );
-    let computed = outcomes
-        .iter()
-        .filter(|o| **o == CacheOutcome::Computed)
-        .count();
-    assert_eq!(computed, 1);
-    assert!(outcomes
-        .iter()
-        .all(|o| matches!(o, CacheOutcome::Computed | CacheOutcome::Coalesced)));
-    assert!(cache.lookup("deadbeef").is_some(), "the result persisted");
+    let bodies = |responses: &[alberta_serve::ResolvedRequest]| -> Vec<String> {
+        responses
+            .iter()
+            .map(|r| r.result.as_ref().expect("a response").render_compact())
+            .collect()
+    };
+    assert_eq!(bodies(&resolved[0]), bodies(&resolved[1]));
+    assert_eq!(
+        engine
+            .metrics_document()
+            .counter("alberta_keys_computed_total"),
+        Some(unique)
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -91,9 +133,8 @@ fn corrupt_entry_is_evicted_and_recomputed() {
     assert_eq!(cache.evictions(), 1);
     assert!(!path.exists(), "the corrupt file is gone");
 
-    // The next computation heals the cache.
-    let (_, outcome) = cache.get_or_compute("cafebabe", || doc("cafebabe"));
-    assert_eq!(outcome, CacheOutcome::Computed);
+    // The next computation's store heals the cache.
+    cache.store(&doc("cafebabe")).expect("store again");
     assert!(cache.lookup("cafebabe").is_some());
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -155,23 +196,58 @@ fn bumped_schema_version_misses_the_cache() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A key that failed on a dead host is not persisted: an engine with
+/// every host alive, over the same cache root, computes it again
+/// instead of finding it cached.
 #[test]
 fn failed_documents_are_not_persisted() {
     let root = temp_root("failed");
-    let cache = ResultCache::new(&root);
-    let (_, outcome) = cache.get_or_compute("baadf00d", || CacheDocument {
-        key: "baadf00d".to_owned(),
-        status: RemoteStatus::Failed {
-            error: "characterization host 1 is down".to_owned(),
-            retryable: true,
+    let hosts = 3;
+    let spec = RequestSpec::new("mcf", None, Scale::Test);
+    let batch = vec![BatchRequest {
+        token: (0, 0),
+        request: request_label("cache", 0),
+        spec: spec.clone(),
+    }];
+    // Kill the home host of the first workload's key, so at least one
+    // key fails.
+    let first = alberta_core::benchmark_suite(Scale::Test)
+        .iter()
+        .find(|b| b.short_name() == "mcf")
+        .expect("mcf in the suite")
+        .workload_names()
+        .remove(0);
+    let dead: BTreeSet<usize> = [home_host(&spec.run_key(&first), hosts)].into();
+
+    let degraded = Engine::new(
+        ServeConfig {
+            hosts,
+            dead_hosts: dead,
+            ..ServeConfig::default()
         },
-        run: None,
-        retries: 0,
-        budget_consumed: 0,
-    });
-    assert_eq!(outcome, CacheOutcome::Computed);
-    assert!(
-        cache.lookup("baadf00d").is_none(),
+        ResultCache::new(&root),
+    )
+    .resolve_batch(&batch);
+    let failed = degraded[0].counts.failed;
+    let survived = degraded[0].counts.computed;
+    assert!(failed > 0, "the dead host's keys failed");
+    assert!(survived > 0, "the live hosts' keys computed");
+
+    let healed = Engine::new(
+        ServeConfig {
+            hosts,
+            ..ServeConfig::default()
+        },
+        ResultCache::new(&root),
+    )
+    .resolve_batch(&batch);
+    assert_eq!(
+        healed[0].counts,
+        ResponseCounts {
+            computed: failed,
+            cached: survived,
+            ..ResponseCounts::default()
+        },
         "environmental failures must not poison the cache"
     );
     let _ = std::fs::remove_dir_all(&root);

@@ -18,13 +18,10 @@ use alberta_core::{
     SamplingPolicy, SamplingStats, Scale, SpanLog, TopDownModel, TopDownReport, WorkloadRun,
 };
 use alberta_profile::ProfilerFault;
-use alberta_report::{
-    CacheDocument, HostRecord, MemoryDocument, MetricsDocument, StormReport, SuiteReport,
-};
+use alberta_report::{CacheDocument, MemoryDocument, MetricsDocument, StormReport, SuiteReport};
 use alberta_serve::spec::parse_spec;
 use alberta_serve::{
-    ClientMsg, EngineStats, GroupInfo, RequestSpec, ResponseCounts, ServerMsg, ShardStats,
-    WIRE_VERSION,
+    host_counters, ClientMsg, GroupInfo, RequestSpec, ResponseCounts, ServerMsg, WIRE_VERSION,
 };
 use alberta_stats::variation::TopDownRatios;
 use proptest::TestRng;
@@ -122,7 +119,6 @@ fn sample_config() -> SupervisorMsg {
         faults: FaultPlan::new(9)
             .inject("mcf", "train", FaultKind::MalformedWorkload)
             .inject("xz", "refrate", FaultKind::WorkerHang { attempts: 2 }),
-        deadline_work: None,
         beat_ms: 40,
     }))
 }
@@ -165,7 +161,7 @@ fn sample_cache_document() -> CacheDocument {
 fn encodings_are_pinned() {
     assert_eq!(
         sample_config().encode(),
-        r#"{"type":"config","protocol":2,"scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"deadline_work":null,"beat_ms":40}"#
+        r#"{"type":"config","protocol":3,"scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"beat_ms":40}"#
     );
     assert_eq!(
         sample_result().encode(),
@@ -182,19 +178,61 @@ fn encodings_are_pinned() {
     assert_eq!(sample_cache_document().to_json(), CACHE_DOCUMENT);
 }
 
+/// The committed service goldens agree with themselves. In the storm
+/// report the hosts' tasks sum to `computed` and their steals to
+/// `steals`. In the metrics plane each configured host has one task
+/// and one stolen counter, and they sum to the computed keys and the
+/// steals (a key a dead host left unplaced counts in neither).
+#[test]
+fn service_goldens_agree_with_themselves() {
+    let storm = StormReport::parse(STORM_GOLDEN).expect("STORM golden parses");
+    let storm_tasks: u64 = storm.hosts.iter().map(|h| h.tasks).sum();
+    let storm_stolen: u64 = storm.hosts.iter().map(|h| h.stolen).sum();
+    assert_eq!(storm_tasks, storm.computed);
+    assert_eq!(storm_stolen, storm.steals);
+
+    let golden = json::parse(METRICS_GOLDEN).expect("METRICS golden parses");
+    let plane = golden.get("deterministic").expect("deterministic plane");
+    let metrics = MetricsDocument::new(plane.clone(), Value::Null);
+    let hosts = metrics.gauge("alberta_hosts").expect("the host roster") as usize;
+    let (mut tasks, mut stolen) = (0u64, 0u64);
+    for host in 0..hosts {
+        let (task_counter, stolen_counter) = host_counters(host);
+        tasks += metrics.counter(&task_counter).expect(&task_counter);
+        stolen += metrics.counter(&stolen_counter).expect(&stolen_counter);
+    }
+    assert_eq!(Some(tasks), metrics.counter("alberta_keys_computed_total"));
+    assert_eq!(Some(stolen), metrics.counter("alberta_steals_total"));
+    let per_host = plane
+        .get("counters")
+        .and_then(Value::as_object)
+        .expect("counters")
+        .iter()
+        .filter(|(name, _)| name.starts_with("alberta_host_"))
+        .count();
+    assert_eq!(per_host, 2 * hosts, "one pair per host");
+}
+
 /// The worker pipe refuses a configuration of another protocol
 /// revision, naming both: here, the pinned revision-1 line, which still
-/// carried the retired `mode` field.
+/// carried the retired `mode` field, and the revision-2 line, which
+/// still carried the retired per-task deadline.
 #[test]
 fn config_of_another_protocol_revision_is_refused() {
-    let err = SupervisorMsg::decode(PROTOCOL_1_CONFIG).unwrap_err();
-    assert_eq!(
-        err,
-        format!("protocol mismatch: worker speaks {PROTOCOL_VERSION}, supervisor sent 1")
-    );
+    for (line, revision) in [(PROTOCOL_1_CONFIG, 1), (PROTOCOL_2_CONFIG, 2)] {
+        let err = SupervisorMsg::decode(line).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "protocol mismatch: worker speaks {PROTOCOL_VERSION}, supervisor sent {revision}"
+            )
+        );
+    }
 }
 
 const PROTOCOL_1_CONFIG: &str = r#"{"type":"config","protocol":1,"mode":"resilient","scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"deadline_work":null,"beat_ms":40}"#;
+
+const PROTOCOL_2_CONFIG: &str = r#"{"type":"config","protocol":2,"scale":"train","sampling":{"branch_interval":1,"mem_interval":1,"call_interval":1,"trace_capacity":1048576,"work_budget":1099511627776,"interval_work":null,"fault":{"kind":"panic_at_event","at":17}},"policy":{"kind":"phase","interval_work":131072,"k":16,"seed":169599610},"machine":{"issue_width":4,"mispredict_penalty":14,"l2_latency":10,"l3_latency":35,"memory_latency":180,"tlb_penalty":30,"icache_penalty":12,"memory_parallelism":4,"uops_per_unit":3,"taken_branch_bubble":0.35,"baseline_frontend":0.05,"baseline_badspec":0.012,"baseline_backend":0.06,"icache":{"size_bytes":32768,"line_bytes":64,"ways":8},"l1d":{"size_bytes":32768,"line_bytes":64,"ways":8},"l2":{"size_bytes":262144,"line_bytes":64,"ways":8},"l3":{"size_bytes":8388608,"line_bytes":64,"ways":16},"dtlb_entries":64,"dram":{"banks":8,"row_bytes":8192,"line_bytes":64},"fetch_probe_bytes":256},"predictor":{"kind":"gshare","bits":14},"faults":{"seed":9,"faults":[{"benchmark":"mcf","workload":"train","kind":{"kind":"malformed_workload"}},{"benchmark":"xz","workload":"refrate","kind":{"kind":"worker_hang","attempts":2}}]},"deadline_work":null,"beat_ms":40}"#;
 
 /// A machine or predictor no model can build, or no host can hold, is
 /// refused when it arrives, on the socket (`parse_spec`) and on the
@@ -444,28 +482,6 @@ fn decoders() -> Vec<Decoder> {
                     },
                     body: run_value(&sample_run()),
                 }
-                .encode(),
-                ServerMsg::Stats(EngineStats {
-                    requests: 3,
-                    computed_keys: 9,
-                    cache_hits: 4,
-                    coalesced: 1,
-                    failed_keys: 0,
-                    steals: 2,
-                    redispatches: 0,
-                    evictions: 1,
-                    hosts: vec![HostRecord {
-                        host: 0,
-                        tasks: 9,
-                        stolen: 2,
-                    }],
-                    shards: vec![ShardStats {
-                        shard: "8f".to_owned(),
-                        entries: 9,
-                        bytes: 40_960,
-                        evictions: 1,
-                    }],
-                })
                 .encode(),
                 ServerMsg::Metrics {
                     document: metrics.to_value(),

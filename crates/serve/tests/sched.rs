@@ -10,7 +10,9 @@ use std::path::PathBuf;
 
 use alberta_core::{benchmark_suite, ExecPolicy, FaultKind, FaultPlan, ProcessConfig, Scale};
 use alberta_serve::sched::home_host;
-use alberta_serve::{place, BatchRequest, Engine, RequestSpec, ResultCache, ServeConfig};
+use alberta_serve::{
+    host_counters, place, BatchRequest, Engine, RequestSpec, ResultCache, ServeConfig,
+};
 use proptest::prelude::*;
 
 /// A fresh cache root under the system temp directory, unique per use.
@@ -170,16 +172,30 @@ fn faulty_host_is_byte_identical_to_clean() {
         "recoverable faults must not change a single byte"
     );
 
-    let clean_stats = clean.stats();
-    let faulty_stats = faulty.stats();
+    let clean_metrics = clean.metrics_document();
+    let faulty_metrics = faulty.metrics_document();
     assert_eq!(
-        faulty_stats.steals, clean_stats.steals,
+        faulty_metrics.counter("alberta_steals_total"),
+        clean_metrics.counter("alberta_steals_total"),
         "placement ignores faults"
     );
-    assert_eq!(faulty_stats.hosts, clean_stats.hosts);
-    assert_eq!(clean_stats.redispatches, 0, "clean run never redispatches");
+    for host in 0..3 {
+        let (tasks, stolen) = host_counters(host);
+        for name in [tasks, stolen] {
+            let clean = clean_metrics.counter(&name);
+            assert!(clean.is_some(), "{name} is recorded");
+            assert_eq!(faulty_metrics.counter(&name), clean, "{name}");
+        }
+    }
+    assert_eq!(
+        clean_metrics.counter("alberta_redispatches_total"),
+        Some(0),
+        "clean run never redispatches"
+    );
     assert!(
-        faulty_stats.redispatches > 0,
+        faulty_metrics
+            .counter("alberta_redispatches_total")
+            .is_some_and(|n| n > 0),
         "the faults actually fired and were absorbed"
     );
 
@@ -249,8 +265,9 @@ fn dead_host_degrades_to_failed_survivors() {
     }
     assert!(failed > 0, "the dead host's share actually failed");
     assert!(survivors > 0, "the live hosts' share actually survived");
-    assert_eq!(engine.stats().failed_keys, failed);
-    assert_eq!(engine.stats().hosts[dead_host].tasks, 0);
+    let metrics = engine.metrics_document();
+    assert_eq!(metrics.counter("alberta_keys_failed_total"), Some(failed));
+    assert_eq!(metrics.counter(&host_counters(dead_host).0), Some(0));
 
     // Reproducibility: a second engine over a fresh cache resolves the
     // same batch to the same bytes and the same counters.

@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over localhost: cold-vs-warm byte identity,
-//! equality with a direct suite computation, grouped drains, and
-//! shutdown; and the engine's bounded span retention.
+//! equality with a direct suite computation, grouped drains, the
+//! hello's version gate, and shutdown; and the engine's bounded span
+//! retention.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,8 +11,8 @@ use alberta_core::telemetry::SPAN_LOG_CAPACITY;
 use alberta_core::{ExecPolicy, Scale, Suite};
 use alberta_report::SuiteReport;
 use alberta_serve::{
-    request_label, BatchRequest, Client, Daemon, Engine, GroupInfo, RequestSpec, ResultCache,
-    ServeConfig,
+    request_label, BatchRequest, Client, ClientMsg, Daemon, Engine, GroupInfo, RequestSpec,
+    ResultCache, ServeConfig,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -87,10 +88,12 @@ fn cold_and_warm_responses_match_each_other_and_direct_compute() {
         .render_compact();
     assert_eq!(cold_body, direct, "served bytes match a fresh sweep");
 
-    // The stats endpoint saw both drains.
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.requests, 2);
-    assert!(stats.cache_hits > 0);
+    // The metrics document saw both drains.
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.counter("alberta_requests_total"), Some(2));
+    assert!(metrics
+        .counter("alberta_cache_hits_total")
+        .is_some_and(|hits| hits > 0));
 
     // The daemon drains its handler threads on shutdown, so every
     // other connection must be closed first.
@@ -250,6 +253,8 @@ fn every_span_carries_its_clients_request_id_across_jobs() {
     }
 }
 
+/// After a drain, every computed key is one `*.json` entry under a
+/// two-hex shard directory of the cache root.
 #[test]
 fn stats_report_per_shard_cache_state() {
     let (addr, daemon, root) = start_daemon("shards");
@@ -258,17 +263,71 @@ fn stats_report_per_shard_cache_state() {
         .request(&RequestSpec::new("mcf", None, Scale::Test))
         .expect("send");
     client.drain().expect("drain");
-    let stats = client.stats().expect("stats");
-    assert!(!stats.shards.is_empty(), "computed keys landed in shards");
-    let entries: u64 = stats.shards.iter().map(|s| s.entries).sum();
-    assert_eq!(entries, stats.computed_keys, "every computed key on disk");
-    for shard in &stats.shards {
-        assert!(shard.bytes > 0, "entries have bytes");
-        assert_eq!(shard.evictions, 0, "nothing corrupt yet");
-        assert_eq!(shard.shard.len(), 2, "two-hex shard fan-out");
+    let metrics = client.metrics().expect("metrics");
+    let computed = metrics
+        .counter("alberta_keys_computed_total")
+        .expect("the drain computed");
+    assert!(computed > 0);
+    assert_eq!(
+        metrics.counter("alberta_evictions_total"),
+        Some(0),
+        "nothing corrupt yet"
+    );
+
+    let mut entries = 0u64;
+    for shard in std::fs::read_dir(&root).expect("the cache root exists") {
+        let shard = shard.expect("a shard directory");
+        let name = shard.file_name().to_string_lossy().into_owned();
+        assert!(
+            name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()),
+            "two-hex shard fan-out, got {name:?}"
+        );
+        for entry in std::fs::read_dir(shard.path()).expect("a readable shard") {
+            let entry = entry.expect("an entry");
+            let file = entry.file_name().to_string_lossy().into_owned();
+            assert!(
+                file.starts_with(name.as_str()) && file.ends_with(".json"),
+                "{file:?} is a finished entry of shard {name}"
+            );
+            assert!(entry.metadata().expect("metadata").len() > 0, "{file}");
+            entries += 1;
+        }
     }
+    assert_eq!(entries, computed, "every computed key on disk");
 
     drop(client);
+    Client::connect(&addr, None)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    daemon.join().expect("daemon thread exits");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A hello of another wire revision is refused with both revisions
+/// named; here the revision before the `stats` command was retired.
+#[test]
+fn hello_of_another_wire_revision_is_refused() {
+    let (addr, daemon, root) = start_daemon("revision");
+    let mut stream = TcpStream::connect(&addr).expect("connect raw");
+    let mut hello = ClientMsg::Hello {
+        protocol: 2,
+        client: None,
+        group: None,
+    }
+    .encode();
+    hello.push('\n');
+    stream.write_all(hello.as_bytes()).expect("send the hello");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("read the reply");
+    assert!(
+        reply.contains("protocol mismatch: client speaks 2, daemon speaks 3"),
+        "{reply}"
+    );
+    drop(stream);
+
     Client::connect(&addr, None)
         .expect("connect for shutdown")
         .shutdown()
@@ -294,8 +353,12 @@ fn deeply_nested_line_is_rejected_without_killing_the_daemon() {
     drop(stream);
 
     let mut client = Client::connect(&addr, None).expect("a fresh client still connects");
-    let stats = client.stats().expect("and gets its stats");
-    assert_eq!(stats.requests, 0);
+    let metrics = client.metrics().expect("and gets its metrics");
+    assert_eq!(
+        metrics.counter("alberta_requests_total"),
+        None,
+        "no batch ran"
+    );
 
     drop(client);
     Client::connect(&addr, None)
