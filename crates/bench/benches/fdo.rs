@@ -1,8 +1,7 @@
 //! FDO pipeline benchmarks: profile collection, profile-guided
 //! recompilation, and the measurement run.
 
-use alberta_fdo::programs::{classifier_program, Distribution, InputGen};
-use alberta_fdo::FdoPipeline;
+use alberta_fdo::{classifier_program, Distribution, FdoPipeline, InputGen};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 

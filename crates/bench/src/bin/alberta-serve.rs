@@ -8,7 +8,8 @@
 //!
 //! Listens on `--listen` (default `127.0.0.1:0`, an ephemeral port) and
 //! answers characterization requests over the line-delimited wire
-//! protocol of `alberta_serve::wire`. Results come from the
+//! protocol of [`ClientMsg`](alberta_serve::ClientMsg) and
+//! [`ServerMsg`](alberta_serve::ServerMsg). Results come from the
 //! content-addressed cache under `--cache-dir` (default
 //! `serve-cache/`); misses are placed onto `--hosts` mock hosts by the
 //! deterministic work-stealing scheduler and executed under

@@ -7,9 +7,11 @@
 //! ```
 
 use alberta_bench::Args;
-use alberta_fdo::experiments::{classic_train_ref, cross_validate, hidden_learning};
-use alberta_fdo::programs::{alberta_inputs, classifier_program, Distribution, InputGen};
-use alberta_fdo::FdoPipeline;
+use alberta_fdo::programs::alberta_inputs;
+use alberta_fdo::{
+    classic_train_ref, classifier_program, cross_validate, hidden_learning, Distribution,
+    FdoPipeline, InputGen,
+};
 use alberta_workloads::Named;
 
 fn main() {

@@ -18,8 +18,8 @@
 //! already exits 3 on the sweep that lost it.
 
 use alberta_bench::Args;
-use alberta_report::mem::MemoryDocument;
 use alberta_report::view::{render_memory_table, render_mpki_curves};
+use alberta_report::MemoryDocument;
 use std::path::PathBuf;
 
 fn main() {

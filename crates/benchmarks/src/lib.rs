@@ -31,20 +31,23 @@
 //! # }
 //! ```
 
-pub mod miniblender;
-pub mod minicactu;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod miniblender;
+mod minicactu;
 pub mod minideepsjeng;
 pub mod miniexchange;
 pub mod minigcc;
-pub mod minilbm;
+mod minilbm;
 pub mod minileela;
 pub mod minimcf;
-pub mod mininab;
-pub mod miniomnetpp;
-pub mod miniparest;
-pub mod minipovray;
-pub mod miniwrf;
-pub mod minixalan;
+mod mininab;
+mod miniomnetpp;
+mod miniparest;
+mod minipovray;
+mod miniwrf;
+mod minixalan;
 pub mod minixz;
 
 use alberta_profile::{InvariantViolation, Profiler};

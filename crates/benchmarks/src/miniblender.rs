@@ -32,7 +32,7 @@ fn register(profiler: &mut Profiler) -> Fns {
 
 /// A rendered frame plus rasterization statistics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RenderedFrame {
+pub(crate) struct RenderedFrame {
     /// Luma image, row-major.
     pub pixels: Vec<u8>,
     /// Triangles actually rasterized (after culling).
@@ -146,7 +146,7 @@ pub(crate) fn render_frame(
 }
 
 /// Renders the workload's frame window; returns a checksum and stats.
-pub fn render_scene(scene: &MeshScene, profiler: &mut Profiler) -> (u64, u64, u64) {
+pub(crate) fn render_scene(scene: &MeshScene, profiler: &mut Profiler) -> (u64, u64, u64) {
     let fns = register(profiler);
     let mut hash = 0u64;
     let mut triangles = 0;
@@ -162,13 +162,13 @@ pub fn render_scene(scene: &MeshScene, profiler: &mut Profiler) -> (u64, u64, u6
 
 /// The blender mini-benchmark.
 #[derive(Debug)]
-pub struct MiniBlender {
+pub(crate) struct MiniBlender {
     workloads: Vec<Named<MeshScene>>,
 }
 
 impl MiniBlender {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniBlender {
             workloads: standard_set(scale, mesh::train, mesh::refrate, mesh::alberta_set),
         }

@@ -20,7 +20,7 @@ const K_REGION: u64 = 0x1_9000_0000;
 
 /// The evolved fields.
 #[derive(Debug, Clone)]
-pub struct BssnState {
+pub(crate) struct BssnState {
     n: usize,
     /// Wave field φ.
     pub phi: Vec<f64>,
@@ -54,7 +54,7 @@ fn splitmix(z: &mut u64) -> u64 {
 
 impl BssnState {
     /// Initializes fields from the workload's initial data.
-    pub fn new(w: &PdeWorkload) -> Self {
+    pub(crate) fn new(w: &PdeWorkload) -> Self {
         let n = w.grid;
         let mut phi = vec![0.0; n * n * n];
         let gauss = |phi: &mut [f64], cx: f64, cy: f64, cz: f64, width: f64| {
@@ -180,7 +180,7 @@ impl BssnState {
     }
 
     /// Discrete wave energy `Σ (K² + |∇φ|²)/2` over interior points.
-    pub fn energy(&self) -> f64 {
+    pub(crate) fn energy(&self) -> f64 {
         let n = self.n;
         let mut e = 0.0;
         for z in 1..n - 1 {
@@ -198,13 +198,13 @@ impl BssnState {
     }
 
     /// Maximum |φ| over the grid.
-    pub fn max_abs_phi(&self) -> f64 {
+    pub(crate) fn max_abs_phi(&self) -> f64 {
         self.phi.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
     }
 }
 
 /// Runs a workload; returns the final state and total site updates.
-pub fn simulate(w: &PdeWorkload, profiler: &mut Profiler) -> (BssnState, u64) {
+pub(crate) fn simulate(w: &PdeWorkload, profiler: &mut Profiler) -> (BssnState, u64) {
     let fns = register(profiler);
     let mut state = BssnState::new(w);
     let mut work = 0;
@@ -216,13 +216,13 @@ pub fn simulate(w: &PdeWorkload, profiler: &mut Profiler) -> (BssnState, u64) {
 
 /// The cactuBSSN mini-benchmark.
 #[derive(Debug)]
-pub struct MiniCactu {
+pub(crate) struct MiniCactu {
     workloads: Vec<Named<PdeWorkload>>,
 }
 
 impl MiniCactu {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniCactu {
             workloads: standard_set(scale, pde::train, pde::refrate, pde::alberta_set),
         }

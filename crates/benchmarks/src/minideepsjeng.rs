@@ -23,15 +23,15 @@ const TT_REGION: u64 = 0x7000_0000;
 /// Piece codes; positive = white, negative = black, 0 = empty.
 pub mod piece {
     /// Pawn.
-    pub const PAWN: i8 = 1;
+    pub(crate) const PAWN: i8 = 1;
     /// Knight.
-    pub const KNIGHT: i8 = 2;
+    pub(crate) const KNIGHT: i8 = 2;
     /// Bishop.
-    pub const BISHOP: i8 = 3;
+    pub(crate) const BISHOP: i8 = 3;
     /// Rook.
-    pub const ROOK: i8 = 4;
+    pub(crate) const ROOK: i8 = 4;
     /// Queen.
-    pub const QUEEN: i8 = 5;
+    pub(crate) const QUEEN: i8 = 5;
     /// King.
     pub const KING: i8 = 6;
 }
@@ -717,13 +717,13 @@ pub fn analyze(spec: &PositionSpec, profiler: &mut Profiler) -> (i32, u64) {
 
 /// The deepsjeng mini-benchmark.
 #[derive(Debug)]
-pub struct MiniDeepsjeng {
+pub(crate) struct MiniDeepsjeng {
     workloads: Vec<Named<ChessWorkload>>,
 }
 
 impl MiniDeepsjeng {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniDeepsjeng {
             workloads: standard_set(scale, chess::train, chess::refrate, chess::alberta_set),
         }

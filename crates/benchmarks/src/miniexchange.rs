@@ -20,13 +20,13 @@ const MASK_REGION: u64 = 0x5000_0000;
 
 /// The exchange2 mini-benchmark.
 #[derive(Debug)]
-pub struct MiniExchange {
+pub(crate) struct MiniExchange {
     workloads: Vec<Named<SudokuWorkload>>,
 }
 
 impl MiniExchange {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniExchange {
             workloads: standard_set(scale, sudoku::train, sudoku::refrate, sudoku::alberta_set),
         }

@@ -97,7 +97,7 @@ pub struct Function {
 
 /// A top-level item (used by the parser before splitting).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Item {
+pub(crate) enum Item {
     /// A global variable or array.
     Global(Global),
     /// A function definition.
@@ -120,27 +120,23 @@ impl Program {
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
     }
-
-    /// Total statement count (a rough program-size metric used by the
-    /// inliner's budget).
-    pub fn stmt_count(&self) -> usize {
-        fn count(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Stmt::If(_, t, e) => 1 + count(t) + count(e),
-                    Stmt::While(_, b) => 1 + count(b),
-                    _ => 1,
-                })
-                .sum()
-        }
-        self.functions.iter().map(|f| count(&f.body)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Statement count of `stmts`, nested blocks included.
+    fn stmt_count(stmts: &[Stmt]) -> usize {
+        stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::If(_, t, e) => 1 + stmt_count(t) + stmt_count(e),
+                Stmt::While(_, b) => 1 + stmt_count(b),
+                _ => 1,
+            })
+            .sum()
+    }
 
     #[test]
     fn stmt_count_is_recursive() {
@@ -163,7 +159,7 @@ mod tests {
                 ],
             }],
         };
-        assert_eq!(p.stmt_count(), 4);
+        assert_eq!(stmt_count(&p.functions[0].body), 4);
         assert!(p.function("f").is_some());
         assert!(p.function("g").is_none());
     }

@@ -15,19 +15,20 @@
 //! per-call edge profiles, and the code generator accepts profile-guided
 //! options (hot-function layout and call inlining).
 
-pub mod ast;
-pub mod compile;
-pub mod lexer;
-pub mod opt;
-pub mod parser;
+mod ast;
+mod compile;
+mod lexer;
+mod opt;
+mod parser;
 pub mod vm;
 
-pub use ast::{BinOp, Expr, Function, Global, Item, Program, Stmt};
-pub use compile::{compile, Module, OptOptions};
+pub use ast::{BinOp, Expr, Function, Global, Program, Stmt};
+pub use compile::{compile, FuncCode, Module, Op, OptOptions};
 pub use lexer::{lex, Token};
 pub use opt::optimize;
 pub use parser::parse;
-pub use vm::{run, run_with_inputs, run_with_limit, EdgeProfile, VmError};
+use vm::run;
+pub use vm::{run_with_inputs, EdgeProfile};
 
 use crate::{find_workload, fnv1a, standard_set, BenchError, Benchmark, RunOutput};
 use alberta_profile::Profiler;
@@ -42,7 +43,7 @@ pub struct MiniGcc {
 
 impl MiniGcc {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniGcc {
             workloads: standard_set(scale, csrc::train, csrc::refrate, csrc::alberta_set),
         }

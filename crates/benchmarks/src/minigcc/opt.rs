@@ -8,7 +8,7 @@ use alberta_profile::Profiler;
 /// Evaluates a binary operation with mini-C semantics (division and
 /// modulo by zero yield 0; `&&`/`||` are integer ops over already
 /// evaluated operands). Shared with the VM so folding is always sound.
-pub fn eval_bin(op: BinOp, l: i64, r: i64) -> i64 {
+pub(crate) fn eval_bin(op: BinOp, l: i64, r: i64) -> i64 {
     match op {
         BinOp::Add => l.wrapping_add(r),
         BinOp::Sub => l.wrapping_sub(r),

@@ -124,7 +124,7 @@ impl EdgeProfile {
 pub const DEFAULT_STEP_LIMIT: u64 = 200_000_000;
 
 /// Maximum call depth.
-pub const MAX_CALL_DEPTH: usize = 512;
+pub(crate) const MAX_CALL_DEPTH: usize = 512;
 
 /// Runs `main` with no arguments; returns its value and the edge profile.
 ///
@@ -132,7 +132,7 @@ pub const MAX_CALL_DEPTH: usize = 512;
 ///
 /// Returns [`VmError`] on step-limit exhaustion, stack overflow, or
 /// malformed bytecode.
-pub fn run(module: &Module, profiler: &mut Profiler) -> Result<(i64, EdgeProfile), VmError> {
+pub(crate) fn run(module: &Module, profiler: &mut Profiler) -> Result<(i64, EdgeProfile), VmError> {
     run_with_limit(module, profiler, DEFAULT_STEP_LIMIT)
 }
 
@@ -141,7 +141,7 @@ pub fn run(module: &Module, profiler: &mut Profiler) -> Result<(i64, EdgeProfile
 /// # Errors
 ///
 /// Same conditions as [`run`].
-pub fn run_with_limit(
+pub(crate) fn run_with_limit(
     module: &Module,
     profiler: &mut Profiler,
     step_limit: u64,
@@ -149,7 +149,7 @@ pub fn run_with_limit(
     run_with_inputs(module, profiler, step_limit, &[])
 }
 
-/// [`run_with_limit`] plus pre-seeded global state: each `(name, values)`
+/// `run_with_limit` plus pre-seeded global state: each `(name, values)`
 /// entry fills the named global array (truncated/zero-padded to its
 /// declared length) or, for a single value, the named global scalar. This
 /// is how workload data reaches mini-C programs — the FDO laboratory's
@@ -157,7 +157,7 @@ pub fn run_with_limit(
 ///
 /// # Errors
 ///
-/// Same conditions as [`run`]; unknown names are ignored (the program may
+/// Same conditions as `run`; unknown names are ignored (the program may
 /// have been compiled without the optional input buffer).
 pub fn run_with_inputs(
     module: &Module,

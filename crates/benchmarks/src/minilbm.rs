@@ -16,7 +16,7 @@ const F_REGION: u64 = 0x1_4000_0000;
 const FLAG_REGION: u64 = 0x1_5000_0000;
 
 /// The 19 lattice velocities of D3Q19.
-pub const VELOCITIES: [(i32, i32, i32); 19] = [
+pub(crate) const VELOCITIES: [(i32, i32, i32); 19] = [
     (0, 0, 0),
     (1, 0, 0),
     (-1, 0, 0),
@@ -39,7 +39,7 @@ pub const VELOCITIES: [(i32, i32, i32); 19] = [
 ];
 
 /// Lattice weights matching [`VELOCITIES`].
-pub const WEIGHTS: [f64; 19] = [
+pub(crate) const WEIGHTS: [f64; 19] = [
     1.0 / 3.0,
     1.0 / 18.0,
     1.0 / 18.0,
@@ -62,7 +62,7 @@ pub const WEIGHTS: [f64; 19] = [
 ];
 
 /// Index of the velocity opposite to `q` (for bounce-back).
-pub fn opposite(q: usize) -> usize {
+pub(crate) fn opposite(q: usize) -> usize {
     const OPP: [usize; 19] = [
         0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17,
     ];
@@ -71,7 +71,7 @@ pub fn opposite(q: usize) -> usize {
 
 /// Cell classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellKind {
+pub(crate) enum CellKind {
     /// Regular fluid cell.
     Fluid,
     /// Solid obstacle or wall (bounce-back).
@@ -82,7 +82,7 @@ pub enum CellKind {
 
 /// Result summary of one simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LbmStats {
+pub(crate) struct LbmStats {
     /// Total mass (density sum) at the end.
     pub mass: f64,
     /// Mean x-velocity over fluid cells.
@@ -111,7 +111,7 @@ fn register(profiler: &mut Profiler) -> Fns {
 }
 
 /// The simulation grid and state.
-pub struct Lattice {
+pub(crate) struct Lattice {
     nx: usize,
     ny: usize,
     nz: usize,
@@ -124,7 +124,7 @@ pub struct Lattice {
 
 impl Lattice {
     /// Builds the lattice from a workload description.
-    pub fn new(w: &FluidWorkload) -> Self {
+    pub(crate) fn new(w: &FluidWorkload) -> Self {
         let (nx, ny, nz) = w.dims;
         let cells = nx * ny * nz;
         let mut kind = vec![CellKind::Fluid; cells];
@@ -169,7 +169,7 @@ impl Lattice {
     }
 
     /// Density and momentum of a cell.
-    pub fn macroscopic(&self, cell: usize) -> (f64, f64, f64, f64) {
+    pub(crate) fn macroscopic(&self, cell: usize) -> (f64, f64, f64, f64) {
         let mut rho = 0.0;
         let mut ux = 0.0;
         let mut uy = 0.0;
@@ -274,7 +274,7 @@ impl Lattice {
     }
 
     /// Total mass and mean x-velocity over fluid cells.
-    pub fn stats(&self) -> (f64, f64) {
+    pub(crate) fn stats(&self) -> (f64, f64) {
         let cells = self.nx * self.ny * self.nz;
         let mut mass = 0.0;
         let mut vel = 0.0;
@@ -293,7 +293,7 @@ impl Lattice {
 }
 
 /// Runs a fluid workload to completion.
-pub fn simulate(w: &FluidWorkload, profiler: &mut Profiler) -> LbmStats {
+pub(crate) fn simulate(w: &FluidWorkload, profiler: &mut Profiler) -> LbmStats {
     let fns = register(profiler);
     let mut lattice = Lattice::new(w);
     let mut site_updates = 0;
@@ -312,13 +312,13 @@ pub fn simulate(w: &FluidWorkload, profiler: &mut Profiler) -> LbmStats {
 
 /// The lbm mini-benchmark.
 #[derive(Debug)]
-pub struct MiniLbm {
+pub(crate) struct MiniLbm {
     workloads: Vec<Named<FluidWorkload>>,
 }
 
 impl MiniLbm {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniLbm {
             workloads: standard_set(scale, fluid::train, fluid::refrate, fluid::alberta_set),
         }

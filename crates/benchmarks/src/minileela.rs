@@ -158,14 +158,6 @@ impl GoBoard {
         }
     }
 
-    /// Stones captured from the given color's opponent so far.
-    pub fn captures(&self, color: Color) -> u32 {
-        self.captures[match color {
-            Color::Black => 0,
-            Color::White => 1,
-        }]
-    }
-
     /// The up-to-four orthogonal neighbours of `idx`.
     fn neighbors(&self, idx: usize) -> &'static [u16] {
         let entry = &NEIGHBORS[NEIGHBOR_BASE[self.size] + idx];
@@ -313,7 +305,7 @@ impl GoBoard {
 
     /// Area score from black's perspective: stones plus territory whose
     /// flood-filled empty region touches only one color.
-    pub fn area_score(&self) -> i32 {
+    pub(crate) fn area_score(&self) -> i32 {
         let mut score = 0i32;
         let mut seen = vec![false; self.cells.len()];
         for idx in 0..self.cells.len() {
@@ -551,13 +543,13 @@ pub(crate) fn play_game(spec: &GameSpec, profiler: &mut Profiler, fns: &Fns) -> 
 
 /// The leela mini-benchmark.
 #[derive(Debug)]
-pub struct MiniLeela {
+pub(crate) struct MiniLeela {
     workloads: Vec<Named<GoWorkload>>,
 }
 
 impl MiniLeela {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniLeela {
             workloads: standard_set(scale, go::train, go::refrate, go::alberta_set),
         }
@@ -609,7 +601,7 @@ mod tests {
         let captured = b.play(1, 2, Color::Black).unwrap();
         assert_eq!(captured, 1);
         assert_eq!(b.at(1, 1), None);
-        assert_eq!(b.captures(Color::Black), 1);
+        assert_eq!(b.captures[0], 1, "Black captured one stone");
     }
 
     #[test]

@@ -21,13 +21,13 @@ const HEAP_REGION: u64 = 0x3000_0000;
 
 /// The mcf mini-benchmark.
 #[derive(Debug)]
-pub struct MiniMcf {
+pub(crate) struct MiniMcf {
     workloads: Vec<Named<FlowInstance>>,
 }
 
 impl MiniMcf {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniMcf {
             workloads: standard_set(scale, flow::train, flow::refrate, flow::alberta_set),
         }

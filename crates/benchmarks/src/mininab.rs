@@ -59,7 +59,7 @@ fn register(profiler: &mut Profiler) -> Fns {
 
 /// Forces on every atom plus the potential energy.
 #[derive(Debug, Clone)]
-pub struct ForceField {
+pub(crate) struct ForceField {
     /// Per-atom force vectors.
     pub forces: Vec<V3>,
     /// Total potential energy.
@@ -213,7 +213,7 @@ pub(crate) fn evaluate_forces(
 
 /// Runs `steps` of velocity-Verlet dynamics; returns final positions,
 /// total pair evaluations, and the last potential energy.
-pub fn simulate(mol: &Molecule, profiler: &mut Profiler) -> (Vec<V3>, u64, f64) {
+pub(crate) fn simulate(mol: &Molecule, profiler: &mut Profiler) -> (Vec<V3>, u64, f64) {
     let fns = register(profiler);
     let mut positions: Vec<V3> = mol.atoms.iter().map(|a| a.position).collect();
     let mut velocities = vec![(0.0, 0.0, 0.0); positions.len()];
@@ -242,13 +242,13 @@ pub fn simulate(mol: &Molecule, profiler: &mut Profiler) -> (Vec<V3>, u64, f64) 
 
 /// The nab mini-benchmark.
 #[derive(Debug)]
-pub struct MiniNab {
+pub(crate) struct MiniNab {
     workloads: Vec<Named<Molecule>>,
 }
 
 impl MiniNab {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniNab {
             workloads: standard_set(
                 scale,

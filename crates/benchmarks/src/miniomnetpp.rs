@@ -38,7 +38,7 @@ enum EventKind {
 
 /// Statistics of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimStats {
+pub(crate) struct SimStats {
     /// Messages delivered to their destination.
     pub delivered: u64,
     /// Total hops across all delivered messages.
@@ -102,7 +102,7 @@ fn routing_table(w: &NetWorkload) -> Vec<Vec<u32>> {
 }
 
 /// Runs the simulation, reporting events to the profiler.
-pub fn simulate(w: &NetWorkload, profiler: &mut Profiler) -> SimStats {
+pub(crate) fn simulate(w: &NetWorkload, profiler: &mut Profiler) -> SimStats {
     let fns = register(profiler);
     let next_hop = routing_table(w);
     let n = w.nodes;
@@ -247,13 +247,13 @@ pub fn simulate(w: &NetWorkload, profiler: &mut Profiler) -> SimStats {
 
 /// The omnetpp mini-benchmark.
 #[derive(Debug)]
-pub struct MiniOmnetpp {
+pub(crate) struct MiniOmnetpp {
     workloads: Vec<Named<NetWorkload>>,
 }
 
 impl MiniOmnetpp {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniOmnetpp {
             workloads: standard_set(scale, netsim::train, netsim::refrate, netsim::alberta_set),
         }

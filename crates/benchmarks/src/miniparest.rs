@@ -43,7 +43,7 @@ fn splitmix(z: &mut u64) -> u64 {
 }
 
 /// The discretized forward problem on an `n × n` interior grid.
-pub struct ForwardProblem {
+pub(crate) struct ForwardProblem {
     n: usize,
     /// Per-cell coefficient, expanded from block values.
     coeff: Vec<f64>,
@@ -163,7 +163,7 @@ impl ForwardProblem {
 
 /// Result of the inverse solve.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InverseResult {
+pub(crate) struct InverseResult {
     /// Recovered block coefficients.
     pub coefficients: Vec<f64>,
     /// Final data misfit (sum of squared residuals at observations).
@@ -183,7 +183,7 @@ fn misfit(observed: &[f64], simulated: &[f64]) -> f64 {
 }
 
 /// Runs the full inverse problem for a workload.
-pub fn estimate(w: &FemWorkload, profiler: &mut Profiler) -> InverseResult {
+pub(crate) fn estimate(w: &FemWorkload, profiler: &mut Profiler) -> InverseResult {
     let fns = register(profiler);
     let k = w.blocks * w.blocks;
     let mut cg_total = 0u64;
@@ -299,13 +299,13 @@ fn solve_dense(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
 
 /// The parest mini-benchmark.
 #[derive(Debug)]
-pub struct MiniParest {
+pub(crate) struct MiniParest {
     workloads: Vec<Named<FemWorkload>>,
 }
 
 impl MiniParest {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniParest {
             workloads: standard_set(scale, fem::train, fem::refrate, fem::alberta_set),
         }

@@ -16,7 +16,7 @@ const IMAGE_REGION: u64 = 0x1_3000_0000;
 
 /// A 3-vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Vec3 {
+pub(crate) struct Vec3 {
     /// x component.
     pub x: f64,
     /// y component.
@@ -27,7 +27,7 @@ pub struct Vec3 {
 
 impl Vec3 {
     /// Constructs a vector.
-    pub fn new(x: f64, y: f64, z: f64) -> Self {
+    pub(crate) fn new(x: f64, y: f64, z: f64) -> Self {
         Vec3 { x, y, z }
     }
 
@@ -36,12 +36,12 @@ impl Vec3 {
     }
 
     /// Dot product.
-    pub fn dot(self, o: Vec3) -> f64 {
+    pub(crate) fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
     /// Euclidean norm.
-    pub fn norm(self) -> f64 {
+    pub(crate) fn norm(self) -> f64 {
         self.dot(self).sqrt()
     }
 
@@ -50,14 +50,14 @@ impl Vec3 {
     /// # Panics
     ///
     /// Panics in debug builds when called on a near-zero vector.
-    pub fn unit(self) -> Vec3 {
+    pub(crate) fn unit(self) -> Vec3 {
         let n = self.norm();
         debug_assert!(n > 1e-12, "normalizing zero vector");
         self * (1.0 / n)
     }
 
     /// Componentwise scale.
-    pub fn scale(self, k: f64) -> Vec3 {
+    pub(crate) fn scale(self, k: f64) -> Vec3 {
         Vec3::new(self.x * k, self.y * k, self.z * k)
     }
 }
@@ -305,7 +305,7 @@ fn trace(
 }
 
 /// Renders the scene, returning the luma image (one byte per pixel).
-pub fn render(scene: &RayScene, profiler: &mut Profiler) -> Vec<u8> {
+pub(crate) fn render(scene: &RayScene, profiler: &mut Profiler) -> Vec<u8> {
     let fns = register(profiler);
     let camera = Vec3::new(0.0, 2.0, -4.0);
     let mut image = Vec::with_capacity(scene.width * scene.height);
@@ -326,13 +326,13 @@ pub fn render(scene: &RayScene, profiler: &mut Profiler) -> Vec<u8> {
 
 /// The povray mini-benchmark.
 #[derive(Debug)]
-pub struct MiniPovray {
+pub(crate) struct MiniPovray {
     workloads: Vec<Named<RayScene>>,
 }
 
 impl MiniPovray {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniPovray {
             workloads: standard_set(
                 scale,

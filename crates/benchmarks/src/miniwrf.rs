@@ -17,7 +17,7 @@ const TERRAIN_REGION: u64 = 0x1_7000_0000;
 
 /// The prognostic fields of the model.
 #[derive(Debug, Clone)]
-pub struct Atmosphere {
+pub(crate) struct Atmosphere {
     n: usize,
     /// Wind components.
     pub u: Vec<f64>,
@@ -61,7 +61,7 @@ fn splitmix(z: &mut u64) -> u64 {
 
 impl Atmosphere {
     /// Initializes the fields from a workload (storm vortex + terrain).
-    pub fn new(w: &WeatherWorkload) -> Self {
+    pub(crate) fn new(w: &WeatherWorkload) -> Self {
         let n = w.grid;
         let mut a = Atmosphere {
             n,
@@ -139,13 +139,13 @@ impl Atmosphere {
 
     /// Total moisture plus accumulated precipitation (conserved when
     /// microphysics is the only moisture sink).
-    pub fn total_water(&self) -> f64 {
+    pub(crate) fn total_water(&self) -> f64 {
         self.moisture.iter().sum::<f64>() + self.precip.iter().sum::<f64>()
     }
 }
 
 /// Runs one workload; returns the final state and work counter.
-pub fn simulate(w: &WeatherWorkload, profiler: &mut Profiler) -> (Atmosphere, u64) {
+pub(crate) fn simulate(w: &WeatherWorkload, profiler: &mut Profiler) -> (Atmosphere, u64) {
     let fns = register(profiler);
     let mut a = Atmosphere::new(w);
     let n = a.n;
@@ -249,13 +249,13 @@ pub fn simulate(w: &WeatherWorkload, profiler: &mut Profiler) -> (Atmosphere, u6
 
 /// The wrf mini-benchmark.
 #[derive(Debug)]
-pub struct MiniWrf {
+pub(crate) struct MiniWrf {
     workloads: Vec<Named<WeatherWorkload>>,
 }
 
 impl MiniWrf {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniWrf {
             workloads: standard_set(
                 scale,

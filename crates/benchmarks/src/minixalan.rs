@@ -19,7 +19,7 @@ const OUT_REGION: u64 = 0xC000_0000;
 
 /// A DOM node in the arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlNode {
+pub(crate) struct XmlNode {
     /// Element name.
     pub name: String,
     /// Attributes in document order.
@@ -32,7 +32,7 @@ pub struct XmlNode {
 
 /// A parsed document: an arena of nodes, index 0 is the root.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlDoc {
+pub(crate) struct XmlDoc {
     /// The node arena.
     pub nodes: Vec<XmlNode>,
 }
@@ -42,7 +42,7 @@ pub struct XmlDoc {
 /// # Errors
 ///
 /// Returns a message on unbalanced tags or malformed syntax.
-pub fn parse_xml(input: &str, profiler: &mut Profiler, fns: &Fns) -> Result<XmlDoc, String> {
+pub(crate) fn parse_xml(input: &str, profiler: &mut Profiler, fns: &Fns) -> Result<XmlDoc, String> {
     profiler.enter(fns.parse);
     let result = parse_xml_inner(input, profiler);
     profiler.exit();
@@ -133,7 +133,7 @@ fn parse_xml_inner(input: &str, profiler: &mut Profiler) -> Result<XmlDoc, Strin
 
 /// One stylesheet action.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Action {
+pub(crate) enum Action {
     /// Emit literal text.
     Emit(String),
     /// Apply templates to children matching the name (`*` = all).
@@ -157,13 +157,13 @@ pub enum Action {
 
 /// A compiled stylesheet: element name → template body.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Stylesheet {
+pub(crate) struct Stylesheet {
     templates: Vec<(String, Vec<Action>)>,
 }
 
 impl Stylesheet {
     /// Looks up the template for an element name.
-    pub fn template(&self, name: &str) -> Option<&[Action]> {
+    pub(crate) fn template(&self, name: &str) -> Option<&[Action]> {
         self.templates
             .iter()
             .find(|(n, _)| n == name)
@@ -176,7 +176,7 @@ impl Stylesheet {
 /// # Errors
 ///
 /// Returns a message on malformed syntax.
-pub fn parse_stylesheet(src: &str) -> Result<Stylesheet, String> {
+pub(crate) fn parse_stylesheet(src: &str) -> Result<Stylesheet, String> {
     let mut lines = src.lines().peekable();
     let mut templates = Vec::new();
     while let Some(line) = lines.next() {
@@ -268,7 +268,7 @@ fn parse_block_rec<'a>(
 
 /// Public function-id bundle so helpers can be called from tests.
 #[derive(Debug)]
-pub struct Fns {
+pub(crate) struct Fns {
     parse: FnId,
     transform: FnId,
     match_template: FnId,
@@ -276,7 +276,7 @@ pub struct Fns {
 }
 
 /// Registers the xalan function table.
-pub fn register(profiler: &mut Profiler) -> Fns {
+pub(crate) fn register(profiler: &mut Profiler) -> Fns {
     Fns {
         parse: profiler.register_function("xalan::parse_xml", 2400),
         transform: profiler.register_function("xalan::transform", 2000),
@@ -286,7 +286,12 @@ pub fn register(profiler: &mut Profiler) -> Fns {
 }
 
 /// Applies the stylesheet to a document, returning the output text.
-pub fn transform(doc: &XmlDoc, sheet: &Stylesheet, profiler: &mut Profiler, fns: &Fns) -> String {
+pub(crate) fn transform(
+    doc: &XmlDoc,
+    sheet: &Stylesheet,
+    profiler: &mut Profiler,
+    fns: &Fns,
+) -> String {
     let mut out = String::new();
     apply_to(doc, 0, sheet, &mut out, profiler, fns, 0);
     out
@@ -409,13 +414,13 @@ fn run_actions(
 
 /// The xalancbmk mini-benchmark.
 #[derive(Debug)]
-pub struct MiniXalan {
+pub(crate) struct MiniXalan {
     workloads: Vec<Named<XmlWorkload>>,
 }
 
 impl MiniXalan {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniXalan {
             workloads: standard_set(scale, xmlgen::train, xmlgen::refrate, xmlgen::alberta_set),
         }

@@ -386,13 +386,13 @@ pub fn decompress(input: &[u8], profiler: &mut Profiler) -> Result<Vec<u8>, Stri
 
 /// The xz mini-benchmark.
 #[derive(Debug)]
-pub struct MiniXz {
+pub(crate) struct MiniXz {
     workloads: Vec<Named<CompressWorkload>>,
 }
 
 impl MiniXz {
     /// Builds the benchmark with its standard workload set.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         MiniXz {
             workloads: standard_set(
                 scale,

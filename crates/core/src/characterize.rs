@@ -61,11 +61,6 @@ pub struct Characterization {
 }
 
 impl Characterization {
-    /// Number of workloads characterized.
-    pub fn workload_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// The run for a named workload, if present.
     pub fn run(&self, workload: &str) -> Option<&WorkloadRun> {
         self.runs.iter().find(|r| r.workload == workload)
@@ -102,7 +97,7 @@ impl RunStatus {
 
     /// True for runs whose data entered the summaries (`Ok` or
     /// `Degraded`).
-    pub fn survived(&self) -> bool {
+    pub(crate) fn survived(&self) -> bool {
         !matches!(self, RunStatus::Failed { .. })
     }
 
@@ -171,7 +166,7 @@ impl ResilientCharacterization {
 /// Everything [`run_guarded`] returns, plus
 /// [`BenchError::InvalidProfile`] when the finished profile fails
 /// [`alberta_profile::Profile::validate`].
-pub fn run_workload(
+pub(crate) fn run_workload(
     benchmark: &dyn Benchmark,
     workload: &str,
     model: &TopDownModel,
@@ -200,7 +195,7 @@ pub fn run_workload(
 /// Everything [`run_workload`] returns; under [`SamplingPolicy::Phase`]
 /// both the pilot and the detail pass are guarded and validated, so a
 /// failure in either surfaces as the same typed errors.
-pub fn run_workload_with(
+pub(crate) fn run_workload_with(
     benchmark: &dyn Benchmark,
     workload: &str,
     model: &TopDownModel,
@@ -377,7 +372,7 @@ mod tests {
     #[test]
     fn workload_counts_match_benchmark_sets() {
         let c = characterize("leela");
-        assert_eq!(c.workload_count(), 2 + 9, "train + refrate + 9 alberta");
+        assert_eq!(c.runs.len(), 2 + 9, "train + refrate + 9 alberta");
         assert!(c.run("train").is_some());
         assert!(c.run("refrate").is_some());
         assert!(c.run("alberta.0").is_some());

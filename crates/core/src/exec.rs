@@ -114,7 +114,7 @@ pub enum ExecPolicy {
     /// canonical-JSON pipe. Results are reassembled in canonical order,
     /// so a clean sweep is bit-identical to [`ExecPolicy::Serial`]; on
     /// top of that the supervisor adds crash isolation, heartbeat-based
-    /// hang detection, and bounded redispatch — see [`crate::process`].
+    /// hang detection, and bounded redispatch — see `crate::process`.
     ///
     /// Only the [`Suite`](crate::Suite) entry points can execute under
     /// this policy (a subprocess needs the full suite configuration to

@@ -83,19 +83,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// True for the kinds that sabotage the process executor rather
-    /// than the run itself. In-process execution ignores them.
-    pub fn is_process_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::WorkerCrash { .. }
-                | FaultKind::WorkerHang { .. }
-                | FaultKind::ResultCorrupt { .. }
-        )
-    }
-}
-
 /// One targeted fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
@@ -139,7 +126,7 @@ impl FaultPlan {
     }
 
     /// The seed fed to workload-corruption hooks.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -160,7 +147,12 @@ impl FaultPlan {
 
     /// The fault aimed at one run, if any. `spec_id` and `short_name` are
     /// both accepted as the benchmark key; the first matching fault wins.
-    pub fn fault_for(&self, spec_id: &str, short_name: &str, workload: &str) -> Option<FaultKind> {
+    pub(crate) fn fault_for(
+        &self,
+        spec_id: &str,
+        short_name: &str,
+        workload: &str,
+    ) -> Option<FaultKind> {
         self.faults
             .iter()
             .find(|f| {
@@ -246,18 +238,5 @@ mod tests {
             FaultPlan::profiler_fault(FaultKind::WorkerHang { attempts: 1 }),
             None
         );
-    }
-
-    #[test]
-    fn process_fault_classification() {
-        assert!(FaultKind::WorkerCrash {
-            attempts: 1,
-            clean: false
-        }
-        .is_process_fault());
-        assert!(FaultKind::WorkerHang { attempts: 2 }.is_process_fault());
-        assert!(FaultKind::ResultCorrupt { attempts: 1 }.is_process_fault());
-        assert!(!FaultKind::MalformedWorkload.is_process_fault());
-        assert!(!FaultKind::PanicAtEvent(1).is_process_fault());
     }
 }

@@ -17,7 +17,7 @@
 //!   offsets on malformed input. It runs in time linear in the input and
 //!   rejects nesting deeper than 128 levels, so a hostile line on a pipe
 //!   or socket cannot exhaust the stack;
-//! * [`req`], [`opt`] and [`nullable`] — the one set of typed field
+//! * [`req`], [`opt`] and `nullable` — the one set of typed field
 //!   readers every canonical-JSON decoder in the workspace uses. The
 //!   field's type comes from the caller through `TryFrom<&Value>`, which
 //!   this module implements for the scalar, string, array, object and
@@ -354,7 +354,7 @@ where
 ///
 /// A [`DecodeError`] naming `key` when the field is absent, or is
 /// neither `null` nor a `T`.
-pub fn nullable<'v, T>(value: &'v Value, key: &str) -> Result<Option<T>, DecodeError>
+pub(crate) fn nullable<'v, T>(value: &'v Value, key: &str) -> Result<Option<T>, DecodeError>
 where
     T: TryFrom<&'v Value>,
     T::Error: fmt::Display,

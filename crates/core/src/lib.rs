@@ -34,16 +34,19 @@
 //! # }
 //! ```
 
-pub mod characterize;
-pub mod exec;
-pub mod faults;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod characterize;
+mod exec;
+mod faults;
 pub mod json;
 pub mod log;
-pub mod process;
+mod process;
 pub mod protocol;
 pub mod sampling;
 pub mod specdata;
-pub mod suite;
+mod suite;
 pub mod telemetry;
 
 pub use characterize::{
@@ -51,16 +54,15 @@ pub use characterize::{
 };
 pub use exec::{ExecPolicy, RunMetrics};
 pub use faults::{Fault, FaultKind, FaultPlan};
-pub use log::LogLevel;
 pub use process::{maybe_worker, ProcessConfig};
 pub use sampling::{PhaseSampling, SamplingPolicy, SamplingStats, PHASE_ERROR_BOUND_PCT};
 pub use suite::{CoreError, LabeledTask, Suite, TaskRun};
 pub use telemetry::{request_label, MetricsRegistry, Plane, SpanEvent, SpanLog};
 
 // Re-export the layers users need to drive the facade.
-pub use alberta_benchmarks::{suite as benchmark_suite, BenchError, Benchmark, RunOutput};
+pub use alberta_benchmarks::{suite as benchmark_suite, BenchError};
 pub use alberta_profile::{PathRow, PathTable, Profiler, SampleConfig};
-pub use alberta_stats::{CoverageSummary, RatioSummary, TopDownSummary};
+pub use alberta_stats::RatioSummary;
 pub use alberta_uarch::{
     MachineConfig, MemoryProfile, MpkiPoint, PredictorKind, TopDownModel, TopDownReport,
 };

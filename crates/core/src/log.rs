@@ -37,7 +37,7 @@ pub enum LogLevel {
 
 impl LogLevel {
     /// All accepted `ALBERTA_LOG` spellings, in severity order.
-    pub const NAMES: [&'static str; 5] = ["off", "error", "warn", "info", "debug"];
+    pub(crate) const NAMES: [&'static str; 5] = ["off", "error", "warn", "info", "debug"];
 
     /// Parses an `ALBERTA_LOG` value.
     ///
@@ -45,7 +45,7 @@ impl LogLevel {
     ///
     /// Returns a description of the accepted values when `s` is not one
     /// of them.
-    pub fn parse(s: &str) -> Result<LogLevel, String> {
+    pub(crate) fn parse(s: &str) -> Result<LogLevel, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" => Ok(LogLevel::Off),
             "error" => Ok(LogLevel::Error),
@@ -66,7 +66,7 @@ impl LogLevel {
     ///
     /// A set-but-unparseable value is a configuration error, reported
     /// rather than silently mapped to a default.
-    pub fn from_env() -> Result<Option<LogLevel>, String> {
+    pub(crate) fn from_env() -> Result<Option<LogLevel>, String> {
         match std::env::var("ALBERTA_LOG") {
             Err(_) => Ok(None),
             Ok(v) if v.trim().is_empty() => Ok(None),
@@ -116,7 +116,7 @@ fn level_from_u8(v: u8) -> LogLevel {
 
 /// Whether a record at `level` would currently be kept, against
 /// [`max_level`]. Use to skip expensive diagnostics wholesale.
-pub fn enabled(level: LogLevel) -> bool {
+pub(crate) fn enabled(level: LogLevel) -> bool {
     level != LogLevel::Off && level <= max_level()
 }
 

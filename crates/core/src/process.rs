@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The hidden argv flag that switches a binary into worker mode.
-pub const WORKER_FLAG: &str = "--alberta-worker";
+pub(crate) const WORKER_FLAG: &str = "--alberta-worker";
 
 /// Set in every worker's environment; process execution refuses to nest.
 const WORKER_ENV: &str = "ALBERTA_WORKER";
@@ -93,7 +93,7 @@ impl ProcessConfig {
     /// Panics when `ALBERTA_HEARTBEAT_MS` is set to something that is
     /// not a positive millisecond count — a misconfigured environment
     /// must be loud.
-    pub fn timeout_ms(&self) -> u64 {
+    pub(crate) fn timeout_ms(&self) -> u64 {
         match std::env::var("ALBERTA_HEARTBEAT_MS") {
             Err(_) => self.heartbeat_timeout_ms,
             Ok(v) if v.trim().is_empty() => self.heartbeat_timeout_ms,
@@ -111,7 +111,7 @@ impl ProcessConfig {
     /// The worker heartbeat interval derived from the timeout: several
     /// beats must fit into one timeout window so a single delayed beat
     /// never reads as a hang.
-    pub fn beat_interval_ms(&self) -> u64 {
+    pub(crate) fn beat_interval_ms(&self) -> u64 {
         (self.timeout_ms() / 8).clamp(5, 500)
     }
 }
@@ -119,7 +119,7 @@ impl ProcessConfig {
 /// Worker-mode hook. Every binary that can act as a process-pool
 /// supervisor must call this first thing in `main` (and custom test
 /// harnesses likewise, before running any tests): when the process was
-/// spawned with the hidden [`WORKER_FLAG`] argument, this runs the
+/// spawned with the hidden `WORKER_FLAG` argument, this runs the
 /// worker protocol loop over stdin/stdout and exits — it never returns.
 /// In a normal invocation it does nothing.
 pub fn maybe_worker() {

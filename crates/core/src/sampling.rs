@@ -82,11 +82,6 @@ impl SamplingPolicy {
     pub fn phase() -> Self {
         SamplingPolicy::Phase(PhaseSampling::default())
     }
-
-    /// True when this policy samples instead of measuring in full.
-    pub fn is_sampled(&self) -> bool {
-        matches!(self, SamplingPolicy::Phase(_))
-    }
 }
 
 /// Per-run accounting of one phase-sampled measurement, attached to the
@@ -108,16 +103,6 @@ pub struct SamplingStats {
 }
 
 impl SamplingStats {
-    /// Detailed-measurement work saved: `total_ops / detailed_ops`.
-    /// `1.0` when nothing was saved (full fallback).
-    pub fn work_saved(&self) -> f64 {
-        if self.detailed_ops == 0 {
-            1.0
-        } else {
-            self.total_ops as f64 / self.detailed_ops as f64
-        }
-    }
-
     /// Stats describing a run measured in full (fallback).
     pub fn full(interval_work: u64, intervals: usize, total_ops: u64) -> Self {
         SamplingStats {
@@ -219,7 +204,7 @@ impl SamplePlan {
     /// inside the windows divided by the stride, plus per-window rounding
     /// slack and one `Return` per in-window call that may land after its
     /// window closes.
-    pub fn detail_trace_capacity(&self, base: &SampleConfig, stride: u64) -> usize {
+    pub(crate) fn detail_trace_capacity(&self, base: &SampleConfig, stride: u64) -> usize {
         let events: u64 = self
             .cluster_totals
             .iter()
@@ -302,7 +287,7 @@ pub fn pilot_config(base: SampleConfig, config: &PhaseSampling) -> SampleConfig 
 /// density — replayed mispredict and miss rates depend on stream
 /// density, and an estimate replayed dense against a baseline replayed
 /// sparse would be biased, not just noisy.
-pub fn full_trace_weight(base: &SampleConfig, totals: &Totals) -> u64 {
+pub(crate) fn full_trace_weight(base: &SampleConfig, totals: &Totals) -> u64 {
     let offered = totals.branches / u64::from(base.branch_interval.max(1))
         + (totals.loads + totals.stores) / u64::from(base.mem_interval.max(1))
         + 2 * totals.calls / u64::from(base.call_interval.max(1));
@@ -357,23 +342,6 @@ mod tests {
     #[test]
     fn default_policy_is_full() {
         assert_eq!(SamplingPolicy::default(), SamplingPolicy::Full);
-        assert!(!SamplingPolicy::Full.is_sampled());
-        assert!(SamplingPolicy::phase().is_sampled());
-    }
-
-    #[test]
-    fn work_saved_handles_degenerate_stats() {
-        let full = SamplingStats::full(1024, 3, 5000);
-        assert_eq!(full.work_saved(), 1.0);
-        assert_eq!(full.clusters, 3);
-        let sampled = SamplingStats {
-            interval_work: 1024,
-            intervals: 40,
-            clusters: 4,
-            detailed_ops: 4096,
-            total_ops: 40_960,
-        };
-        assert!((sampled.work_saved() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -170,15 +170,10 @@ impl Suite {
 
     /// Overrides the execution policy (serial vs parallel workers).
     /// Parallel execution produces bit-identical results — see
-    /// [`crate::exec`] for the determinism argument.
+    /// `crate::exec` for the determinism argument.
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
-    }
-
-    /// The execution policy characterizations run under.
-    pub fn exec(&self) -> ExecPolicy {
-        self.exec
     }
 
     /// Overrides the process-pool supervisor configuration (heartbeat
@@ -187,11 +182,6 @@ impl Suite {
     pub fn with_process_config(mut self, process: ProcessConfig) -> Self {
         self.process = process;
         self
-    }
-
-    /// The process-pool supervisor configuration.
-    pub fn process_config(&self) -> ProcessConfig {
-        self.process
     }
 
     /// Overrides the microarchitecture model (predictor/latency ablations).
@@ -214,22 +204,12 @@ impl Suite {
         self
     }
 
-    /// The measurement policy characterizations run under.
-    pub fn sampling_policy(&self) -> SamplingPolicy {
-        self.policy
-    }
-
     /// Installs a fault plan. Every characterization entry point applies
     /// it: planned faults surface as non-`Ok` [`RunStatus`]es, never as
     /// an error.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// The installed fault plan (empty by default).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// The scale this suite was built at.
@@ -752,7 +732,7 @@ mod tests {
             c.run("alberta.2").is_none(),
             "failed run must not enter summaries"
         );
-        assert_eq!(c.workload_count(), 8);
+        assert_eq!(c.runs.len(), 8);
     }
 
     #[test]
@@ -777,7 +757,7 @@ mod tests {
         }
         // Survivors include the retried runs, so none is lost.
         assert_eq!(
-            r.characterization.as_ref().unwrap().workload_count(),
+            r.characterization.as_ref().unwrap().runs.len(),
             r.attempted()
         );
     }
@@ -837,8 +817,8 @@ mod tests {
     #[test]
     fn exec_policy_is_configurable() {
         let s = Suite::new(Scale::Test).with_exec(ExecPolicy::with_jobs(3));
-        assert_eq!(s.exec().jobs(), 3);
+        assert_eq!(s.exec.jobs(), 3);
         let s = s.with_exec(ExecPolicy::serial());
-        assert_eq!(s.exec(), ExecPolicy::Serial);
+        assert_eq!(s.exec, ExecPolicy::Serial);
     }
 }

@@ -256,7 +256,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// The event as a canonical wire object.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Object(vec![
             ("seq".to_owned(), Value::UInt(self.seq)),
             ("request".to_owned(), Value::Str(self.request.clone())),
@@ -312,21 +312,6 @@ impl SpanLog {
             attrs,
         });
         self.next_seq += 1;
-    }
-
-    /// The retained events, in sequence order.
-    pub fn events(&self) -> &VecDeque<SpanEvent> {
-        &self.events
-    }
-
-    /// Events retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The retained events as a canonical array.
@@ -399,15 +384,15 @@ mod tests {
             vec![("benchmark".to_owned(), Value::Str("mcf".to_owned()))],
         );
         log.push(&request_label("storm-m0", 3), "completed", Vec::new());
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.events()[0].seq, 0);
-        assert_eq!(log.events()[1].seq, 1);
-        assert_eq!(log.events()[0].request, "storm-m0#3");
+        assert_eq!(log.events.len(), 2);
+        assert_eq!(log.events[0].seq, 0);
+        assert_eq!(log.events[1].seq, 1);
+        assert_eq!(log.events[0].request, "storm-m0#3");
 
         let rendered = log.to_value();
         let events = rendered.as_array().unwrap();
         let parsed = SpanEvent::from_value(&events[0]).unwrap();
-        assert_eq!(parsed, log.events()[0]);
+        assert_eq!(parsed, log.events[0]);
         // Same appends, same bytes.
         let mut again = SpanLog::new();
         again.push(
@@ -433,15 +418,15 @@ mod tests {
         };
         let mut log = SpanLog::new();
         fill(&mut log);
-        assert_eq!(log.len(), SPAN_LOG_CAPACITY);
-        let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
+        assert_eq!(log.events.len(), SPAN_LOG_CAPACITY);
+        let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
         let expected: Vec<u64> = (overflow as u64..(SPAN_LOG_CAPACITY + overflow) as u64).collect();
         assert_eq!(
             seqs, expected,
             "the newest events, seq contiguous from {overflow}"
         );
         assert_eq!(
-            log.events()[0].request,
+            log.events[0].request,
             request_label("ring", overflow as u64)
         );
 

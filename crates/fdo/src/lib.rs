@@ -12,20 +12,20 @@
 //!
 //! * [`programs`] generates input-sensitive mini-C programs and families
 //!   of input workloads with different value distributions;
-//! * [`measure`] runs static FDO end to end — instrumented training run →
-//!   edge profile → profile-guided recompilation (hot-function layout +
-//!   hot-call inlining) → modelled cycle count via the Top-Down machine
-//!   model;
-//! * [`experiments`] reproduces the methodology comparisons: classic
-//!   train→ref evaluation vs leave-one-out cross-validation, Berube-style
-//!   combined profiles, and the *hidden learning* effect (tuning a
-//!   compiler heuristic on the evaluation set).
+//! * [`FdoPipeline`] runs static FDO end to end — instrumented training
+//!   run → edge profile → profile-guided recompilation (hot-function
+//!   layout + hot-call inlining) → modelled cycle count via the Top-Down
+//!   machine model;
+//! * [`classic_train_ref`], [`cross_validate`] and [`hidden_learning`]
+//!   reproduce the methodology comparisons: classic train→ref evaluation
+//!   vs leave-one-out cross-validation, Berube-style combined profiles,
+//!   and the *hidden learning* effect (tuning a compiler heuristic on the
+//!   evaluation set).
 //!
 //! # Examples
 //!
 //! ```
-//! use alberta_fdo::measure::{self, FdoPipeline};
-//! use alberta_fdo::programs::{classifier_program, Distribution, InputGen};
+//! use alberta_fdo::{classifier_program, Distribution, FdoPipeline, InputGen};
 //!
 //! # fn main() -> Result<(), alberta_fdo::FdoError> {
 //! let source = classifier_program(3, &[2, 6, 18]);
@@ -39,11 +39,17 @@
 //! # }
 //! ```
 
-pub mod experiments;
-pub mod measure;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod experiments;
+mod measure;
 pub mod programs;
 
-pub use experiments::{classic_train_ref, cross_validate, hidden_learning, CrossValidation};
+pub use experiments::{
+    classic_train_ref, cross_validate, hidden_learning, ClassicOutcome, CrossValidation, Fold,
+    HiddenLearning,
+};
 pub use measure::{FdoPipeline, Measurement};
 pub use programs::{classifier_program, Distribution, InputGen};
 

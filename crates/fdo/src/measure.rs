@@ -23,7 +23,7 @@ pub struct Measurement {
 }
 
 /// Speedup of `optimized` over `baseline` (>1 means faster).
-pub fn speedup(baseline: &Measurement, optimized: &Measurement) -> f64 {
+pub(crate) fn speedup(baseline: &Measurement, optimized: &Measurement) -> f64 {
     baseline.cycles / optimized.cycles
 }
 
@@ -103,7 +103,7 @@ impl FdoPipeline {
     }
 
     /// Derives profile-guided options from an edge profile.
-    pub fn guided_options(&self, profile: &EdgeProfile) -> OptOptions {
+    pub(crate) fn guided_options(&self, profile: &EdgeProfile) -> OptOptions {
         OptOptions {
             function_order: Some(profile.hot_function_order()),
             force_inline: profile.hot_callees(self.inline_threshold),
@@ -130,7 +130,7 @@ impl FdoPipeline {
     /// # Errors
     ///
     /// Returns [`FdoError::Program`] on compile or runtime failure.
-    pub fn measure_with_options(
+    pub(crate) fn measure_with_options(
         &self,
         options: &OptOptions,
         input: &[i64],

@@ -96,7 +96,7 @@ fn op_str(op: BinOp) -> &'static str {
 }
 
 /// Emits an expression (fully parenthesized, so precedence never shifts).
-pub fn emit_expr(e: &Expr) -> String {
+pub(crate) fn emit_expr(e: &Expr) -> String {
     match e {
         Expr::Num(n) => {
             if *n < 0 {

@@ -35,7 +35,10 @@
 //! # }
 //! ```
 
-pub mod emitter;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod emitter;
 
 pub use emitter::emit;
 
@@ -253,20 +256,18 @@ fn rewrite_expr(e: &mut Expr, statics: &BTreeSet<String>, suffix: &str) {
     }
 }
 
-/// A convenience check used by the binary and tests: does the merged
-/// source contain a binary-operator character balance plausible for
-/// mini-C? (Cheap smoke validation before the real reparse.)
-#[doc(hidden)]
-pub fn looks_like_minic(source: &str) -> bool {
-    source.contains("int main()") && source.matches('{').count() == source.matches('}').count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use alberta_benchmarks::minigcc::{MiniGcc, OptOptions};
     use alberta_profile::Profiler;
     use alberta_workloads::csrc::MultiFileGen;
+
+    /// Cheap smoke check that `source` looks like mini-C: a `main` and
+    /// balanced braces.
+    fn looks_like_minic(source: &str) -> bool {
+        source.contains("int main()") && source.matches('{').count() == source.matches('}').count()
+    }
 
     fn run_source(src: &str) -> i64 {
         let mut p = Profiler::default();

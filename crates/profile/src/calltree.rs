@@ -20,7 +20,7 @@ use crate::profiler::FnId;
 use std::fmt::Write as _;
 
 /// Index of the synthetic root node of every [`CallTree`].
-pub const ROOT: u32 = 0;
+pub(crate) const ROOT: u32 = 0;
 
 /// Sentinel for "no node" in the intrusive sibling links.
 const NONE: u32 = u32::MAX;
@@ -36,7 +36,7 @@ const NONE: u32 = u32::MAX;
 pub struct CallNode {
     /// The function this path ends in; `None` only for the root.
     pub func: Option<FnId>,
-    /// Parent node index ([`ROOT`]'s parent is itself).
+    /// Parent node index (the root node, index 0, is its own parent).
     pub parent: u32,
     /// First child in first-call order (`u32::MAX` when childless).
     first_child: u32,
@@ -84,7 +84,7 @@ pub struct CallTree {
 
 impl CallTree {
     /// Creates a tree holding only the root.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CallTree {
             nodes: vec![CallNode::fresh(None, ROOT)],
             cursor: ROOT,
@@ -100,24 +100,6 @@ impl CallTree {
     /// The root node.
     pub fn root(&self) -> &CallNode {
         &self.nodes[ROOT as usize]
-    }
-
-    /// Number of distinct paths observed (excluding the root).
-    pub fn path_count(&self) -> usize {
-        self.nodes.len() - 1
-    }
-
-    /// Child node indices of `node` in first-call order.
-    pub fn children(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
-        let mut cursor = self.nodes[node as usize].first_child;
-        std::iter::from_fn(move || {
-            if cursor == NONE {
-                return None;
-            }
-            let current = cursor;
-            cursor = self.nodes[cursor as usize].next_sibling;
-            Some(current)
-        })
     }
 
     /// Descends into `func`: reuses the child path if this path was
@@ -182,25 +164,6 @@ impl CallTree {
         self.nodes.iter().map(|n| n.exclusive).sum()
     }
 
-    /// Sum of per-path call counts — must equal the aggregate call
-    /// total.
-    pub fn total_calls(&self) -> u64 {
-        self.nodes.iter().map(|n| n.calls).sum()
-    }
-
-    /// The function-id path from the root to `node` (root excluded).
-    pub fn path_of(&self, node: u32) -> Vec<FnId> {
-        let mut path = Vec::new();
-        let mut cursor = node;
-        while cursor != ROOT {
-            let n = &self.nodes[cursor as usize];
-            path.push(n.func.expect("non-root nodes carry a function"));
-            cursor = n.parent;
-        }
-        path.reverse();
-        path
-    }
-
     /// Resolves the tree against a function-name table into a
     /// [`PathTable`] — the self-contained, name-keyed view the report
     /// and trace layers consume.
@@ -210,7 +173,7 @@ impl CallTree {
     /// one forward sweep can extend each parent's already-rendered key
     /// by one `;name` segment — O(total key bytes) rather than
     /// re-walking to the root per node.
-    pub fn resolve(&self, names: &[impl AsRef<str>]) -> PathTable {
+    pub(crate) fn resolve(&self, names: &[impl AsRef<str>]) -> PathTable {
         let mut keys: Vec<String> = Vec::with_capacity(self.nodes.len());
         keys.push(String::new()); // the root is not a path
         let mut rows: Vec<PathRow> = self
@@ -284,17 +247,6 @@ impl PathTable {
         &self.rows
     }
 
-    /// Whether the run opened any scopes at all.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Total exclusive work over all paths (equals the run's attributed
-    /// work).
-    pub fn total_exclusive(&self) -> u64 {
-        self.rows.iter().map(|r| r.exclusive).sum()
-    }
-
     /// The `k` hottest paths by exclusive work, hottest first; ties
     /// break lexicographically by path so the selection is
     /// deterministic. Paths with zero exclusive work never qualify.
@@ -343,6 +295,19 @@ mod tests {
     use super::*;
     use crate::profiler::{Profiler, SampleConfig};
 
+    /// Child node indices of `node` in first-call order.
+    fn children(tree: &CallTree, node: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut cursor = tree.nodes[node as usize].first_child;
+        std::iter::from_fn(move || {
+            if cursor == NONE {
+                return None;
+            }
+            let current = cursor;
+            cursor = tree.nodes[cursor as usize].next_sibling;
+            Some(current)
+        })
+    }
+
     /// main → {kernel ×2, helper}, kernel → helper.
     fn sample_profile() -> crate::Profile {
         let mut p = Profiler::new(SampleConfig::default());
@@ -370,8 +335,9 @@ mod tests {
     fn tree_keys_by_path_not_function() {
         let profile = sample_profile();
         let tree = &profile.calltree;
-        // Paths: main, main;kernel, main;kernel;helper, main;helper.
-        assert_eq!(tree.path_count(), 4);
+        // Paths (root excluded): main, main;kernel, main;kernel;helper,
+        // main;helper.
+        assert_eq!(tree.nodes().len() - 1, 4);
         let table = profile.path_table();
         let paths: Vec<&str> = table.rows().iter().map(|r| r.path.as_str()).collect();
         assert_eq!(
@@ -457,9 +423,9 @@ mod tests {
     #[test]
     fn empty_run_yields_empty_table() {
         let profile = Profiler::default().finish();
-        assert_eq!(profile.calltree.path_count(), 0);
+        assert_eq!(profile.calltree.nodes().len() - 1, 0);
         let table = profile.path_table();
-        assert!(table.is_empty());
+        assert!(table.rows().is_empty());
         assert_eq!(table.folded(), "");
         assert!(table.hot_paths(5).is_empty());
     }
@@ -468,11 +434,10 @@ mod tests {
     fn children_iterate_in_first_call_order() {
         let profile = sample_profile();
         let tree = &profile.calltree;
-        let roots: Vec<u32> = tree.children(ROOT).collect();
+        let roots: Vec<u32> = children(tree, ROOT).collect();
         assert_eq!(roots.len(), 1, "main is the only top-level path");
         let main = roots[0];
-        let names: Vec<&str> = tree
-            .children(main)
+        let names: Vec<&str> = children(tree, main)
             .map(|c| {
                 let id = tree.nodes()[c as usize].func.unwrap();
                 ["main", "kernel", "helper"][id.0 as usize]
@@ -480,8 +445,8 @@ mod tests {
             .collect();
         // kernel was entered before helper under main.
         assert_eq!(names, vec!["kernel", "helper"]);
-        let leaf = tree.children(main).next().unwrap();
-        assert_eq!(tree.children(leaf).count(), 1, "kernel;helper");
+        let leaf = children(tree, main).next().unwrap();
+        assert_eq!(children(tree, leaf).count(), 1, "kernel;helper");
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl Default for EventTrace {
 }
 
 /// Default maximum number of retained events (~1M, tens of MB at most).
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 #[cfg(test)]
 mod tests {

@@ -43,10 +43,13 @@
 //! assert!(profile.coverage_percent()["kernel"] > 90.0);
 //! ```
 
-pub mod calltree;
-pub mod chunks;
-pub mod event;
-pub mod profiler;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod calltree;
+mod chunks;
+mod event;
+mod profiler;
 
 pub use calltree::{CallNode, CallTree, PathRow, PathTable};
 pub use chunks::{ChunkSlices, EventChunks};

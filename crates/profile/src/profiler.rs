@@ -272,16 +272,6 @@ impl Footprint {
     /// Page granularity of footprint tracking (matches the modelled
     /// D-TLB's 4 KiB pages).
     pub const PAGE_BYTES: u64 = 4096;
-
-    /// The footprint in bytes at line granularity.
-    pub fn line_bytes(&self) -> u64 {
-        self.lines * Self::LINE_BYTES
-    }
-
-    /// The footprint in bytes at page granularity.
-    pub fn page_bytes(&self) -> u64 {
-        self.pages * Self::PAGE_BYTES
-    }
 }
 
 /// Exact counter deltas for one fixed-work interval of a run, snapshotted
@@ -382,24 +372,6 @@ impl Profile {
                 (meta.name.clone(), pct)
             })
             .collect()
-    }
-
-    /// The fraction of branches that were taken, or `None` when no
-    /// branches executed.
-    pub fn taken_branch_fraction(&self) -> Option<f64> {
-        if self.totals.branches == 0 {
-            None
-        } else {
-            Some(self.totals.taken_branches as f64 / self.totals.branches as f64)
-        }
-    }
-
-    /// Looks up a function's id by name.
-    pub fn fn_id(&self, name: &str) -> Option<FnId> {
-        self.functions
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| FnId(i as u32))
     }
 
     /// The name-resolved view of the call tree: deterministically ordered
@@ -1049,11 +1021,6 @@ impl Profiler {
         }
     }
 
-    /// Current function-stack depth (for tests and assertions).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Finalizes the run and returns the collected [`Profile`].
     ///
     /// # Panics
@@ -1176,7 +1143,6 @@ mod tests {
         assert_eq!(profile.totals.loads, 1);
         assert_eq!(profile.totals.stores, 1);
         assert_eq!(profile.totals.retired_ops, 5);
-        assert_eq!(profile.taken_branch_fraction(), Some(2.0 / 3.0));
     }
 
     #[test]
@@ -1245,18 +1211,17 @@ mod tests {
     }
 
     #[test]
-    fn no_branches_means_no_fraction() {
-        let p = Profiler::default();
-        assert_eq!(p.finish().taken_branch_fraction(), None);
-    }
-
-    #[test]
     fn fn_id_lookup() {
+        // A function's id is its position in the profile's function list.
+        let fn_id = |profile: &Profile, name: &str| {
+            let i = profile.functions.iter().position(|m| m.name == name)?;
+            Some(FnId(i as u32))
+        };
         let mut p = Profiler::default();
         let a = p.register_function("alpha", 10);
         let profile = p.finish();
-        assert_eq!(profile.fn_id("alpha"), Some(a));
-        assert_eq!(profile.fn_id("missing"), None);
+        assert_eq!(fn_id(&profile, "alpha"), Some(a));
+        assert_eq!(fn_id(&profile, "missing"), None);
     }
 
     #[test]

@@ -19,34 +19,34 @@
 //!   [`SuiteReport`] and rendered as text. The `table1`, `table2`,
 //!   `fig1` and `fig2` binaries load a saved report ([`load`]) and print
 //!   from it;
-//! * [`diff`] — comparison of two reports into structural regressions
+//! * `diff` — comparison of two reports into structural regressions
 //!   (status flips, lost workloads) and numeric deltas (modelled
 //!   cycles, behaviour variation), the engine behind `bench-diff`.
 //!
 //! [`Suite::characterize_all_resilient_metered`]: alberta_core::Suite::characterize_all_resilient_metered
 
-pub mod diff;
-pub use alberta_core::json;
-pub mod mem;
-pub mod metrics;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod diff;
+mod mem;
+mod metrics;
 pub mod schema;
-pub mod serve;
-pub mod trace;
+mod serve;
+mod trace;
 pub mod view;
 
-pub use diff::{DiffOptions, ReportDiff};
-pub use mem::{MemoryDocument, MemoryRunRecord, MEM_SCHEMA_VERSION};
+pub use diff::{DeltaRow, DiffOptions, ReportDiff};
+pub use mem::{MemoryDocument, MemoryRunRecord};
 pub use metrics::MetricsDocument;
 pub use schema::{
     BenchmarkReport, CategoryRecord, HotPathRecord, MeasureRecord, RunRecord, SamplingRecord,
     StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 pub use serve::{CacheDocument, HostRecord, LatencyReport, StormReport};
-pub use trace::{
-    render_service_timeline, render_trace, trace_directory, TraceMode, DEFAULT_LANES,
-    HOT_PATH_COUNT,
-};
+pub use trace::{render_service_timeline, trace_directory};
 
+use alberta_core::json;
 use json::Value;
 use std::fmt;
 use std::path::Path;

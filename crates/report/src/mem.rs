@@ -19,7 +19,7 @@ use alberta_core::MemoryProfile;
 use alberta_workloads::Scale;
 
 /// The schema version of `MEM_*.json` documents.
-pub const MEM_SCHEMA_VERSION: u64 = 1;
+pub(crate) const MEM_SCHEMA_VERSION: u64 = 1;
 
 /// One run's memory characterization, addressed by benchmark and
 /// workload.
@@ -36,7 +36,7 @@ pub struct MemoryRunRecord {
 /// The memory view of one full sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryDocument {
-    /// Schema version ([`MEM_SCHEMA_VERSION`] when built by this
+    /// Schema version (`MEM_SCHEMA_VERSION` when built by this
     /// crate).
     pub schema_version: u64,
     /// The scale the sweep ran at.

@@ -130,7 +130,7 @@ impl StatusKind {
     }
 
     /// Ordering used by the diff layer: a larger rank is a worse fate.
-    pub fn rank(self) -> u8 {
+    pub(crate) fn rank(self) -> u8 {
         match self {
             StatusKind::Ok => 0,
             StatusKind::Degraded => 1,
@@ -197,15 +197,6 @@ pub struct SamplingRecord {
 }
 
 impl SamplingRecord {
-    /// Detailed-measurement work saved: `total_ops / detailed_ops`.
-    pub fn work_saved(&self) -> f64 {
-        if self.detailed_ops == 0 {
-            1.0
-        } else {
-            self.total_ops as f64 / self.detailed_ops as f64
-        }
-    }
-
     fn from_stats(stats: &alberta_core::SamplingStats) -> Self {
         SamplingRecord {
             interval_work: stats.interval_work,
@@ -446,7 +437,7 @@ impl SuiteReport {
     /// the report was built from. Benchmarks whose runs all failed get
     /// an empty list — attempted, nothing to show — and benchmarks
     /// absent from `results` are left untouched.
-    pub fn embed_hot_paths(
+    pub(crate) fn embed_hot_paths(
         &mut self,
         results: &[(ResilientCharacterization, Vec<RunMetrics>)],
         top_k: usize,
@@ -671,7 +662,7 @@ impl RunRecord {
     /// # Errors
     ///
     /// A [`DecodeError`] naming the first structural problem.
-    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
+    pub(crate) fn from_value(value: &Value) -> Result<Self, DecodeError> {
         let workload: String = req(value, "workload")?;
         let status_text = req(value, "status")?;
         let status = StatusKind::from_str(status_text)

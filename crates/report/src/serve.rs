@@ -16,7 +16,7 @@
 //! [`LatencyReport`] is wall-clock telemetry: tracked as an uploaded
 //! artifact, never gated.
 
-use crate::json::{self, opt, req, DecodeError, Value};
+use crate::json::{req, DecodeError, Value};
 use crate::schema::SCHEMA_VERSION;
 use crate::ReportError;
 use alberta_core::protocol::{decode_run, decode_status, run_value, status_value, RemoteStatus};
@@ -133,7 +133,7 @@ pub struct HostRecord {
 
 impl HostRecord {
     /// The record as its canonical object in the storm report.
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         Value::Object(vec![
             ("host".to_owned(), Value::UInt(self.host)),
             ("tasks".to_owned(), Value::UInt(self.tasks)),
@@ -147,7 +147,7 @@ impl HostRecord {
     /// # Errors
     ///
     /// A [`DecodeError`] naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
+    pub(crate) fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(HostRecord {
             host: req(value, "host")?,
             tasks: req(value, "tasks")?,
@@ -293,22 +293,6 @@ impl LatencyReport {
             ("max_nanos".to_owned(), Value::UInt(self.max_nanos)),
         ])
         .render()
-    }
-
-    /// Parses a latency report.
-    ///
-    /// # Errors
-    ///
-    /// [`ReportError::Json`] or [`ReportError::Schema`].
-    pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        Ok(LatencyReport {
-            samples: req(&value, "samples")?,
-            p50_nanos: req(&value, "p50_nanos")?,
-            p90_nanos: req(&value, "p90_nanos")?,
-            p99_nanos: req(&value, "p99_nanos")?,
-            max_nanos: opt(&value, "max_nanos")?.unwrap_or(0),
-        })
     }
 }
 

@@ -52,16 +52,15 @@
 use crate::json::Value;
 use crate::schema::{RunRecord, StatusKind, SuiteReport};
 use crate::ReportError;
-use alberta_core::telemetry::SpanEvent;
-use alberta_core::{ResilientCharacterization, RunMetrics};
+use alberta_core::{ResilientCharacterization, RunMetrics, SpanEvent};
 use std::collections::BTreeMap;
 
 /// Lanes of a trace directory's virtual timeline.
-pub const DEFAULT_LANES: usize = 4;
+pub(crate) const DEFAULT_LANES: usize = 4;
 
 /// Call paths per benchmark, hottest first, that a trace directory's
 /// `report.json` embeds.
-pub const HOT_PATH_COUNT: usize = 10;
+pub(crate) const HOT_PATH_COUNT: usize = 10;
 
 /// The contents of a trace directory, file name → bytes, as
 /// `bench-report --trace-dir DIR` writes them:
@@ -71,8 +70,8 @@ pub const HOT_PATH_COUNT: usize = 10;
 ///   exact call tree, for flamegraph tooling (`inferno-flamegraph`,
 ///   `flamegraph.pl`);
 /// * `trace.json` — the sweep's timeline: the virtual schedule over
-///   [`DEFAULT_LANES`] lanes, or the measured one with `telemetry`;
-/// * `report.json` — `report` with each benchmark's [`HOT_PATH_COUNT`]
+///   `DEFAULT_LANES` lanes, or the measured one with `telemetry`;
+/// * `report.json` — `report` with each benchmark's `HOT_PATH_COUNT`
 ///   hottest call paths embedded.
 ///
 /// `report` is the report built from `results`, with its telemetry kept
@@ -82,7 +81,7 @@ pub const HOT_PATH_COUNT: usize = 10;
 /// # Errors
 ///
 /// [`ReportError::Schema`] when `telemetry` is set and a run lacks
-/// wall-clock telemetry (see [`render_trace`]).
+/// wall-clock telemetry (see `render_trace`).
 pub fn trace_directory(
     report: &SuiteReport,
     results: &[(ResilientCharacterization, Vec<RunMetrics>)],
@@ -116,7 +115,7 @@ pub fn trace_directory(
 
 /// Which timeline a trace renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
+pub(crate) enum TraceMode {
     /// Deterministic virtual schedule over modelled cycles (1 cycle =
     /// 1 µs of trace time), `lanes` parallel lanes.
     Virtual {
@@ -146,7 +145,7 @@ struct Span<'r> {
 /// [`ReportError::Schema`] in [`TraceMode::Telemetry`] when any run
 /// lacks wall-clock telemetry — canonical reports strip it; generate
 /// the report with `--telemetry` to keep it.
-pub fn render_trace(report: &SuiteReport, mode: TraceMode) -> Result<String, ReportError> {
+pub(crate) fn render_trace(report: &SuiteReport, mode: TraceMode) -> Result<String, ReportError> {
     let spans = match mode {
         TraceMode::Virtual { lanes } => virtual_spans(report, lanes.max(1)),
         TraceMode::Telemetry => telemetry_spans(report)?,
@@ -500,7 +499,7 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::schema::{MeasureRecord, SCHEMA_VERSION};
-    use alberta_core::telemetry::SpanLog;
+    use alberta_core::SpanLog;
     use alberta_workloads::Scale;
     use std::collections::BTreeMap;
 

@@ -39,11 +39,6 @@ impl ResultCache {
         }
     }
 
-    /// The cache root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The on-disk path of a key's entry.
     pub fn path_for(&self, key: &str) -> PathBuf {
         let shard = if key.len() >= 2 { &key[..2] } else { "__" };

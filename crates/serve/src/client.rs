@@ -11,7 +11,7 @@ use crate::spec::RequestSpec;
 use crate::wire::{self, ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
 
 /// Anything that can go wrong talking to the daemon, flattened to text.
-pub type ClientError = String;
+pub(crate) type ClientError = String;
 
 /// One answered request.
 #[derive(Debug, Clone)]

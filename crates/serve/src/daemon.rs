@@ -16,8 +16,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use alberta_core::telemetry::{request_label, Plane};
-use alberta_core::{log_info, log_warn};
+use alberta_core::{log_info, log_warn, request_label, Plane};
 
 use crate::engine::{BatchRequest, Engine, ResolvedRequest};
 use crate::wire::{self, ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
@@ -107,7 +106,7 @@ fn handle_connection(
     let (mut reader, mut writer) = wire::split(stream)?;
 
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if !next_line(&mut reader, &mut writer, &mut line)? {
         return Ok(());
     }
     let (client, group) = match ClientMsg::decode(line.trim_end()) {
@@ -171,8 +170,7 @@ fn handle_connection(
     let member = group.as_ref().map_or(0, |info| info.member);
     let mut pending: Vec<BatchRequest> = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if !next_line(&mut reader, &mut writer, &mut line)? {
             return Ok(());
         }
         match ClientMsg::decode(line.trim_end()) {
@@ -312,6 +310,27 @@ fn drain_grouped(
             .remove(&info.id);
     }
     mine
+}
+
+/// Reads a client's next line into `line`. `Ok(false)` ends the
+/// connection: the client closed it, or sent a line the wire refuses
+/// (over [`wire::MAX_LINE_BYTES`], or not UTF-8), which is answered
+/// with an error first.
+fn next_line(
+    reader: &mut impl BufRead,
+    writer: &mut TcpStream,
+    line: &mut String,
+) -> io::Result<bool> {
+    match wire::read_line(reader, line) {
+        Ok(n) => Ok(n > 0),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            log_warn!("daemon", "closing connection: {e}");
+            let message = e.to_string();
+            send(writer, &ServerMsg::Error { id: 0, message })?;
+            Ok(false)
+        }
+        Err(e) => Err(e),
+    }
 }
 
 fn send(writer: &mut TcpStream, msg: &ServerMsg) -> io::Result<()> {

@@ -32,12 +32,10 @@ use std::time::Instant;
 use alberta_core::json::Value;
 use alberta_core::log_info;
 use alberta_core::protocol::RemoteStatus;
-use alberta_core::telemetry::{
-    MetricsRegistry, Plane, SpanLog, COUNT_BUCKETS, NANOS_BUCKETS, TICK_BUCKETS,
-};
+use alberta_core::telemetry::{COUNT_BUCKETS, NANOS_BUCKETS, TICK_BUCKETS};
 use alberta_core::{
-    benchmark_suite, summarize_runs, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig, Scale,
-    Suite,
+    benchmark_suite, summarize_runs, ExecPolicy, FaultPlan, LabeledTask, MetricsRegistry, Plane,
+    ProcessConfig, Scale, SpanLog, Suite,
 };
 use alberta_report::{BenchmarkReport, CacheDocument, MetricsDocument, RunRecord};
 
@@ -219,14 +217,9 @@ impl Engine {
         &self.cache
     }
 
-    /// The host-pool configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// The two-plane metrics registry (the daemon records volatile
     /// connection metrics here).
-    pub fn metrics(&self) -> &MetricsRegistry {
+    pub(crate) fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 

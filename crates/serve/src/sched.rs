@@ -71,7 +71,7 @@ pub fn home_host(key: &str, hosts: usize) -> usize {
 }
 
 /// The synthetic virtual-time cost of executing a task (1–8 ticks).
-pub fn task_cost(key: &str) -> u64 {
+pub(crate) fn task_cost(key: &str) -> u64 {
     1 + (key_hash(key) >> 17) % 8
 }
 

@@ -20,7 +20,7 @@ use alberta_report::SCHEMA_VERSION;
 
 /// The code version baked into every cache key: a rebuilt service never
 /// trusts documents written by a different crate version.
-pub const CODE_VERSION: &str = env!("CARGO_PKG_VERSION");
+pub(crate) const CODE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// One characterization request: a benchmark (optionally narrowed to a
 /// single workload) plus the complete measurement configuration.
@@ -73,7 +73,7 @@ impl RequestSpec {
     /// # Errors
     ///
     /// A [`DecodeError`] naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
+    pub(crate) fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(RequestSpec {
             benchmark: req(value, "benchmark")?,
             workload: opt(value, "workload")?,
@@ -122,7 +122,7 @@ impl RequestSpec {
     /// Fingerprint of the measurement configuration alone (scale,
     /// sampling, machine, predictor) — the grouping key the engine uses
     /// to batch tasks that can share one [`Suite`](alberta_core::Suite).
-    pub fn config_fingerprint(&self) -> String {
+    pub(crate) fn config_fingerprint(&self) -> String {
         let document = Value::Object(vec![
             ("scale".to_owned(), Value::Str(self.scale.name().to_owned())),
             ("sampling".to_owned(), sampling_policy_value(&self.policy)),

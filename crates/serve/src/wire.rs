@@ -14,9 +14,11 @@
 //! socket carries `TCP_NODELAY`, and each message goes out with its
 //! newline as one buffer in one write. A message split across two
 //! writes, or held back by Nagle's algorithm, waits on the peer's
-//! delayed ACK — tens of milliseconds per round trip.
+//! delayed ACK — tens of milliseconds per round trip. The daemon reads
+//! each client line through `read_line`, which stops at
+//! `MAX_LINE_BYTES`.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use alberta_core::json::{self, opt, req, DecodeError, Value};
@@ -43,6 +45,35 @@ pub(crate) fn split(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpS
     stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     Ok((BufReader::new(stream), writer))
+}
+
+/// The longest line the daemon reads from a client, newline excluded.
+/// A request is a few hundred bytes; the cap only stops a client that
+/// never ends its line from growing the daemon without bound.
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line into `line`, like [`BufRead::read_line`], but
+/// stops after [`MAX_LINE_BYTES`] bytes without a newline. Returns the
+/// bytes read, `0` at end of stream.
+///
+/// # Errors
+///
+/// Any I/O error from the read, and [`io::ErrorKind::InvalidData`] for
+/// a line over the cap or one that is not UTF-8.
+pub(crate) fn read_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
+    let n = reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut bytes)?;
+    if n > MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line longer than {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    *line = String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(n)
 }
 
 /// Writes one encoded message and its newline as one buffer.

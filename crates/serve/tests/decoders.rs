@@ -6,7 +6,6 @@
 
 use std::panic::catch_unwind;
 
-use alberta_core::faults::{FaultKind, FaultPlan};
 use alberta_core::json::{self, Value};
 use alberta_core::protocol::{
     decode_run, run_value, RemoteStatus, SupervisorMsg, TaskMsg, TaskResult, WorkerConfig,
@@ -14,8 +13,9 @@ use alberta_core::protocol::{
 };
 use alberta_core::telemetry::NANOS_BUCKETS;
 use alberta_core::{
-    MemoryProfile, MetricsRegistry, MpkiPoint, PathRow, PathTable, Plane, SampleConfig,
-    SamplingPolicy, SamplingStats, Scale, SpanLog, TopDownModel, TopDownReport, WorkloadRun,
+    FaultKind, FaultPlan, MemoryProfile, MetricsRegistry, MpkiPoint, PathRow, PathTable, Plane,
+    SampleConfig, SamplingPolicy, SamplingStats, Scale, SpanLog, TopDownModel, TopDownReport,
+    WorkloadRun,
 };
 use alberta_profile::ProfilerFault;
 use alberta_report::{CacheDocument, MemoryDocument, MetricsDocument, StormReport, SuiteReport};

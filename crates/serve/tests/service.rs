@@ -3,9 +3,10 @@
 //! hello's version gate, and shutdown; and the engine's bounded span
 //! retention.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use alberta_core::telemetry::SPAN_LOG_CAPACITY;
 use alberta_core::{ExecPolicy, Scale, Suite};
@@ -360,6 +361,49 @@ fn deeply_nested_line_is_rejected_without_killing_the_daemon() {
         "no batch ran"
     );
 
+    drop(client);
+    Client::connect(&addr, None)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    daemon.join().expect("daemon thread exits");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn overlong_line_is_refused_and_its_connection_closed() {
+    let (addr, daemon, root) = start_daemon("long");
+    // One byte over the 1 MiB cap and no newline: the daemon must stop
+    // reading, say why and hang up, not buffer the line until it ends.
+    let mut stream = TcpStream::connect(&addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set a read timeout");
+    stream
+        .write_all(&vec![b'x'; (1 << 20) + 1])
+        .expect("send the line");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("an error reply before the read timeout");
+    assert!(
+        reply.contains(r#""type":"error""#) && reply.contains("line longer than 1048576 bytes"),
+        "{reply}"
+    );
+    reply.clear();
+    match reader.read_line(&mut reply) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("the daemon must close the connection, got {other:?}: {reply}"),
+    }
+    // Shutdown joins every connection handler, so the raw stream goes
+    // first.
+    drop(reader);
+    drop(stream);
+
+    let mut client = Client::connect(&addr, None).expect("a fresh client still connects");
+    client.metrics().expect("and is served");
     drop(client);
     Client::connect(&addr, None)
         .expect("connect for shutdown")

@@ -18,14 +18,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Threshold (in percent) below which a method is folded into `others`
 /// when it stays below it for every workload.
-pub const OTHERS_THRESHOLD_PERCENT: f64 = 0.05;
+pub(crate) const OTHERS_THRESHOLD_PERCENT: f64 = 0.05;
 
 /// Offset (in percentage points) added to every time fraction before taking
 /// logarithms, exactly as in the paper.
-pub const COVERAGE_EPSILON: f64 = 0.01;
+pub(crate) const COVERAGE_EPSILON: f64 = 0.01;
 
 /// Name of the synthetic bucket that absorbs insignificant methods.
-pub const OTHERS: &str = "others";
+pub(crate) const OTHERS: &str = "others";
 
 /// Per-workload method coverage: method name → percentage of time, for a
 /// set of workloads of one benchmark.
@@ -70,17 +70,12 @@ impl CoverageMatrix {
     }
 
     /// Number of workload rows.
-    pub fn workload_count(&self) -> usize {
+    pub(crate) fn workload_count(&self) -> usize {
         self.rows.len()
     }
 
-    /// Workload names in insertion order.
-    pub fn workload_names(&self) -> impl Iterator<Item = &str> {
-        self.rows.iter().map(|(name, _)| name.as_str())
-    }
-
     /// The union of method names across all rows, sorted.
-    pub fn method_names(&self) -> Vec<&str> {
+    pub(crate) fn method_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self
             .rows
             .iter()
@@ -92,7 +87,7 @@ impl CoverageMatrix {
     }
 
     /// Coverage of `method` for each workload (0 when absent), in row order.
-    pub fn column(&self, method: &str) -> Vec<f64> {
+    pub(crate) fn column(&self, method: &str) -> Vec<f64> {
         self.rows
             .iter()
             .map(|(_, row)| row.get(method).copied().unwrap_or(0.0))
@@ -101,7 +96,7 @@ impl CoverageMatrix {
 
     /// Folds methods below [`OTHERS_THRESHOLD_PERCENT`] in every workload
     /// into a single [`OTHERS`] column, returning the reduced matrix.
-    pub fn fold_others(&self) -> CoverageMatrix {
+    pub(crate) fn fold_others(&self) -> CoverageMatrix {
         // Compute the method union once: it allocates and sorts every
         // method name, so recomputing it per workload row is quadratic in
         // the matrix size.
@@ -148,7 +143,7 @@ pub struct CoverageSummary {
 /// Variation statistics for a single method across workloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodVariation {
-    /// Method name (or [`OTHERS`]).
+    /// Method name (or `OTHERS`).
     pub method: String,
     /// Geometric mean of the (offset) time percentage.
     pub geo_mean: f64,
@@ -322,7 +317,7 @@ mod tests {
     #[test]
     fn workload_names_preserved_in_order() {
         let m = matrix(&[("zeta", &[("f", 1.0)]), ("alpha", &[("f", 1.0)])]);
-        let names: Vec<&str> = m.workload_names().collect();
+        let names: Vec<&str> = m.rows.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names, vec!["zeta", "alpha"]);
     }
 }

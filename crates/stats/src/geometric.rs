@@ -80,16 +80,6 @@ pub fn proportional_variation(samples: &[f64]) -> Result<f64, StatsError> {
     Ok(sigma / mu)
 }
 
-/// Computes the geometric mean of a set of already-computed variations,
-/// e.g. Eq. (4) `μg(V) = (V(f)·V(b)·V(s)·V(r))^(1/4)` or Eq. (5) `μg(M)`.
-///
-/// # Errors
-///
-/// Same conditions as [`geometric_mean`].
-pub fn geometric_mean_of_variations(variations: &[f64]) -> Result<f64, StatsError> {
-    geometric_mean(variations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use alberta_stats::geometric::{geometric_mean, geometric_std};
+//! use alberta_stats::{geometric_mean, geometric_std};
 //!
 //! # fn main() -> Result<(), alberta_stats::StatsError> {
 //! let front_end_bound = [0.23, 0.25, 0.22, 0.24];
@@ -27,14 +27,17 @@
 //! # }
 //! ```
 
-pub mod cluster;
-pub mod coverage;
-pub mod geometric;
-pub mod summary;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod cluster;
+mod coverage;
+mod geometric;
+mod summary;
 pub mod variation;
 
 pub use cluster::{k_medoids, Clustering};
-pub use coverage::{CoverageMatrix, CoverageSummary};
+pub use coverage::{CoverageMatrix, CoverageSummary, MethodVariation};
 pub use geometric::{geometric_mean, geometric_std, proportional_variation};
 pub use summary::Summary;
 pub use variation::{RatioSummary, TopDownSummary};

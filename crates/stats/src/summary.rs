@@ -93,15 +93,6 @@ impl Summary {
         self.variance.sqrt()
     }
 
-    /// Coefficient of variation `σ/μ`; `None` when the mean is zero.
-    pub fn coefficient_of_variation(&self) -> Option<f64> {
-        if self.mean == 0.0 {
-            None
-        } else {
-            Some(self.std_dev() / self.mean)
-        }
-    }
-
     /// Smallest sample.
     pub fn min(&self) -> f64 {
         self.min
@@ -137,7 +128,6 @@ mod tests {
         assert_eq!(s.max(), 5.0);
         assert_eq!(s.median(), 5.0);
         assert_eq!(s.range(), 0.0);
-        assert_eq!(s.coefficient_of_variation(), Some(0.0));
     }
 
     #[test]
@@ -156,12 +146,6 @@ mod tests {
     fn median_odd_count() {
         let s = Summary::from_samples(&[9.0, 1.0, 5.0]).unwrap();
         assert_eq!(s.median(), 5.0);
-    }
-
-    #[test]
-    fn zero_mean_has_no_cov() {
-        let s = Summary::from_samples(&[-1.0, 1.0]).unwrap();
-        assert_eq!(s.coefficient_of_variation(), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl RatioSummary {
     ///
     /// Returns [`StatsError::Empty`] when `ratios` is empty, or
     /// [`StatsError::NotFinite`] for NaN/infinite entries.
-    pub fn from_ratios(ratios: &[f64], floor: f64) -> Result<Self, StatsError> {
+    pub(crate) fn from_ratios(ratios: &[f64], floor: f64) -> Result<Self, StatsError> {
         if ratios.is_empty() {
             return Err(StatsError::Empty);
         }
@@ -141,7 +141,7 @@ pub struct TopDownSummary {
 ///
 /// 0.01% of slots: below any category the simulated counters can resolve,
 /// mirroring the quantization floor of sampled hardware counters.
-pub const RATIO_FLOOR: f64 = 1e-4;
+pub(crate) const RATIO_FLOOR: f64 = 1e-4;
 
 impl TopDownSummary {
     /// Summarizes the Top-Down ratios of every workload of one benchmark.
@@ -153,7 +153,8 @@ impl TopDownSummary {
     /// # Examples
     ///
     /// ```
-    /// use alberta_stats::variation::{TopDownRatios, TopDownSummary};
+    /// use alberta_stats::variation::TopDownRatios;
+    /// use alberta_stats::TopDownSummary;
     ///
     /// # fn main() -> Result<(), alberta_stats::StatsError> {
     /// let runs = vec![

@@ -14,7 +14,7 @@ use std::fmt;
 /// DRAM. The 8 MiB L3 and the top of the MPKI ladder hold 2^17 tags
 /// each, so 2^20 leaves 8× headroom while a geometry decoded from
 /// outside the program can ask for a few MiB of model state at most.
-pub const MAX_STRUCTURE_ENTRIES: u64 = 1 << 20;
+pub(crate) const MAX_STRUCTURE_ENTRIES: u64 = 1 << 20;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl CacheConfig {
     }
 
     /// 32 KiB, 64-byte lines, 8-way instruction cache.
-    pub fn l1i() -> Self {
+    pub(crate) fn l1i() -> Self {
         Self::l1d()
     }
 
@@ -67,7 +67,7 @@ impl CacheConfig {
     /// Checks the geometry for internal consistency and for a size the
     /// model can hold ([`MAX_STRUCTURE_ENTRIES`] tag slots), reporting
     /// the offending values on failure.
-    pub fn check(&self) -> Result<(), CacheProblem> {
+    pub(crate) fn check(&self) -> Result<(), CacheProblem> {
         if !self.line_bytes.is_power_of_two() {
             return Err(CacheProblem::LineNotPowerOfTwo {
                 line_bytes: self.line_bytes,
@@ -123,7 +123,7 @@ pub enum CacheProblem {
         /// The derived set count.
         sets: u64,
     },
-    /// More tag slots than [`MAX_STRUCTURE_ENTRIES`].
+    /// More tag slots than `MAX_STRUCTURE_ENTRIES`.
     TooManySlots {
         /// The derived slot count (sets × ways).
         slots: u64,
@@ -166,7 +166,7 @@ pub enum DramProblem {
         /// The rejected bank count.
         banks: u64,
     },
-    /// More banks than [`MAX_STRUCTURE_ENTRIES`].
+    /// More banks than `MAX_STRUCTURE_ENTRIES`.
     TooManyBanks {
         /// The rejected bank count.
         banks: u64,
@@ -337,12 +337,12 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache, rejecting inconsistent geometry with the
     /// offending values.
-    pub fn try_new(config: CacheConfig) -> Result<Self, GeometryError> {
+    pub(crate) fn try_new(config: CacheConfig) -> Result<Self, GeometryError> {
         Self::try_new_labeled("cache", config)
     }
 
     /// [`Cache::try_new`] with an explicit structure label for the error.
-    pub fn try_new_labeled(
+    pub(crate) fn try_new_labeled(
         structure: &'static str,
         config: CacheConfig,
     ) -> Result<Self, GeometryError> {
@@ -368,8 +368,9 @@ impl Cache {
     ///
     /// Panics if the configuration is not internally consistent (line size
     /// or set count not a power of two, zero ways, ragged capacity) — the
-    /// message carries the offending geometry. Sweeps over untrusted
-    /// geometries should use [`Cache::try_new`] instead.
+    /// message carries the offending geometry. A machine built from
+    /// untrusted input is checked first with
+    /// [`MachineConfig::validate`](crate::MachineConfig::validate).
     pub fn new(config: CacheConfig) -> Self {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -444,7 +445,7 @@ impl Cache {
     /// returns the miss count. Equivalent to `probes` individual
     /// [`Cache::access`] calls at `base`, `base + line`, `base + 2·line`,
     /// ….
-    pub fn probe_span(&mut self, base: u64, probes: u64) -> u64 {
+    pub(crate) fn probe_span(&mut self, base: u64, probes: u64) -> u64 {
         let line = self.config.line_bytes;
         let mut misses = 0u64;
         let mut addr = base;
@@ -471,7 +472,7 @@ impl Cache {
     }
 
     /// The geometry this cache was built with.
-    pub fn config(&self) -> CacheConfig {
+    pub(crate) fn config(&self) -> CacheConfig {
         self.config
     }
 }
@@ -479,13 +480,13 @@ impl Cache {
 /// A fully-associative-by-set TLB over 4 KiB pages, modelled as a cache of
 /// page numbers.
 #[derive(Debug, Clone)]
-pub struct Tlb {
+pub(crate) struct Tlb {
     inner: Cache,
 }
 
 impl Tlb {
     /// Page size assumed by the TLB model.
-    pub const PAGE_BYTES: u64 = 4096;
+    pub(crate) const PAGE_BYTES: u64 = 4096;
 
     /// The page-cache geometry of a TLB with `entries` page slots, 4-way,
     /// checked without building it.
@@ -510,7 +511,7 @@ impl Tlb {
 
     /// Creates a TLB with `entries` page slots, 4-way, rejecting entry
     /// counts that do not form a positive power-of-two set count.
-    pub fn try_new(entries: u64) -> Result<Self, GeometryError> {
+    pub(crate) fn try_new(entries: u64) -> Result<Self, GeometryError> {
         Ok(Tlb {
             inner: Cache::new(Self::geometry(entries)?),
         })
@@ -523,17 +524,17 @@ impl Tlb {
     /// Panics if `entries` is not a positive multiple of 4 with a
     /// power-of-two set count — the message carries the offending entry
     /// count. Sweeps should use [`Tlb::try_new`] instead.
-    pub fn new(entries: u64) -> Self {
+    pub(crate) fn new(entries: u64) -> Self {
         Self::try_new(entries).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Translates `addr`; returns `true` on TLB hit.
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.inner.access(addr)
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
 }
@@ -552,7 +553,7 @@ pub struct DramConfig {
 impl DramConfig {
     /// 8 banks × 8 KiB rows, 64-byte transfers: a DDR3 channel like the
     /// i7-2600's.
-    pub fn ddr3() -> Self {
+    pub(crate) fn ddr3() -> Self {
         DramConfig {
             banks: 8,
             row_bytes: 8192,
@@ -563,7 +564,7 @@ impl DramConfig {
     /// Checks the geometry for internal consistency and for a size the
     /// model can hold ([`MAX_STRUCTURE_ENTRIES`] banks), reporting the
     /// offending values on failure.
-    pub fn check(&self) -> Result<(), DramProblem> {
+    pub(crate) fn check(&self) -> Result<(), DramProblem> {
         if !self.banks.is_power_of_two() {
             return Err(DramProblem::BanksNotPowerOfTwo { banks: self.banks });
         }
@@ -601,17 +602,8 @@ pub struct DramStats {
 
 impl DramStats {
     /// Total DRAM accesses (cache-line fills from memory).
-    pub fn accesses(&self) -> u64 {
+    pub(crate) fn accesses(&self) -> u64 {
         self.row_hits + self.row_misses
-    }
-
-    /// Row-buffer hit ratio in `[0, 1]`; 0 when no accesses occurred.
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses() as f64
-        }
     }
 }
 
@@ -620,7 +612,7 @@ impl DramStats {
 /// the row and opens the new one (a row miss). Banks are interleaved by
 /// row number, so consecutive rows land on different banks.
 #[derive(Debug, Clone)]
-pub struct Dram {
+pub(crate) struct Dram {
     config: DramConfig,
     /// Open row per bank, `u64::MAX` = closed (no row activated yet).
     open_rows: Vec<u64>,
@@ -632,7 +624,7 @@ pub struct Dram {
 impl Dram {
     /// Creates a DRAM model with every bank closed, rejecting
     /// inconsistent geometry with the offending values.
-    pub fn try_new(config: DramConfig) -> Result<Self, GeometryError> {
+    pub(crate) fn try_new(config: DramConfig) -> Result<Self, GeometryError> {
         config.check().map_err(|problem| GeometryError {
             structure: "DRAM",
             kind: GeometryErrorKind::Dram { config, problem },
@@ -656,7 +648,7 @@ impl Dram {
     /// Panics if the configuration is not internally consistent — the
     /// message carries the offending geometry. Sweeps should use
     /// [`Dram::try_new`] instead.
-    pub fn new(config: DramConfig) -> Self {
+    pub(crate) fn new(config: DramConfig) -> Self {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -687,7 +679,7 @@ impl Dram {
 
     /// Performs one line fill; returns `true` on a row-buffer hit.
     #[inline]
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         let hit = self.lookup(addr);
         self.stats.row_hits += u64::from(hit);
         self.stats.row_misses += u64::from(!hit);
@@ -695,18 +687,13 @@ impl Dram {
     }
 
     /// Accumulated row-buffer statistics.
-    pub fn stats(&self) -> DramStats {
+    pub(crate) fn stats(&self) -> DramStats {
         self.stats
     }
 
     /// Bytes read from memory so far (one line per access).
-    pub fn bytes_read(&self) -> u64 {
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.stats.accesses() * self.config.line_bytes
-    }
-
-    /// The geometry this model was built with.
-    pub fn config(&self) -> DramConfig {
-        self.config
     }
 }
 
@@ -770,7 +757,7 @@ impl MemoryHierarchy {
     /// invalid level with an error naming it and carrying the offending
     /// values — so geometry sweeps can report bad points instead of
     /// aborting.
-    pub fn try_with_configs(
+    pub(crate) fn try_with_configs(
         l1d: CacheConfig,
         l2: CacheConfig,
         l3: CacheConfig,
@@ -791,8 +778,9 @@ impl MemoryHierarchy {
     /// # Panics
     ///
     /// Panics if any level's configuration is invalid — the message
-    /// names the level and carries the offending geometry. Sweeps
-    /// should use [`MemoryHierarchy::try_with_configs`] instead.
+    /// names the level and carries the offending geometry. A machine
+    /// built from untrusted input is checked first with
+    /// [`MachineConfig::validate`](crate::MachineConfig::validate).
     pub fn with_configs(
         l1d: CacheConfig,
         l2: CacheConfig,
@@ -1173,8 +1161,10 @@ mod tests {
         for i in 0..1024u64 {
             d.access(i * 64);
         }
-        assert_eq!(d.stats().row_misses, 1024 / 128);
-        assert!((d.stats().row_hit_rate() - 127.0 / 128.0).abs() < 1e-12);
+        let stats = d.stats();
+        assert_eq!(stats.row_misses, 1024 / 128);
+        let row_hit_rate = stats.row_hits as f64 / stats.accesses() as f64;
+        assert!((row_hit_rate - 127.0 / 128.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! speculation, retiring). We have no PMU, so this crate rebuilds the
 //! causal chain in software:
 //!
-//! 1. [`predictor`] — bimodal, gshare, and tournament branch predictors
+//! 1. `predictor` — bimodal, gshare, and tournament branch predictors
 //!    that replay the profiled branch stream and yield mispredictions;
-//! 2. [`cache`] — set-associative LRU caches (L1D/L2/shared L3), a D-TLB,
+//! 2. `cache` — set-associative LRU caches (L1D/L2/shared L3), a D-TLB,
 //!    and an open-page DRAM row-buffer model that replay the profiled
 //!    address stream and yield miss counts at each level;
 //! 3. [`topdown`] — a slot-accounting model that converts those component
@@ -46,17 +46,19 @@
 // (masked first) or carry a justified allow. Warn-level is promoted to an
 // error by CI's `-D warnings`.
 #![warn(clippy::cast_possible_truncation)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod cache;
-pub mod predictor;
+mod cache;
+mod predictor;
 pub mod topdown;
 
 pub use cache::{
-    Cache, CacheConfig, CacheProblem, CacheStats, Dram, DramConfig, DramProblem, DramStats,
-    GeometryError, GeometryErrorKind, MemoryBatch, MemoryHierarchy, MemoryOutcome, Tlb,
+    Cache, CacheConfig, CacheProblem, CacheStats, DramConfig, DramProblem, DramStats,
+    GeometryError, GeometryErrorKind, MemoryBatch, MemoryHierarchy, MemoryOutcome,
 };
-pub use predictor::{Bimodal, BranchPredictor, Gshare, PredictorKind, StaticTaken, Tournament};
+pub use predictor::{BranchPredictor, PredictorKind};
 pub use topdown::{
-    mpki_sweep_config, MachineConfig, MedoidWindow, MemoryProfile, MpkiPoint, ReplayCounts,
-    ReplayState, TopDownModel, TopDownReport, MPKI_SWEEP_SIZES,
+    mpki_sweep_config, MachineConfig, MedoidWindow, MemoryProfile, MpkiPoint, ReplayState,
+    TopDownModel, TopDownReport, MPKI_SWEEP_SIZES,
 };

@@ -46,7 +46,7 @@ pub trait BranchPredictor {
 
 /// Always predicts taken.
 #[derive(Debug, Clone, Default)]
-pub struct StaticTaken;
+pub(crate) struct StaticTaken;
 
 impl BranchPredictor for StaticTaken {
     fn observe(&mut self, _site: u32, taken: bool) -> bool {
@@ -85,7 +85,7 @@ impl Counter2 {
 
 /// Per-site 2-bit saturating-counter predictor.
 #[derive(Debug, Clone)]
-pub struct Bimodal {
+pub(crate) struct Bimodal {
     table: Vec<Counter2>,
     mask: u32,
 }
@@ -96,7 +96,7 @@ impl Bimodal {
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 24.
-    pub fn new(bits: u32) -> Self {
+    pub(crate) fn new(bits: u32) -> Self {
         assert!(
             PredictorKind::TABLE_BITS.contains(&bits),
             "bimodal bits must be in 1..=24"
@@ -140,7 +140,7 @@ impl BranchPredictor for Bimodal {
 
 /// Gshare: global branch history XORed with the site selects the counter.
 #[derive(Debug, Clone)]
-pub struct Gshare {
+pub(crate) struct Gshare {
     table: Vec<Counter2>,
     mask: u32,
     history: u32,
@@ -153,7 +153,7 @@ impl Gshare {
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 24.
-    pub fn new(bits: u32) -> Self {
+    pub(crate) fn new(bits: u32) -> Self {
         assert!(
             PredictorKind::TABLE_BITS.contains(&bits),
             "gshare bits must be in 1..=24"
@@ -209,7 +209,7 @@ impl BranchPredictor for Gshare {
 /// Tournament predictor: a per-site chooser arbitrates between a bimodal
 /// and a gshare component.
 #[derive(Debug, Clone)]
-pub struct Tournament {
+pub(crate) struct Tournament {
     bimodal: Bimodal,
     gshare: Gshare,
     chooser: Vec<Counter2>,
@@ -223,7 +223,7 @@ impl Tournament {
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 24.
-    pub fn new(bits: u32) -> Self {
+    pub(crate) fn new(bits: u32) -> Self {
         assert!(
             PredictorKind::TABLE_BITS.contains(&bits),
             "tournament bits must be in 1..=24"

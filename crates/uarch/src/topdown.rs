@@ -83,8 +83,7 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// Checks every modelled structure's geometry and size (at most
-    /// [`MAX_STRUCTURE_ENTRIES`](crate::cache::MAX_STRUCTURE_ENTRIES)
-    /// entries each), reporting the first offender by name with its
+    /// 2^20 entries each), reporting the first offender by name with its
     /// offending values — so a decoder can refuse a machine no model can
     /// build, or no host can hold, instead of failing mid-run. Builds
     /// nothing: any field values are safe to check.
@@ -276,14 +275,6 @@ pub struct ReplayCounts {
     pub icache_misses: u64,
     /// Call events replayed.
     pub calls: u64,
-}
-
-impl ReplayCounts {
-    /// Total events that drove microarchitectural state (branches,
-    /// loads/stores, calls — `Return`s carry none).
-    pub fn events(&self) -> u64 {
-        self.branches + self.mem + self.calls
-    }
 }
 
 /// Absolute (rescaled) event estimates feeding the cycle composition.

@@ -1,10 +1,9 @@
 //! Property-based tests for the microarchitecture substrates.
 
 use alberta_profile::{Profiler, SampleConfig};
-use alberta_uarch::topdown::{mpki_sweep_config, MPKI_SWEEP_SIZES};
 use alberta_uarch::{
-    Cache, CacheConfig, DramConfig, MachineConfig, MemoryBatch, MemoryHierarchy, MemoryOutcome,
-    PredictorKind, TopDownModel,
+    mpki_sweep_config, Cache, CacheConfig, DramConfig, MachineConfig, MemoryBatch, MemoryHierarchy,
+    MemoryOutcome, PredictorKind, TopDownModel, MPKI_SWEEP_SIZES,
 };
 use proptest::prelude::*;
 

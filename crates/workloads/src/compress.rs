@@ -165,7 +165,7 @@ fn markov_text(rng: &mut SeededRng, size: usize) -> Vec<u8> {
 
 /// Default dictionary size used by the standard sets (64 KiB at Test
 /// scale; the mini-xz default).
-pub fn standard_dict(scale: Scale) -> usize {
+pub(crate) fn standard_dict(scale: Scale) -> usize {
     scale.apply(16 * 1024)
 }
 

@@ -45,7 +45,7 @@ pub struct FemGen {
 
 impl FemGen {
     /// Standard configuration scaled by `scale`.
-    pub fn standard(scale: Scale) -> Self {
+    pub(crate) fn standard(scale: Scale) -> Self {
         FemGen {
             mesh: 8 + 2 * scale.factor(),
             blocks: 2,

@@ -155,7 +155,7 @@ impl FlowGen {
 
     /// Relative trip frequency for a given hour of day: a double-peaked
     /// circadian curve (maxima near 08:00 and 17:30, trough overnight).
-    pub fn circadian_weight(&self, hour: f64) -> f64 {
+    pub(crate) fn circadian_weight(&self, hour: f64) -> f64 {
         let peak = |center: f64, width: f64| {
             let d = (hour - center) / width;
             (-d * d).exp()
@@ -240,7 +240,7 @@ fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// and depot sink `2t + 1`. Each trip must receive exactly one vehicle:
 /// modelled by supply 1 at its out-node and demand 1 at its in-node, with
 /// deadhead/depot arcs carrying vehicles between them.
-pub fn problem_to_flow(problem: &ScheduleProblem, max_layover_min: u32) -> FlowInstance {
+pub(crate) fn problem_to_flow(problem: &ScheduleProblem, max_layover_min: u32) -> FlowInstance {
     let t = problem.trips.len() as u32;
     let source = 2 * t;
     let sink = 2 * t + 1;

@@ -62,25 +62,6 @@ pub struct FluidWorkload {
     pub inflow: f64,
 }
 
-impl FluidWorkload {
-    /// Fraction of channel cells blocked by obstacles.
-    pub fn solid_fraction(&self) -> f64 {
-        let (nx, ny, nz) = self.dims;
-        let mut solid = 0usize;
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let p = (x as f64, y as f64, z as f64);
-                    if self.obstacles.iter().any(|o| o.contains(p)) {
-                        solid += 1;
-                    }
-                }
-            }
-        }
-        solid as f64 / (nx * ny * nz) as f64
-    }
-}
-
 /// Parameters of the fluid workload generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FluidGen {
@@ -203,6 +184,23 @@ pub fn refrate(scale: Scale) -> Named<FluidWorkload> {
 mod tests {
     use super::*;
 
+    /// Fraction of channel cells blocked by obstacles.
+    fn solid_fraction(w: &FluidWorkload) -> f64 {
+        let (nx, ny, nz) = w.dims;
+        let mut solid = 0usize;
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let p = (x as f64, y as f64, z as f64);
+                    if w.obstacles.iter().any(|o| o.contains(p)) {
+                        solid += 1;
+                    }
+                }
+            }
+        }
+        solid as f64 / (nx * ny * nz) as f64
+    }
+
     #[test]
     fn obstacles_stay_inside_channel_and_clear_of_inflow() {
         let gen = FluidGen::standard(Scale::Test);
@@ -219,7 +217,7 @@ mod tests {
                 }
             }
         }
-        assert!(w.solid_fraction() < 0.5);
+        assert!(solid_fraction(&w) < 0.5);
         assert!(nx > 0 && ny > 0 && nz > 0);
     }
 
@@ -236,7 +234,7 @@ mod tests {
             ..base
         }
         .generate(3);
-        assert!(dense.solid_fraction() > sparse.solid_fraction());
+        assert!(solid_fraction(&dense) > solid_fraction(&sparse));
     }
 
     #[test]
@@ -260,7 +258,7 @@ mod tests {
         let set = alberta_set(Scale::Test);
         assert_eq!(set.len(), 30, "Table II lists 30 lbm workloads");
         // Sweep actually varies density.
-        let fracs: Vec<f64> = set.iter().map(|w| w.workload.solid_fraction()).collect();
+        let fracs: Vec<f64> = set.iter().map(|w| solid_fraction(&w.workload)).collect();
         assert!(fracs.contains(&0.0), "zero-obstacle case present");
         assert!(fracs.iter().any(|&f| f > 0.05), "dense case present");
     }

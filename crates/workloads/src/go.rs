@@ -12,7 +12,7 @@
 use crate::{Named, Scale, SeededRng};
 
 /// Supported board sizes (the paper's generator offers three).
-pub const BOARD_SIZES: [u8; 3] = [9, 13, 19];
+pub(crate) const BOARD_SIZES: [u8; 3] = [9, 13, 19];
 
 /// One incomplete game to be played to completion by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct GoWorkload {
 
 /// Parameters of the Go workload generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GoGen {
+pub(crate) struct GoGen {
     /// Games per workload (the paper uses six).
     pub games_per_workload: usize,
     /// Playouts per move.
@@ -49,7 +49,7 @@ pub struct GoGen {
 
 impl GoGen {
     /// Standard configuration scaled by `scale`.
-    pub fn standard(scale: Scale) -> Self {
+    pub(crate) fn standard(scale: Scale) -> Self {
         GoGen {
             games_per_workload: 6,
             playouts: scale.apply(24) as u32,
@@ -63,7 +63,7 @@ impl GoGen {
     /// # Panics
     ///
     /// Panics if `games_per_workload` is zero.
-    pub fn generate(&self, seed: u64) -> GoWorkload {
+    pub(crate) fn generate(&self, seed: u64) -> GoWorkload {
         assert!(self.games_per_workload > 0);
         let mut rng = SeededRng::new(seed);
         let games = (0..self.games_per_workload)

@@ -3,7 +3,7 @@
 //! The paper's central artifact is a set of *additional workloads* for the
 //! SPEC CPU 2017 suite, many produced by procedural generators (the mcf
 //! city/bus-schedule generator, the deepsjeng position picker, the leela
-//! game culler, the x264 video preparation script, …). This crate rebuilds
+//! game culler, …). This crate rebuilds
 //! one seeded, parameterized generator per benchmark family, so researchers
 //! can mint as many workloads as their methodology needs — the exact
 //! capability the paper argues FDO evaluation requires.
@@ -19,6 +19,9 @@
 //! [`Scale`] shrinks or grows every workload so the same experiments run
 //! as fast unit tests, medium integration tests, or full benchmark runs.
 
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
 pub mod chess;
 pub mod compress;
 pub mod csrc;
@@ -32,7 +35,6 @@ pub mod netsim;
 pub mod pde;
 pub mod raytrace;
 pub mod sudoku;
-pub mod video;
 pub mod weather;
 pub mod xmlgen;
 
@@ -59,12 +61,12 @@ pub enum Scale {
 impl Scale {
     /// Multiplies a base size by the scale factor (Test ×1, Train ×4,
     /// Ref ×16), saturating at `usize::MAX`.
-    pub fn apply(self, base: usize) -> usize {
+    pub(crate) fn apply(self, base: usize) -> usize {
         base.saturating_mul(self.factor())
     }
 
     /// The raw multiplier.
-    pub fn factor(self) -> usize {
+    pub(crate) fn factor(self) -> usize {
         match self {
             Scale::Test => 1,
             Scale::Train => 4,

@@ -29,7 +29,12 @@ impl TriMesh {
     /// # Panics
     ///
     /// Panics if `rings < 2` or `segments < 3`.
-    pub fn sphere(center: (f64, f64, f64), radius: f64, rings: usize, segments: usize) -> Self {
+    pub(crate) fn sphere(
+        center: (f64, f64, f64),
+        radius: f64,
+        rings: usize,
+        segments: usize,
+    ) -> Self {
         assert!(rings >= 2 && segments >= 3, "tessellation too coarse");
         let mut vertices = Vec::new();
         for r in 0..=rings {
@@ -88,13 +93,6 @@ pub struct MeshScene {
     pub start_frame: u32,
     /// Number of frames to render.
     pub frames: u32,
-}
-
-impl MeshScene {
-    /// Total triangle count across meshes.
-    pub fn triangle_count(&self) -> usize {
-        self.meshes.iter().map(|m| m.triangles.len()).sum()
-    }
 }
 
 /// Parameters of the mesh-scene generator.
@@ -207,6 +205,11 @@ pub fn refrate(scale: Scale) -> Named<MeshScene> {
 mod tests {
     use super::*;
 
+    /// Total triangle count across meshes.
+    fn triangle_count(scene: &MeshScene) -> usize {
+        scene.meshes.iter().map(|m| m.triangles.len()).sum()
+    }
+
     #[test]
     fn sphere_mesh_is_valid_and_closed_enough() {
         let m = TriMesh::sphere((0.0, 0.0, 0.0), 1.0, 6, 9);
@@ -228,7 +231,7 @@ mod tests {
         for m in &s.meshes {
             m.validate().unwrap();
         }
-        assert!(s.triangle_count() > 0);
+        assert!(triangle_count(&s) > 0);
     }
 
     #[test]
@@ -243,14 +246,14 @@ mod tests {
             ..MeshGen::standard(Scale::Test)
         }
         .generate(2);
-        assert!(fine.triangle_count() > coarse.triangle_count() * 4);
+        assert!(triangle_count(&fine) > triangle_count(&coarse) * 4);
     }
 
     #[test]
     fn alberta_set_has_sixteen_scenes() {
         let set = alberta_set(Scale::Test);
         assert_eq!(set.len(), 16, "Table II lists 16 blender workloads");
-        let counts: Vec<usize> = set.iter().map(|w| w.workload.triangle_count()).collect();
+        let counts: Vec<usize> = set.iter().map(|w| triangle_count(&w.workload)).collect();
         assert!(counts.iter().max().unwrap() > &(counts.iter().min().unwrap() * 10));
     }
 

@@ -66,18 +66,6 @@ pub struct Molecule {
     pub steps: usize,
 }
 
-impl Molecule {
-    /// Number of atoms.
-    pub fn len(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// Whether the molecule has no atoms.
-    pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
-    }
-}
-
 /// Parameters of the molecule generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoleculeGen {
@@ -269,12 +257,12 @@ mod tests {
     fn chain_topology_is_consistent() {
         let gen = MoleculeGen::standard(Scale::Test);
         let m = gen.generate(1);
-        assert_eq!(m.len(), gen.residues);
-        assert!(!m.is_empty());
+        assert_eq!(m.atoms.len(), gen.residues);
+        assert!(!m.atoms.is_empty());
         assert_eq!(m.bonds.len(), gen.residues - 1);
         assert_eq!(m.angles.len(), gen.residues - 2);
         for b in &m.bonds {
-            assert!((b.a as usize) < m.len() && (b.b as usize) < m.len());
+            assert!((b.a as usize) < m.atoms.len() && (b.b as usize) < m.atoms.len());
         }
     }
 
@@ -297,17 +285,17 @@ mod tests {
         let gen = MoleculeGen::standard(Scale::Test);
         let m = gen.generate(3);
         let mut clashes = 0;
-        for i in 0..m.len() {
-            for j in i + 2..m.len() {
+        for i in 0..m.atoms.len() {
+            for j in i + 2..m.atoms.len() {
                 if dist2(m.atoms[i].position, m.atoms[j].position) < 2.0f64.powi(2) {
                     clashes += 1;
                 }
             }
         }
         assert!(
-            clashes * 20 < m.len(),
+            clashes * 20 < m.atoms.len(),
             "{clashes} steric clashes in {} residues",
-            m.len()
+            m.atoms.len()
         );
     }
 
@@ -323,7 +311,7 @@ mod tests {
                 ..base
             }
             .generate(7);
-            let n = m.len() as f64;
+            let n = m.atoms.len() as f64;
             let cx = m.atoms.iter().map(|a| a.position.0).sum::<f64>() / n;
             let cy = m.atoms.iter().map(|a| a.position.1).sum::<f64>() / n;
             let cz = m.atoms.iter().map(|a| a.position.2).sum::<f64>() / n;

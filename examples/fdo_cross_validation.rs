@@ -7,9 +7,10 @@
 //! cargo run --release --example fdo_cross_validation
 //! ```
 
-use alberta::fdo::experiments::{classic_train_ref, cross_validate};
-use alberta::fdo::programs::{alberta_inputs, classifier_program, Distribution, InputGen};
-use alberta::fdo::FdoPipeline;
+use alberta::fdo::programs::alberta_inputs;
+use alberta::fdo::{
+    classic_train_ref, classifier_program, cross_validate, Distribution, FdoPipeline, InputGen,
+};
 use alberta::workloads::Named;
 
 fn main() -> Result<(), alberta::fdo::FdoError> {

@@ -3,11 +3,14 @@
 //! scale. These tests pin the *shape* of Table II and Figures 1–2 (who
 //! varies more, where the summarization inflates), not absolute numbers.
 //! They sweep once and read everything from the sweep's report, as the
-//! rendering binaries do.
+//! rendering binaries do. The same sweep must also reproduce the committed
+//! `BENCH_test.json` and `MEM_test.json` byte for byte.
 
 use alberta::core::specdata;
 use alberta::core::Suite;
-use alberta::report::{view, BenchmarkReport, StatusKind, SuiteReport, SummaryRecord};
+use alberta::report::{
+    view, BenchmarkReport, MemoryDocument, StatusKind, SuiteReport, SummaryRecord,
+};
 use alberta::workloads::Scale;
 use std::sync::OnceLock;
 
@@ -41,6 +44,43 @@ fn benchmark(name: &str) -> &'static BenchmarkReport {
 
 fn summary(name: &str) -> &'static SummaryRecord {
     benchmark(name).summary.as_ref().expect("runs survived")
+}
+
+/// Fails at the first line where `actual` departs from the committed
+/// golden `name`, so a moved byte reads as one line rather than two dumps
+/// of the whole document.
+fn assert_golden(name: &str, golden: &str, actual: &str) {
+    if golden == actual {
+        return;
+    }
+    let (g, a) = (golden.lines(), actual.lines());
+    match g.zip(a).enumerate().find(|(_, (g, a))| g != a) {
+        Some((i, (g, a))) => panic!("{name} line {}: golden {g:?}, sweep {a:?}", i + 1),
+        None => panic!(
+            "{name}: golden has {} bytes, the sweep {}",
+            golden.len(),
+            actual.len()
+        ),
+    }
+}
+
+/// The gate CI's report job applies with `cmp`: the canonical report
+/// (telemetry stripped) and the memory document built from it equal the
+/// committed goldens byte for byte, under whatever `ALBERTA_JOBS` selects.
+#[test]
+fn sweep_reproduces_the_committed_goldens() {
+    let mut report = suite_report().clone();
+    report.strip_telemetry();
+    assert_golden(
+        "BENCH_test.json",
+        include_str!("../BENCH_test.json"),
+        &report.to_json(),
+    );
+    assert_golden(
+        "MEM_test.json",
+        include_str!("../MEM_test.json"),
+        &MemoryDocument::from_report(&report).to_json(),
+    );
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Integration of the FDO methodology experiments — the paper's
 //! motivating story, end to end.
 
-use alberta::fdo::experiments::{classic_train_ref, cross_validate, hidden_learning};
-use alberta::fdo::programs::{alberta_inputs, classifier_program, Distribution, InputGen};
-use alberta::fdo::FdoPipeline;
+use alberta::fdo::programs::alberta_inputs;
+use alberta::fdo::{
+    classic_train_ref, classifier_program, cross_validate, hidden_learning, Distribution,
+    FdoPipeline, InputGen,
+};
 use alberta::workloads::Named;
 
 fn pipeline() -> FdoPipeline {
