@@ -13,16 +13,17 @@
 //! content-addressed cache under `--cache-dir` (default
 //! `serve-cache/`); misses are placed onto `--hosts` mock hosts by the
 //! deterministic work-stealing scheduler and executed under
-//! `--host-exec` (each host is its own worker pool; `processes` gives
-//! every host a crash-isolated pool with heartbeats and redispatch).
+//! `--host-exec` with `--host-jobs` workers, read as `bench-report`
+//! reads `--exec` and `--jobs` (each host is its own worker pool;
+//! `processes` gives every host a crash-isolated pool with heartbeats
+//! and redispatch).
 //!
 //! The bound address is printed to stdout as soon as the socket is
-//! ready — CI and the tests parse that line instead of racing the
-//! daemon with retries. The daemon exits when a client sends
+//! ready — the tests parse that line instead of racing the daemon with
+//! retries. The daemon exits when a client sends
 //! `shutdown`.
 
 use alberta_bench::{usage_error, Args};
-use alberta_core::ExecPolicy;
 use alberta_serve::{Daemon, Engine, ResultCache, ServeConfig};
 
 fn main() {
@@ -44,15 +45,7 @@ fn main() {
     let listen = args.value("--listen").unwrap_or("127.0.0.1:0");
     let cache_dir = args.value("--cache-dir").unwrap_or("serve-cache");
     let hosts = args.count("--hosts", 4);
-    let host_jobs = args.count("--host-jobs", 2);
-    let host_exec = match args.value("--host-exec") {
-        None | Some("serial") => ExecPolicy::serial(),
-        Some("threads") => ExecPolicy::with_jobs(host_jobs),
-        Some("processes") => ExecPolicy::processes_with_jobs(host_jobs),
-        Some(other) => usage_error(&format!(
-            "unknown --host-exec {other:?}; valid policies are: serial, threads, processes"
-        )),
-    };
+    let host_exec = args.exec("--host-exec", "--host-jobs");
 
     let config = ServeConfig {
         hosts,
@@ -67,7 +60,7 @@ fn main() {
     let addr = daemon
         .local_addr()
         .unwrap_or_else(|e| usage_error(&format!("cannot resolve bound address: {e}")));
-    // The readiness line CI and the tests wait for.
+    // The readiness line the tests wait for.
     println!("alberta-serve: listening on {addr}");
     use std::io::Write;
     let _ = std::io::stdout().flush();

@@ -16,8 +16,8 @@
 //! * `2` — usage or parse error (including an unsupported
 //!   `schema_version`).
 //!
-//! `--check` is the CI mode: structural regressions fail, numeric
-//! drift only warns. The modelled numbers move legitimately when
+//! Under `--check` structural regressions fail and numeric drift only
+//! warns. The modelled numbers move legitimately when
 //! workloads or the machine model are retuned; losing a workload never
 //! does.
 

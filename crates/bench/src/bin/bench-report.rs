@@ -72,7 +72,7 @@ fn main() {
         &["--telemetry", "--sample"],
     );
     let scale = args.scale();
-    let exec = args.exec();
+    let exec = args.exec("--exec", "--jobs");
     let out = args
         .value("--out")
         .map(PathBuf::from)

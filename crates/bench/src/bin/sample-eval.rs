@@ -42,7 +42,7 @@ fn main() {
         &[],
     );
     let scale = args.scale();
-    let exec = args.exec();
+    let exec = args.exec("--exec", "--jobs");
     let policy = match args.sampling() {
         // sample-eval exists to evaluate sampling, so it is on by
         // default; the --sample-* flags only tune the parameters.

@@ -22,8 +22,8 @@
 //!   newest spans; when older ones were dropped, a line on standard
 //!   error says how many.
 //!
-//! `--shutdown` stops the daemon afterwards, so a CI job can scrape
-//! and tear down in one invocation.
+//! `--shutdown` stops the daemon afterwards, so a script or a test can
+//! scrape and tear down in one invocation.
 //!
 //! Exit codes: 0 on success, 1 when the daemon misbehaves, 2 for usage
 //! errors.

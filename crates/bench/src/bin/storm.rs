@@ -25,8 +25,8 @@
 //! percentiles — CI uploads those as an artifact and never gates on
 //! them. `--sweep-out` fires one benchmark-level request per benchmark
 //! and writes the assembled suite report, which must be byte-identical
-//! to a `bench-report` sweep at the same scale (CI compares it with the
-//! committed `BENCH_test.json`). `--shutdown` stops the daemon
+//! to a `bench-report` sweep at the same scale (the `serve_goldens`
+//! test compares it with the committed `BENCH_test.json`). `--shutdown` stops the daemon
 //! afterwards.
 //!
 //! Exit codes: 0 on success, 1 when any response failed or the

@@ -176,57 +176,46 @@ impl Args {
         }
     }
 
-    /// Parses `--exec serial|threads|processes` and `--jobs N` into an
-    /// execution policy, falling back to the `ALBERTA_JOBS` environment
-    /// variable and then to serial. A malformed or zero worker count
-    /// terminates with a usage error — `--jobs 0` used to silently
-    /// collapse to serial, masking the typo. Call this *before*
-    /// [`Suite::new`](alberta_core::Suite::new) so a malformed
-    /// environment surfaces as a usage error rather than a panic.
-    pub fn exec(&self) -> ExecPolicy {
-        // Validate the environment up front even when --jobs overrides
-        // it — Suite::new consults ALBERTA_JOBS too and panics on
-        // garbage.
-        let env_policy = match ExecPolicy::from_env() {
-            Ok(policy) => policy,
-            Err(message) => usage_error(&message),
-        };
+    /// Parses an execution policy from the policy flag `exec_flag`
+    /// (`serial|threads|processes`) and the worker-count flag
+    /// `jobs_flag` — `--exec`/`--jobs` on the sweeping binaries,
+    /// `--host-exec`/`--host-jobs` on the daemon. A count alone selects
+    /// threads (one worker is serial), a pooled policy alone gets one
+    /// worker per available hardware thread, and neither is serial. A
+    /// malformed or zero count, an unknown policy, or `serial` with more
+    /// than one worker terminates with a usage error — `--jobs 0` used
+    /// to silently collapse to serial, masking the typo.
+    pub fn exec(&self, exec_flag: &str, jobs_flag: &str) -> ExecPolicy {
         let jobs = self
-            .value("--jobs")
+            .value(jobs_flag)
             .map(|value| match value.parse::<usize>() {
                 Ok(0) => usage_error(&format!(
-                    "--jobs expects a positive worker count, got {value:?} \
+                    "{jobs_flag} expects a positive worker count, got {value:?} \
                  (zero workers cannot execute anything)"
                 )),
                 Ok(n) => n,
                 Err(_) => usage_error(&format!(
-                    "--jobs expects a positive worker count, got {value:?}"
+                    "{jobs_flag} expects a positive worker count, got {value:?}"
                 )),
             });
-        match self.value("--exec") {
-            None => match jobs {
-                Some(n) => ExecPolicy::with_jobs(n),
-                None => env_policy.unwrap_or_default(),
-            },
+        match self.value(exec_flag) {
+            None => jobs.map_or(ExecPolicy::serial(), ExecPolicy::with_jobs),
             Some("serial") => {
                 if let Some(n) = jobs.filter(|&n| n > 1) {
                     usage_error(&format!(
-                        "--exec serial runs one task at a time; --jobs {n} conflicts \
-                         (use --exec threads or --exec processes for parallelism)"
+                        "{exec_flag} serial runs one task at a time; {jobs_flag} {n} conflicts \
+                         (use {exec_flag} threads or {exec_flag} processes for parallelism)"
                     ));
                 }
                 ExecPolicy::serial()
             }
-            Some("threads") => match jobs.or(env_policy.map(|p| p.jobs())) {
-                Some(n) => ExecPolicy::with_jobs(n),
-                None => ExecPolicy::parallel(),
-            },
-            Some("processes") => match jobs.or(env_policy.map(|p| p.jobs())) {
-                Some(n) => ExecPolicy::processes_with_jobs(n),
-                None => ExecPolicy::processes(),
-            },
+            Some("threads") => jobs.map_or_else(ExecPolicy::parallel, ExecPolicy::with_jobs),
+            Some("processes") => {
+                jobs.map_or_else(ExecPolicy::processes, ExecPolicy::processes_with_jobs)
+            }
             Some(other) => usage_error(&format!(
-                "unknown execution policy {other:?}; valid policies are: serial, threads, processes"
+                "unknown execution policy {other:?} for {exec_flag}; valid policies are: \
+                 serial, threads, processes"
             )),
         }
     }

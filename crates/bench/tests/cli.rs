@@ -94,25 +94,29 @@ fn bench_report_rejects_bad_exec_flags_with_exit_2() {
     }
 }
 
-/// A malformed `ALBERTA_JOBS` environment is reported with the
-/// offending value as a usage error, not a panic mid-sweep.
+/// The daemon reads `--host-exec` and `--host-jobs` with the parser
+/// `bench-report` reads `--exec` and `--jobs` with, so it refuses the
+/// same combinations, naming its own flags, before it listens.
 #[test]
-fn bench_report_rejects_malformed_jobs_env_with_exit_2() {
-    for bad in ["0", "-3", "lots"] {
-        let output = bench_report()
-            .args(["test"])
-            .env("ALBERTA_JOBS", bad)
+fn alberta_serve_rejects_bad_host_exec_flags_with_exit_2() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--host-jobs", "0"], "--host-jobs"),
+        (&["--host-exec", "fibers"], "--host-exec"),
+        (&["--host-exec", "serial", "--host-jobs", "4"], "conflicts"),
+    ];
+    for (args, named) in cases {
+        // An address that cannot be bound: should the flags ever pass,
+        // the daemon still exits instead of listening.
+        let output = Command::new(env!("CARGO_BIN_EXE_alberta-serve"))
+            .args(["--listen", "nonsense"])
+            .args(*args)
             .output()
-            .expect("spawn bench-report");
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "ALBERTA_JOBS={bad:?} must exit 2"
-        );
+            .expect("spawn alberta-serve");
+        assert_eq!(output.status.code(), Some(2), "args {args:?} must exit 2");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains(bad),
-            "the error must name the offending value, got: {stderr}"
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
         );
     }
 }

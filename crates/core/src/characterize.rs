@@ -344,20 +344,15 @@ pub fn summarize_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecPolicy, Suite};
+    use crate::Suite;
     use alberta_workloads::Scale;
 
-    fn characterize_under(exec: ExecPolicy, short: &str) -> Characterization {
+    fn characterize(short: &str) -> Characterization {
         let (result, _) = Suite::new(Scale::Test)
-            .with_exec(exec)
             .characterize_resilient_metered(short)
             .unwrap();
         assert!(result.is_complete(), "{:?}", result.statuses);
         result.characterization.expect("every run survived")
-    }
-
-    fn characterize(short: &str) -> Characterization {
-        characterize_under(ExecPolicy::Serial, short)
     }
 
     #[test]
@@ -377,17 +372,6 @@ mod tests {
         assert!(c.run("refrate").is_some());
         assert!(c.run("alberta.0").is_some());
         assert!(c.run("bogus").is_none());
-    }
-
-    #[test]
-    fn characterization_is_deterministic() {
-        let a = characterize("xz");
-        let b = characterize("xz");
-        assert_eq!(a.topdown.mu_g_v.to_bits(), b.topdown.mu_g_v.to_bits());
-        assert_eq!(a.coverage.mu_g_m.to_bits(), b.coverage.mu_g_m.to_bits());
-        for (ra, rb) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(ra.checksum, rb.checksum);
-        }
     }
 
     #[test]
@@ -413,24 +397,5 @@ mod tests {
         let partial =
             summarize_runs(&c.spec_id, &c.short_name, without_refrate).expect("other runs survive");
         assert_eq!(partial.refrate_cycles, None);
-    }
-
-    #[test]
-    fn parallel_characterization_matches_serial() {
-        let serial = characterize("xz");
-        let parallel = characterize_under(ExecPolicy::with_jobs(4), "xz");
-        assert_eq!(
-            serial.topdown.mu_g_v.to_bits(),
-            parallel.topdown.mu_g_v.to_bits()
-        );
-        assert_eq!(
-            serial.coverage.mu_g_m.to_bits(),
-            parallel.coverage.mu_g_m.to_bits()
-        );
-        for (rs, rp) in serial.runs.iter().zip(&parallel.runs) {
-            assert_eq!(rs.workload, rp.workload);
-            assert_eq!(rs.checksum, rp.checksum);
-            assert_eq!(rs.report.cycles.to_bits(), rp.report.cycles.to_bits());
-        }
     }
 }

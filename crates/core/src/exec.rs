@@ -166,28 +166,6 @@ impl ExecPolicy {
         ExecPolicy::Processes { jobs }
     }
 
-    /// The policy requested by the `ALBERTA_JOBS` environment variable:
-    /// `None` when the variable is unset or empty, otherwise
-    /// `Some(with_jobs(n))`.
-    ///
-    /// # Errors
-    ///
-    /// A set-but-unparseable or zero value is a configuration error,
-    /// reported (with the offending value) rather than silently mapped
-    /// to a default.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var("ALBERTA_JOBS") {
-            Err(_) => Ok(None),
-            Ok(v) if v.trim().is_empty() => Ok(None),
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(0) | Err(_) => Err(format!(
-                    "ALBERTA_JOBS must be a positive thread count, got {v:?}"
-                )),
-                Ok(n) => Ok(Some(ExecPolicy::with_jobs(n))),
-            },
-        }
-    }
-
     /// The number of concurrent runs under this policy.
     pub fn jobs(&self) -> usize {
         match self {

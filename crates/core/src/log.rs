@@ -9,10 +9,10 @@
 //! enabled.
 //!
 //! Verbosity is controlled by the `ALBERTA_LOG` environment variable
-//! (`off|error|warn|info|debug`, default `warn`); like `ALBERTA_JOBS`,
-//! a set-but-unparseable value is a loud configuration error rather
-//! than a silently applied default. Messages are built lazily — the
-//! formatting closure only runs when the record is actually kept.
+//! (`off|error|warn|info|debug`, default `warn`); a set-but-unparseable
+//! value is a loud configuration error rather than a silently applied
+//! default. Messages are built lazily — the formatting closure only
+//! runs when the record is actually kept.
 
 use std::fmt;
 use std::io::Write as _;

@@ -61,9 +61,7 @@ const WORKER_ENV: &str = "ALBERTA_WORKER";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessConfig {
     /// A busy (or still-starting) worker silent for longer than this is
-    /// declared hung, killed, and its task redispatched. The
-    /// `ALBERTA_HEARTBEAT_MS` environment variable overrides it (the
-    /// chaos-test knob for making hang detection fast).
+    /// declared hung, killed, and its task redispatched.
     pub heartbeat_timeout_ms: u64,
     /// Maximum dispatch attempts per task (first dispatch plus
     /// redispatches after crashes, hangs, or garbled results). At least
@@ -85,34 +83,11 @@ impl Default for ProcessConfig {
 }
 
 impl ProcessConfig {
-    /// The effective heartbeat timeout: the `ALBERTA_HEARTBEAT_MS`
-    /// override when set, the configured value otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ALBERTA_HEARTBEAT_MS` is set to something that is
-    /// not a positive millisecond count — a misconfigured environment
-    /// must be loud.
-    pub(crate) fn timeout_ms(&self) -> u64 {
-        match std::env::var("ALBERTA_HEARTBEAT_MS") {
-            Err(_) => self.heartbeat_timeout_ms,
-            Ok(v) if v.trim().is_empty() => self.heartbeat_timeout_ms,
-            Ok(v) => v
-                .trim()
-                .parse::<u64>()
-                .ok()
-                .filter(|n| *n > 0)
-                .unwrap_or_else(|| {
-                    panic!("ALBERTA_HEARTBEAT_MS must be a positive millisecond count, got {v:?}")
-                }),
-        }
-    }
-
     /// The worker heartbeat interval derived from the timeout: several
     /// beats must fit into one timeout window so a single delayed beat
     /// never reads as a hang.
     pub(crate) fn beat_interval_ms(&self) -> u64 {
-        (self.timeout_ms() / 8).clamp(5, 500)
+        (self.heartbeat_timeout_ms / 8).clamp(5, 500)
     }
 }
 
@@ -172,7 +147,7 @@ pub(crate) fn run_process_tasks(
     if tasks.is_empty() {
         return Vec::new();
     }
-    let timeout_ms = process.timeout_ms();
+    let timeout_ms = process.heartbeat_timeout_ms;
     let (tx, rx) = mpsc::channel();
     let mut supervisor = Supervisor {
         tasks,
@@ -822,10 +797,6 @@ mod tests {
             heartbeat_timeout_ms: 10_000,
             ..ProcessConfig::default()
         };
-        // Unless the env override is active, 8 beats fit one timeout.
-        if std::env::var_os("ALBERTA_HEARTBEAT_MS").is_none() {
-            assert_eq!(config.beat_interval_ms(), 500);
-        }
-        assert!(config.beat_interval_ms() >= 5);
+        assert_eq!(config.beat_interval_ms(), 500);
     }
 }

@@ -115,23 +115,14 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Builds the suite at a scale with the reference machine model.
-    ///
-    /// The execution policy defaults to [`ExecPolicy::Serial`] unless the
-    /// `ALBERTA_JOBS` environment variable requests a worker count (the
-    /// CI knob that forces the parallel runner on for a whole test run);
-    /// [`Suite::with_exec`] overrides either.
+    /// Builds the suite at a scale with the reference machine model,
+    /// executing serially; [`Suite::with_exec`] picks another policy.
     ///
     /// # Panics
     ///
-    /// Panics when `ALBERTA_JOBS` is set to something that is not a
-    /// thread count, or `ALBERTA_LOG` to something that is not a log
-    /// level — a misconfigured environment must be loud, not silently
-    /// serial or silent.
+    /// Panics when `ALBERTA_LOG` is set to something that is not a log
+    /// level — a misconfigured environment must be loud, not silent.
     pub fn new(scale: Scale) -> Self {
-        let exec = ExecPolicy::from_env()
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or_default();
         // Resolve `ALBERTA_LOG` up front: a bad value fails here, not at
         // the first supervisor warning.
         crate::log::max_level();
@@ -142,7 +133,7 @@ impl Suite {
             policy: SamplingPolicy::Full,
             scale,
             faults: FaultPlan::default(),
-            exec,
+            exec: ExecPolicy::Serial,
             process: ProcessConfig::default(),
         }
     }

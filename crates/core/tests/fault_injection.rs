@@ -116,24 +116,6 @@ fn k_faults_yield_exactly_k_non_ok_statuses() {
     }
 }
 
-/// The whole degradation pipeline is deterministic: the same plan on the
-/// same suite produces identical per-run statuses — including the
-/// retired-op counts inside `BudgetExceeded` errors.
-#[test]
-fn fault_injection_is_deterministic() {
-    let run = || {
-        let suite = Suite::new(Scale::Test);
-        let plan = suite.scattered_faults(0xDE7, 4);
-        let suite = suite.with_faults(plan);
-        suite
-            .characterize_all_resilient_metered()
-            .into_iter()
-            .flat_map(|(r, _)| r.statuses)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(), run());
-}
-
 /// Regression: when the refrate run fails terminally, the summary must
 /// carry `refrate_cycles: None` — not a silent zero time.
 #[test]

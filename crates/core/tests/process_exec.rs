@@ -1,19 +1,22 @@
-//! End-to-end guarantees of the crash-isolated process executor: a
-//! process-pool sweep is bit-identical to a serial sweep, seeded chaos
-//! (worker crashes, hangs, corrupt result lines) is absorbed by
-//! redispatch without changing a byte of the results, and persistent
-//! executor failures degrade to per-run `Failed` statuses — the
-//! supervisor never deadlocks and never loses the sweep.
+//! End-to-end guarantees of the crash-isolated process executor: seeded
+//! chaos (worker crashes, hangs, corrupt result lines) is absorbed by
+//! redispatch without changing a byte of the committed report, faulty
+//! sweeps come out the same under every execution policy, and
+//! persistent executor failures degrade to per-run `Failed` statuses —
+//! the supervisor never deadlocks and never loses the sweep.
 //!
 //! Custom harness (`harness = false` in `Cargo.toml`): the supervisor
 //! re-executes this very binary as its workers, so `main` must
 //! intercept the hidden worker flag before any test runs — libtest's
 //! generated `main` cannot.
 
+use std::sync::OnceLock;
+
 use alberta_core::{
-    BenchError, Characterization, ExecPolicy, FaultKind, FaultPlan, ProcessConfig, RunStatus,
-    SampleConfig, Scale, Suite,
+    BenchError, Characterization, ExecPolicy, FaultKind, FaultPlan, ProcessConfig,
+    ResilientCharacterization, RunStatus, SampleConfig, Scale, Suite,
 };
+use alberta_report::SuiteReport;
 
 /// Supervisor tuning for the chaos tests: hang detection and redispatch
 /// backoff fast enough that a killed worker costs milliseconds, not the
@@ -26,45 +29,45 @@ fn fast_failover() -> ProcessConfig {
     }
 }
 
-fn assert_bit_identical(serial: &Characterization, process: &Characterization) {
-    assert_eq!(serial.spec_id, process.spec_id);
+fn assert_bit_identical(serial: &Characterization, other: &Characterization) {
+    assert_eq!(serial.spec_id, other.spec_id);
     assert_eq!(
         serial.topdown.mu_g_v.to_bits(),
-        process.topdown.mu_g_v.to_bits(),
+        other.topdown.mu_g_v.to_bits(),
         "{}: μg(V) diverged",
         serial.short_name
     );
     assert_eq!(
         serial.coverage.mu_g_m.to_bits(),
-        process.coverage.mu_g_m.to_bits(),
+        other.coverage.mu_g_m.to_bits(),
         "{}: μg(M) diverged",
         serial.short_name
     );
     assert_eq!(
         serial.refrate_cycles.map(f64::to_bits),
-        process.refrate_cycles.map(f64::to_bits),
+        other.refrate_cycles.map(f64::to_bits),
         "{}: refrate cycles diverged",
         serial.short_name
     );
-    assert_eq!(serial.runs.len(), process.runs.len());
-    for (rs, rp) in serial.runs.iter().zip(&process.runs) {
-        assert_eq!(rs.workload, rp.workload, "{}: run order", serial.short_name);
+    assert_eq!(serial.runs.len(), other.runs.len());
+    for (rs, ro) in serial.runs.iter().zip(&other.runs) {
+        assert_eq!(rs.workload, ro.workload, "{}: run order", serial.short_name);
         assert_eq!(
-            rs.checksum, rp.checksum,
+            rs.checksum, ro.checksum,
             "{}/{}: checksum",
             serial.short_name, rs.workload
         );
         assert_eq!(
             rs.report.cycles.to_bits(),
-            rp.report.cycles.to_bits(),
+            ro.report.cycles.to_bits(),
             "{}/{}: cycles",
             serial.short_name,
             rs.workload
         );
-        assert_eq!(rs.work, rp.work, "{}/{}", serial.short_name, rs.workload);
+        assert_eq!(rs.work, ro.work, "{}/{}", serial.short_name, rs.workload);
         assert_eq!(
             rs.paths.folded(),
-            rp.paths.folded(),
+            ro.paths.folded(),
             "{}/{}: collapsed call stacks diverged",
             serial.short_name,
             rs.workload
@@ -73,14 +76,11 @@ fn assert_bit_identical(serial: &Characterization, process: &Characterization) {
 }
 
 /// Chaos absorption: a sweep under seeded single-shot process faults
-/// (crash, hang, corrupt result, clean exit) matches the clean serial
-/// sweep run for run — the redispatches show up only in the stripped
-/// scheduling telemetry.
+/// (crash, hang, corrupt result, clean exit) writes the committed clean
+/// serial report, `BENCH_test.json`, byte for byte — the redispatches
+/// show up only in the stripped scheduling telemetry. CI's chaos job
+/// checks the same of `bench-report --chaos`.
 fn chaos_process_sweep_matches_clean_serial() {
-    let clean = Suite::new(Scale::Test)
-        .with_exec(ExecPolicy::serial())
-        .characterize_all_resilient_metered();
-
     let suite = Suite::new(Scale::Test)
         .with_exec(ExecPolicy::processes_with_jobs(4))
         .with_process_config(fast_failover());
@@ -88,25 +88,30 @@ fn chaos_process_sweep_matches_clean_serial() {
     assert_eq!(plan.len(), 4);
     let chaos = suite.with_faults(plan).characterize_all_resilient_metered();
 
-    assert_eq!(clean.len(), chaos.len());
-    let mut redispatched = 0usize;
-    for ((c, _), (x, metrics)) in clean.iter().zip(&chaos) {
-        assert_eq!(
-            c.statuses, x.statuses,
-            "{}: single-shot chaos must not change any run status",
-            c.short_name
+    let mut report = SuiteReport::from_resilient(Scale::Test, &chaos);
+    report.strip_telemetry();
+    let (golden, json) = (include_str!("../../../BENCH_test.json"), report.to_json());
+    if let Some((i, (g, c))) = golden
+        .lines()
+        .zip(json.lines())
+        .enumerate()
+        .find(|(_, (g, c))| g != c)
+    {
+        panic!(
+            "BENCH_test.json line {}: golden {g:?}, chaos sweep {c:?}",
+            i + 1
         );
-        match (&c.characterization, &x.characterization) {
-            (Some(cs), Some(cp)) => assert_bit_identical(cs, cp),
-            (None, None) => {}
-            _ => panic!("{}: survivor summaries diverged", c.short_name),
-        }
-        redispatched += metrics.iter().filter(|m| m.dispatches > 1).count();
     }
+    assert_eq!(golden.len(), json.len(), "chaos sweep's report length");
     // The faults really fired: each cost at least one extra dispatch.
     // (A fault can burn more than one task's dispatch — a crashing
     // worker may take a second in-flight task down with it — so the
     // floor is the plan size, not an exact count.)
+    let redispatched = chaos
+        .iter()
+        .flat_map(|(_, metrics)| metrics)
+        .filter(|m| m.dispatches > 1)
+        .count();
     assert!(
         redispatched >= 4,
         "expected >= 4 redispatched tasks, saw {redispatched}"
@@ -285,47 +290,75 @@ fn rendered(status: &RunStatus) -> (&'static str, Option<String>, Option<Scale>)
     }
 }
 
-/// The in-process fault kinds — malformed workloads, budget
-/// exhaustion, corrupt events, panics — behave the same inside process
-/// workers as in a serial sweep: the same status, error text, and retry
-/// scale per run, and bit-identical survivor summaries.
-fn in_process_faults_match_serial_under_processes() {
+/// A sweep under the 0xBEEF plan: six faults of the in-process kinds —
+/// malformed workloads, budget exhaustion, corrupt events, panics — so
+/// its statuses cover Ok, Degraded and Failed.
+fn faulty_sweep(policy: ExecPolicy) -> Vec<ResilientCharacterization> {
     let plan = Suite::new(Scale::Test).scattered_faults(0xBEEF, 6);
-    let sweep = |policy| {
-        Suite::new(Scale::Test)
-            .with_exec(policy)
-            .with_process_config(fast_failover())
-            .with_faults(plan.clone())
-            .characterize_all_resilient_metered()
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect::<Vec<_>>()
-    };
-    let serial = sweep(ExecPolicy::serial());
-    let process = sweep(ExecPolicy::processes_with_jobs(2));
-    assert_eq!(serial.len(), process.len());
-    let mut incidents = 0;
-    for (s, p) in serial.iter().zip(&process) {
-        assert_eq!(s.statuses.len(), p.statuses.len(), "{}", s.short_name);
-        for (rs, rp) in s.statuses.iter().zip(&p.statuses) {
-            assert_eq!(rs.workload, rp.workload, "{}: run order", s.short_name);
+    Suite::new(Scale::Test)
+        .with_exec(policy)
+        .with_process_config(fast_failover())
+        .with_faults(plan)
+        .characterize_all_resilient_metered()
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect()
+}
+
+/// The serial sweep of the 0xBEEF plan, the reference of both tests
+/// below: swept once per harness run, whichever test asks first.
+fn faulty_serial_sweep() -> &'static [ResilientCharacterization] {
+    static SERIAL: OnceLock<Vec<ResilientCharacterization>> = OnceLock::new();
+    SERIAL.get_or_init(|| faulty_sweep(ExecPolicy::serial()))
+}
+
+/// `other` has the serial sweep's status, error text and retry scale
+/// per run, and bit-identical survivor summaries; and every planned
+/// fault left an incident.
+fn assert_matches_faulty_serial(other: &[ResilientCharacterization]) {
+    let serial = faulty_serial_sweep();
+    assert_eq!(serial.len(), other.len());
+    for (s, o) in serial.iter().zip(other) {
+        assert_eq!(s.statuses.len(), o.statuses.len(), "{}", s.short_name);
+        for (rs, ro) in s.statuses.iter().zip(&o.statuses) {
+            assert_eq!(rs.workload, ro.workload, "{}: run order", s.short_name);
             assert_eq!(
                 rendered(&rs.status),
-                rendered(&rp.status),
+                rendered(&ro.status),
                 "{}/{}: status diverged",
                 s.short_name,
                 rs.workload
             );
         }
-        match (&s.characterization, &p.characterization) {
-            (Some(cs), Some(cp)) => assert_bit_identical(cs, cp),
+        match (&s.characterization, &o.characterization) {
+            (Some(cs), Some(co)) => assert_bit_identical(cs, co),
             (None, None) => {}
             _ => panic!("{}: survivor summaries diverged", s.short_name),
         }
-        incidents += s.incidents().count();
-        assert_eq!(s.incidents().count(), p.incidents().count());
     }
+    let incidents: usize = serial.iter().map(|r| r.incidents().count()).sum();
     assert_eq!(incidents, 6, "every planned fault leaves an incident");
+}
+
+/// The in-process fault kinds behave the same on worker threads as in
+/// a serial sweep, down to the `RunStatus` sequence itself.
+fn in_process_faults_match_serial_under_threads() {
+    let threads = faulty_sweep(ExecPolicy::with_jobs(4));
+    for (s, t) in faulty_serial_sweep().iter().zip(&threads) {
+        assert_eq!(
+            s.statuses, t.statuses,
+            "{}: RunStatus sequence",
+            s.short_name
+        );
+    }
+    assert_matches_faulty_serial(&threads);
+}
+
+/// The in-process fault kinds behave the same inside process workers
+/// as in a serial sweep: errors cross the process boundary as text, so
+/// the statuses compare as reports render them.
+fn in_process_faults_match_serial_under_processes() {
+    assert_matches_faulty_serial(&faulty_sweep(ExecPolicy::processes_with_jobs(2)));
 }
 
 fn main() {
@@ -349,6 +382,10 @@ fn main() {
         (
             "failing_strict_sweep_errs_identically_under_every_policy",
             failing_strict_sweep_errs_identically_under_every_policy,
+        ),
+        (
+            "in_process_faults_match_serial_under_threads",
+            in_process_faults_match_serial_under_threads,
         ),
         (
             "in_process_faults_match_serial_under_processes",

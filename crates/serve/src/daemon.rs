@@ -12,9 +12,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use alberta_core::{log_info, log_warn, request_label, Plane};
 
@@ -74,24 +74,83 @@ impl Daemon {
 
     /// Serves connections until a client sends `Shutdown`. Each
     /// connection is handled on its own thread; handler panics are
-    /// contained to their connection.
+    /// contained to their connection. On shutdown every connection
+    /// still open is shut down, so a handler blocked reading from an
+    /// idle client sees end-of-file and `run` returns.
     pub fn run(self) {
         let addr = self.listener.local_addr().ok();
+        let open = OpenConnections::default();
         std::thread::scope(|scope| {
-            for stream in self.listener.incoming() {
+            for (id, stream) in self.listener.incoming().enumerate() {
                 if self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                let registered = match open.register(id, &stream) {
+                    Ok(registered) => registered,
+                    Err(e) => {
+                        log_warn!("daemon", "dropping connection: {e}");
+                        continue;
+                    }
+                };
                 let engine = Arc::clone(&self.engine);
                 let groups = Arc::clone(&self.groups);
                 let shutdown = Arc::clone(&self.shutdown);
                 scope.spawn(move || {
+                    let _registered = registered;
                     // A broken connection only loses that client.
                     let _ = handle_connection(stream, &engine, &groups, &shutdown, addr);
                 });
             }
+            open.shut_down_all();
         });
+    }
+}
+
+/// The connections whose handlers are still running, each by a clone
+/// of its stream, so that shutdown can close them from the accept loop.
+#[derive(Default)]
+struct OpenConnections {
+    // Every update is a single insert or remove, so a panic elsewhere
+    // never leaves the map half-updated: a poisoned lock is recovered.
+    streams: Mutex<BTreeMap<usize, TcpStream>>,
+}
+
+impl OpenConnections {
+    /// Records connection `id`, returning the guard that forgets it when
+    /// its handler ends.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from cloning the stream.
+    fn register(&self, id: usize, stream: &TcpStream) -> io::Result<Registered<'_>> {
+        let clone = stream.try_clone()?;
+        self.lock().insert(id, clone);
+        Ok(Registered { id, open: self })
+    }
+
+    /// Shuts down both directions of every registered connection.
+    fn shut_down_all(&self) {
+        for stream in self.lock().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<usize, TcpStream>> {
+        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Removes its connection from [`OpenConnections`] when the handler
+/// ends, by return or by panic.
+struct Registered<'a> {
+    id: usize,
+    open: &'a OpenConnections,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.open.lock().remove(&self.id);
     }
 }
 

@@ -3,7 +3,7 @@
 //! hello's version gate, and shutdown; and the engine's bounded span
 //! retention.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -96,8 +96,6 @@ fn cold_and_warm_responses_match_each_other_and_direct_compute() {
         .counter("alberta_cache_hits_total")
         .is_some_and(|hits| hits > 0));
 
-    // The daemon drains its handler threads on shutdown, so every
-    // other connection must be closed first.
     drop(client);
     Client::connect(&addr, None)
         .expect("connect for shutdown")
@@ -397,8 +395,6 @@ fn overlong_line_is_refused_and_its_connection_closed() {
         Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
         other => panic!("the daemon must close the connection, got {other:?}: {reply}"),
     }
-    // Shutdown joins every connection handler, so the raw stream goes
-    // first.
     drop(reader);
     drop(stream);
 
@@ -410,6 +406,43 @@ fn overlong_line_is_refused_and_its_connection_closed() {
         .shutdown()
         .expect("shutdown");
     daemon.join().expect("daemon thread exits");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Shutdown closes the connections still open instead of waiting for
+/// their clients: `run` returns while a client idles without a hello,
+/// and that client reads end-of-file.
+#[test]
+fn shutdown_closes_idle_connections() {
+    let root = temp_root("idle");
+    let engine = Engine::new(ServeConfig::default(), ResultCache::new(&root));
+    let daemon = Daemon::bind("127.0.0.1:0", engine).expect("bind ephemeral port");
+    let addr = daemon.local_addr().expect("bound address").to_string();
+    let (returned, run_returned) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        daemon.run();
+        let _ = returned.send(());
+    });
+
+    // Connected before the shutdown client, so accepted before it.
+    let mut idle = TcpStream::connect(&addr).expect("connect raw");
+    Client::connect(&addr, None)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    run_returned
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run returns while a client idles");
+    handle.join().expect("daemon thread exits");
+
+    idle.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set a read timeout");
+    let mut byte = [0u8; 1];
+    match idle.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("the idle client must see its connection closed, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

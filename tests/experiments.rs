@@ -3,25 +3,45 @@
 //! scale. These tests pin the *shape* of Table II and Figures 1–2 (who
 //! varies more, where the summarization inflates), not absolute numbers.
 //! They sweep once and read everything from the sweep's report, as the
-//! rendering binaries do. The same sweep must also reproduce the committed
-//! `BENCH_test.json` and `MEM_test.json` byte for byte.
+//! rendering binaries do. The same serial sweep must also reproduce the
+//! committed `BENCH_test.json` and `MEM_test.json` byte for byte, and it
+//! is the reference a threads sweep must match in every artifact.
 
 use alberta::core::specdata;
-use alberta::core::Suite;
+use alberta::core::{ExecPolicy, Suite};
 use alberta::report::{
-    view, BenchmarkReport, MemoryDocument, StatusKind, SuiteReport, SummaryRecord,
+    trace_directory, view, BenchmarkReport, MemoryDocument, StatusKind, SuiteReport, SummaryRecord,
 };
 use alberta::workloads::Scale;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Sweeps the whole suite once; shared across the assertions. Every run
-/// must come back `ok`.
-fn suite_report() -> &'static SuiteReport {
-    static REPORT: OnceLock<SuiteReport> = OnceLock::new();
-    REPORT.get_or_init(|| {
-        let results = Suite::new(Scale::Test).characterize_all_resilient_metered();
-        let report = SuiteReport::from_resilient(Scale::Test, &results);
-        for b in &report.benchmarks {
+/// What `bench-report test --out … --trace-dir …` writes without
+/// `--telemetry`: the canonical report, telemetry stripped, and the
+/// trace directory's files by name, built by the same
+/// [`trace_directory`] call.
+struct Artifacts {
+    report: SuiteReport,
+    files: BTreeMap<String, String>,
+}
+
+fn sweep(exec: ExecPolicy) -> Artifacts {
+    let results = Suite::new(Scale::Test)
+        .with_exec(exec)
+        .characterize_all_resilient_metered();
+    let mut report = SuiteReport::from_resilient(Scale::Test, &results);
+    report.strip_telemetry();
+    let files = trace_directory(&report, &results, false).expect("virtual trace");
+    Artifacts { report, files }
+}
+
+/// Sweeps the whole suite serially once; shared across the assertions.
+/// Every run must come back `ok`.
+fn serial() -> &'static Artifacts {
+    static SERIAL: OnceLock<Artifacts> = OnceLock::new();
+    SERIAL.get_or_init(|| {
+        let serial = sweep(ExecPolicy::serial());
+        for b in &serial.report.benchmarks {
             for run in &b.runs {
                 assert_eq!(
                     run.status,
@@ -32,8 +52,12 @@ fn suite_report() -> &'static SuiteReport {
                 );
             }
         }
-        report
+        serial
     })
+}
+
+fn suite_report() -> &'static SuiteReport {
+    &serial().report
 }
 
 fn benchmark(name: &str) -> &'static BenchmarkReport {
@@ -46,41 +70,82 @@ fn summary(name: &str) -> &'static SummaryRecord {
     benchmark(name).summary.as_ref().expect("runs survived")
 }
 
-/// Fails at the first line where `actual` departs from the committed
-/// golden `name`, so a moved byte reads as one line rather than two dumps
-/// of the whole document.
-fn assert_golden(name: &str, golden: &str, actual: &str) {
-    if golden == actual {
+/// Fails at the first line where `actual` departs from `reference`, the
+/// committed golden or the serial sweep's artifact `name`, so a moved
+/// byte reads as one line rather than two dumps of the whole document.
+fn assert_same(name: &str, reference: &str, actual: &str) {
+    if reference == actual {
         return;
     }
-    let (g, a) = (golden.lines(), actual.lines());
-    match g.zip(a).enumerate().find(|(_, (g, a))| g != a) {
-        Some((i, (g, a))) => panic!("{name} line {}: golden {g:?}, sweep {a:?}", i + 1),
+    let (r, a) = (reference.lines(), actual.lines());
+    match r.zip(a).enumerate().find(|(_, (r, a))| r != a) {
+        Some((i, (r, a))) => panic!("{name} line {}: reference {r:?}, sweep {a:?}", i + 1),
         None => panic!(
-            "{name}: golden has {} bytes, the sweep {}",
-            golden.len(),
+            "{name}: reference has {} bytes, the sweep {}",
+            reference.len(),
             actual.len()
         ),
     }
 }
 
 /// The gate CI's report job applies with `cmp`: the canonical report
-/// (telemetry stripped) and the memory document built from it equal the
-/// committed goldens byte for byte, under whatever `ALBERTA_JOBS` selects.
+/// and the memory document built from it equal the committed goldens
+/// byte for byte.
 #[test]
 fn sweep_reproduces_the_committed_goldens() {
-    let mut report = suite_report().clone();
-    report.strip_telemetry();
-    assert_golden(
+    let report = suite_report();
+    assert_same(
         "BENCH_test.json",
         include_str!("../BENCH_test.json"),
         &report.to_json(),
     );
-    assert_golden(
+    assert_same(
         "MEM_test.json",
         include_str!("../MEM_test.json"),
-        &MemoryDocument::from_report(&report).to_json(),
+        &MemoryDocument::from_report(report).to_json(),
     );
+}
+
+/// Parallel execution is bit-identical to serial: a sweep on four
+/// worker threads writes the serial sweep's bytes, in the canonical
+/// report and in every file of the trace directory — what CI's `cmp`
+/// and `diff -r` check on `bench-report`'s artifacts. With the golden
+/// gate above, the threads sweep reproduces the goldens too.
+#[test]
+fn threads_sweep_matches_the_serial_reference() {
+    let threads = sweep(ExecPolicy::with_jobs(4));
+    let serial = serial();
+    assert_same(
+        "the serial report",
+        &serial.report.to_json(),
+        &threads.report.to_json(),
+    );
+    assert!(
+        serial.files.keys().eq(threads.files.keys()),
+        "trace directories hold different files"
+    );
+    for (name, bytes) in &serial.files {
+        assert_same(name, bytes, &threads.files[name]);
+    }
+
+    // The directories compared are not vacuous: they hold collapsed
+    // stacks, and the trace report embeds hot paths — from the exact
+    // call tree, not from telemetry — whose hottest carries real work.
+    assert!(
+        serial.files.keys().any(|name| name.ends_with(".folded")),
+        "sweep produced collapsed stacks"
+    );
+    let report = SuiteReport::parse(&serial.files["report.json"]).expect("trace report parses");
+    for bench in &report.benchmarks {
+        let hot = bench.hot_paths.as_ref().expect("hot paths embedded");
+        assert!(!hot.is_empty(), "{}: no hot paths", bench.short_name);
+        assert!(hot[0].exclusive > 0, "{}: empty hot path", bench.short_name);
+        assert!(
+            hot.windows(2).all(|w| w[0].exclusive >= w[1].exclusive),
+            "{}: hot paths not sorted",
+            bench.short_name
+        );
+    }
 }
 
 #[test]
