@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p alberta-bench --bin bench-diff -- \
-//!     BASELINE.json NEW.json [--threshold PCT] [--check]
+//!     BASELINE.json NEW.json [--threshold PCT]
 //! ```
 //!
 //! Prints the per-benchmark delta table (modelled refrate cycles,
@@ -11,21 +11,21 @@
 //!
 //! * `0` — no regression;
 //! * `1` — regression found: a structural one (status flip, lost
-//!   workload or summary, scale mismatch), or — without `--check` — a
-//!   numeric delta beyond `--threshold PCT` (default 5 %);
+//!   workload or summary, scale mismatch), or a numeric delta beyond
+//!   `--threshold PCT` (default 5 %);
 //! * `2` — usage or parse error (including an unsupported
 //!   `schema_version`).
 //!
-//! Under `--check` structural regressions fail and numeric drift only
-//! warns. The modelled numbers move legitimately when
-//! workloads or the machine model are retuned; losing a workload never
-//! does.
+//! The modelled numbers move legitimately when workloads or the machine
+//! model are retuned, so a caller who gates on structure alone passes a
+//! large `--threshold`. A lost workload never is: a structural
+//! regression fails at any threshold.
 
 use alberta_bench::{load_report, usage_error, Args};
 use alberta_report::{DiffOptions, ReportDiff};
 
 fn main() {
-    let args = Args::parse(&["--threshold"], &["--check"]);
+    let args = Args::parse(&["--threshold"], &[]);
     let [base_path, new_path] = args.operands() else {
         usage_error("expected exactly two reports: bench-diff BASELINE.json NEW.json");
     };
@@ -38,7 +38,6 @@ fn main() {
             )),
         },
     };
-    let check = args.switch("--check");
 
     let base = load_report(base_path);
     let new = load_report(new_path);
@@ -49,9 +48,8 @@ fn main() {
 
     let over = diff.over_threshold();
     if !over.is_empty() {
-        let verdict = if check { "warning" } else { "regression" };
         println!(
-            "\n{verdict}: {} benchmark(s) drifted beyond {:.2}%:",
+            "\nregression: {} benchmark(s) drifted beyond {:.2}%:",
             over.len(),
             threshold * 100.0
         );
@@ -64,13 +62,11 @@ fn main() {
         }
     }
 
-    let structural = !diff.regressions.is_empty();
-    let numeric = !check && !over.is_empty();
-    if structural || numeric {
+    if !diff.regressions.is_empty() || !over.is_empty() {
         println!(
             "\nbench-diff: FAIL ({} structural, {} over-threshold)",
             diff.regressions.len(),
-            if check { 0 } else { over.len() }
+            over.len()
         );
         std::process::exit(1);
     }

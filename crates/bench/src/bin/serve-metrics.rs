@@ -120,10 +120,6 @@ fn main() {
     }
 
     if args.switch("--shutdown") {
-        // The daemon drains its handler threads on shutdown; close our
-        // own connection first.
-        drop(client);
-        let client = Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e));
         if let Err(e) = client.shutdown() {
             eprintln!("serve-metrics: shutdown: {e}");
             std::process::exit(1);

@@ -5,7 +5,7 @@
 //! cargo run --release -p alberta-bench --bin storm -- \
 //!     [test|train|ref] --addr HOST:PORT [--requests N] [--clients C] \
 //!     [--seed S] [--out PATH] [--latency-out PATH] \
-//!     [--sweep-out PATH] [--shutdown]
+//!     [--sweep-out PATH]
 //! ```
 //!
 //! Fires a seeded mix of `--requests` workload-level requests from
@@ -26,8 +26,9 @@
 //! them. `--sweep-out` fires one benchmark-level request per benchmark
 //! and writes the assembled suite report, which must be byte-identical
 //! to a `bench-report` sweep at the same scale (the `serve_goldens`
-//! test compares it with the committed `BENCH_test.json`). `--shutdown` stops the daemon
-//! afterwards.
+//! test compares it with the committed `BENCH_test.json`). The storm
+//! leaves the daemon running: `serve-metrics --shutdown` scrapes it and
+//! stops it.
 //!
 //! Exit codes: 0 on success, 1 when any response failed or the
 //! cached-vs-computed comparison found a mismatch, 2 for usage errors.
@@ -125,7 +126,7 @@ fn main() {
             "--latency-out",
             "--sweep-out",
         ],
-        &["--shutdown"],
+        &[],
     );
     let scale = args.scale();
     let addr = args
@@ -286,17 +287,6 @@ fn main() {
                 }
                 println!("storm: assembled sweep report -> {path}");
             }
-        }
-    }
-
-    if args.switch("--shutdown") {
-        // The daemon drains its handler threads on shutdown; close our
-        // own idle connection first.
-        drop(metrics_client);
-        let client = Client::connect(addr, None).unwrap_or_else(|e| usage_error(&e));
-        if let Err(e) = client.shutdown() {
-            eprintln!("storm: shutdown: {e}");
-            failures += 1;
         }
     }
 

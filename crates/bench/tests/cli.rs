@@ -2,11 +2,10 @@
 //! the repo convention (0 success, 1 regression/gate failure, 2 usage
 //! error) so CI pipelines can branch on them.
 
-use alberta_report::{MemoryDocument, SuiteReport, SCHEMA_VERSION};
+use alberta_report::{BenchmarkReport, MemoryDocument, StatusKind, SuiteReport, SCHEMA_VERSION};
 use alberta_workloads::Scale;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
 
 fn bench_diff() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bench-diff"))
@@ -64,6 +63,76 @@ fn bench_diff_accepts_valid_threshold_and_clean_diff_exits_0() {
         .status()
         .expect("spawn bench-diff");
     assert_eq!(status.code(), Some(0), "identical reports must not regress");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `bench-diff` exits 1 on what it gates, each case a mutation of mcf
+/// in the committed two-benchmark report: refrate cycles 10 % slower
+/// fail the default 5 % threshold and pass a 20 % one, and a run that
+/// failed or went missing fails at any threshold.
+#[test]
+fn bench_diff_exits_1_on_a_regression() {
+    let dir = std::env::temp_dir().join(format!("bench-diff-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let base = fixture();
+    let saved = alberta_report::load(&base).expect("fixture loads");
+    let mutated = |name: &str, mutate: &dyn Fn(&mut BenchmarkReport)| {
+        let mut report = saved.clone();
+        mutate(
+            report
+                .benchmarks
+                .iter_mut()
+                .find(|b| b.short_name == "mcf")
+                .expect("mcf"),
+        );
+        let path = dir.join(name);
+        alberta_report::save(&report, &path).expect("write report");
+        path
+    };
+    let slower = mutated("slower.json", &|mcf| {
+        let summary = mcf.summary.as_mut().expect("mcf has a summary");
+        let cycles = summary
+            .refrate_cycles
+            .as_mut()
+            .expect("mcf has refrate cycles");
+        *cycles *= 1.10;
+    });
+    let failed = mutated("failed.json", &|mcf| {
+        let train = mcf
+            .runs
+            .iter_mut()
+            .find(|r| r.workload == "train")
+            .expect("train");
+        assert_eq!(train.status, StatusKind::Ok);
+        train.status = StatusKind::Failed;
+        train.error = Some("mcf: injected failure".to_owned());
+        train.measures = None;
+    });
+    let lost = mutated("lost.json", &|mcf| {
+        mcf.runs.retain(|r| r.workload != "refrate")
+    });
+
+    let cases: &[(&PathBuf, &[&str], i32)] = &[
+        (&slower, &[], 1),
+        (&slower, &["--threshold", "20"], 0),
+        (&failed, &["--threshold", "1000"], 1),
+        (&lost, &["--threshold", "1000"], 1),
+    ];
+    for (new, threshold, code) in cases {
+        let output = bench_diff()
+            .arg(&base)
+            .arg(new)
+            .args(*threshold)
+            .output()
+            .expect("spawn bench-diff");
+        assert_eq!(
+            output.status.code(),
+            Some(*code),
+            "{} {threshold:?}: {}",
+            new.display(),
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -179,6 +248,10 @@ fn every_bin_rejects_a_flag_it_does_not_read() {
             env!("CARGO_BIN_EXE_bench-diff"),
             &[report, report, "--lanes", "3", "--keep-going"],
         ),
+        (
+            env!("CARGO_BIN_EXE_bench-diff"),
+            &[report, report, "--check"],
+        ),
         (env!("CARGO_BIN_EXE_bench-report"), &["test", "--curves"]),
         (
             env!("CARGO_BIN_EXE_bench-report"),
@@ -204,6 +277,10 @@ fn every_bin_rejects_a_flag_it_does_not_read() {
             &["test", "--addr", "127.0.0.1:1", "--sample"],
         ),
         (
+            env!("CARGO_BIN_EXE_storm"),
+            &["test", "--addr", "127.0.0.1:1", "--shutdown"],
+        ),
+        (
             env!("CARGO_BIN_EXE_alberta-serve"),
             &["--listen", "nonsense", "--cache"],
         ),
@@ -223,40 +300,6 @@ fn storm_takes_seed_zero() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("connect 127.0.0.1:1"), "{stderr}");
     assert!(!stderr.contains("--seed"), "{stderr}");
-}
-
-/// The daemon refuses a bad `ALBERTA_LOG` at start-up, naming the
-/// accepted levels, before it listens: left up, it would panic at its
-/// first log call, inside a connection handler.
-#[test]
-fn alberta_serve_refuses_a_bad_log_level_at_start_up() {
-    let cache = std::env::temp_dir().join(format!("alberta-cli-log-{}", std::process::id()));
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_alberta-serve"))
-        .args(["--listen", "127.0.0.1:0", "--cache-dir"])
-        .arg(&cache)
-        .env("ALBERTA_LOG", "verbose")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn alberta-serve");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while daemon.try_wait().expect("poll the daemon").is_none() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    if daemon.try_wait().expect("poll the daemon").is_none() {
-        let _ = daemon.kill();
-    }
-    let output = daemon.wait_with_output().expect("reap the daemon");
-    let _ = std::fs::remove_dir_all(&cache);
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.code().is_some_and(|code| code != 0),
-        "the daemon exits non-zero by itself, got {:?}",
-        output.status
-    );
-    assert!(!stdout.contains("listening on"), "{stdout}");
-    assert!(stderr.contains("off|error|warn|info|debug"), "{stderr}");
 }
 
 /// A binary that takes no operand rejects one, and a scale binary

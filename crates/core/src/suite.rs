@@ -117,15 +117,7 @@ pub struct Suite {
 impl Suite {
     /// Builds the suite at a scale with the reference machine model,
     /// executing serially; [`Suite::with_exec`] picks another policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ALBERTA_LOG` is set to something that is not a log
-    /// level — a misconfigured environment must be loud, not silent.
     pub fn new(scale: Scale) -> Self {
-        // Resolve `ALBERTA_LOG` up front: a bad value fails here, not at
-        // the first supervisor warning.
-        crate::log::max_level();
         Suite {
             benchmarks: build_benchmarks(scale),
             model: TopDownModel::reference(),

@@ -5,14 +5,13 @@
 //! * **structural regressions** — a benchmark or workload present in
 //!   the baseline vanished, a run's status got worse (`ok` →
 //!   `degraded` → `failed`), a benchmark lost its summary, or the two
-//!   reports were taken at different scales. These are always failures
-//!   under `--check`: they mean the sweep no longer produces what it
-//!   used to.
+//!   reports were taken at different scales. These always fail: they
+//!   mean the sweep no longer produces what it used to.
 //! * **numeric deltas** — modelled refrate cycles, behaviour variation
-//!   `μg(V)`, and coverage variation `μg(M)` moved. These gate on a
-//!   configurable threshold, or downgrade to warnings under `--check`
-//!   (the modelled numbers shift legitimately when workloads or the
-//!   machine model are retuned).
+//!   `μg(V)`, and coverage variation `μg(M)` moved. These fail only
+//!   beyond a configurable threshold, because the modelled numbers
+//!   shift legitimately when workloads or the machine model are
+//!   retuned.
 //!
 //! Checksum changes are reported as warnings: a changed semantic
 //! checksum with an unchanged status usually means a workload generator
@@ -103,7 +102,7 @@ fn memory_drift(base: &MemoryProfile, new: &MemoryProfile) -> f64 {
 /// The outcome of comparing two reports.
 #[derive(Debug, Clone)]
 pub struct ReportDiff {
-    /// Structural regressions: always failures under `--check`.
+    /// Structural regressions: failures at any threshold.
     pub regressions: Vec<String>,
     /// Non-gating observations (improvements, additions, checksum
     /// changes).

@@ -9,6 +9,8 @@
 //! its own share in request-id order. The batch a group's requests
 //! resolve in — and therefore every counter the storm gates on — is a
 //! function of the group's contents alone, never of socket timing.
+//! Shutdown closes the registry, so a member still waiting for its
+//! group ends its connection instead of holding up `run`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead};
@@ -16,7 +18,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use alberta_core::{log_info, log_warn, request_label, Plane};
+use alberta_core::{log_warn, request_label, Plane};
 
 use crate::engine::{BatchRequest, Engine, ResolvedRequest};
 use crate::wire::{self, ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
@@ -38,13 +40,23 @@ struct GroupInner {
     results: Option<BTreeMap<u64, Vec<ResolvedRequest>>>,
     /// Members that have collected their share.
     picked: u64,
+    /// Set at shutdown: a member still waiting returns without a batch.
+    closed: bool,
+}
+
+/// The group rendezvous in progress, by group id.
+#[derive(Default)]
+struct Groups {
+    open: HashMap<String, Arc<Group>>,
+    /// Set at shutdown: no member joins a group after it.
+    closed: bool,
 }
 
 /// The characterization daemon.
 pub struct Daemon {
     listener: TcpListener,
     engine: Arc<Engine>,
-    groups: Arc<Mutex<HashMap<String, Arc<Group>>>>,
+    groups: Arc<Mutex<Groups>>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -58,7 +70,7 @@ impl Daemon {
         Ok(Daemon {
             listener: TcpListener::bind(addr)?,
             engine: Arc::new(engine),
-            groups: Arc::new(Mutex::new(HashMap::new())),
+            groups: Arc::new(Mutex::new(Groups::default())),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -76,7 +88,9 @@ impl Daemon {
     /// connection is handled on its own thread; handler panics are
     /// contained to their connection. On shutdown every connection
     /// still open is shut down, so a handler blocked reading from an
-    /// idle client sees end-of-file and `run` returns.
+    /// idle client sees end-of-file, and every group rendezvous is
+    /// closed, so a member waiting for the rest of its group returns;
+    /// then `run` returns.
     pub fn run(self) {
         let addr = self.listener.local_addr().ok();
         let open = OpenConnections::default();
@@ -103,7 +117,24 @@ impl Daemon {
                 });
             }
             open.shut_down_all();
+            close_groups(&self.groups);
         });
+    }
+}
+
+/// Closes the group registry and every group in it, waking the members
+/// that wait in [`drain_grouped`].
+fn close_groups(groups: &Mutex<Groups>) {
+    // Collected first: the last member of a group locks the registry
+    // while it holds its group's lock.
+    let open: Vec<Arc<Group>> = {
+        let mut registry = groups.lock().expect("group registry poisoned");
+        registry.closed = true;
+        registry.open.values().cloned().collect()
+    };
+    for group in open {
+        group.inner.lock().expect("group poisoned").closed = true;
+        group.cv.notify_all();
     }
 }
 
@@ -158,7 +189,7 @@ impl Drop for Registered<'_> {
 fn handle_connection(
     stream: TcpStream,
     engine: &Engine,
-    groups: &Mutex<HashMap<String, Arc<Group>>>,
+    groups: &Mutex<Groups>,
     shutdown: &AtomicBool,
     addr: Option<std::net::SocketAddr>,
 ) -> io::Result<()> {
@@ -211,16 +242,6 @@ fn handle_connection(
     engine
         .metrics()
         .inc(Plane::Volatile, "alberta_connections_total", 1);
-    match &group {
-        Some(info) => log_info!(
-            "daemon",
-            "client {client:?} connected (group {:?}, member {}/{})",
-            info.id,
-            info.member,
-            info.size
-        ),
-        None => log_info!("daemon", "client {client:?} connected"),
-    }
 
     // Requests are labeled and tokenized at receipt: the client minted
     // the id, the hello named the client, and the group (when any)
@@ -239,14 +260,14 @@ fn handle_connection(
                 spec: *spec,
             }),
             Ok(ClientMsg::Drain) => {
-                log_info!(
-                    "daemon",
-                    "client {client:?} drains {} request(s)",
-                    pending.len()
-                );
+                let batch = std::mem::take(&mut pending);
                 let responses = match &group {
-                    None => engine.resolve_batch(&std::mem::take(&mut pending)),
-                    Some(info) => drain_grouped(engine, groups, info, std::mem::take(&mut pending)),
+                    None => engine.resolve_batch(&batch),
+                    Some(info) => match drain_grouped(engine, groups, info, batch) {
+                        Some(responses) => responses,
+                        // The daemon is shutting down.
+                        None => return Ok(()),
+                    },
                 };
                 let count = responses.len() as u64;
                 for resolved in responses {
@@ -282,7 +303,6 @@ fn handle_connection(
                 )?;
             }
             Ok(ClientMsg::Shutdown) => {
-                log_info!("daemon", "client {client:?} requested shutdown");
                 shutdown.store(true, Ordering::SeqCst);
                 send(&mut writer, &ServerMsg::Bye)?;
                 // Unblock the accept loop so `run` can observe the flag.
@@ -310,16 +330,20 @@ fn handle_connection(
 /// A grouped drain: park this member's requests, resolve the union once
 /// the whole group has drained, and return this member's share. The
 /// last member to pick up retires the group, so a later storm can reuse
-/// the same group id.
+/// the same group id. `None` when the daemon shuts down before this
+/// member's share is resolved.
 fn drain_grouped(
     engine: &Engine,
-    groups: &Mutex<HashMap<String, Arc<Group>>>,
+    groups: &Mutex<Groups>,
     info: &GroupInfo,
     pending: Vec<BatchRequest>,
-) -> Vec<ResolvedRequest> {
+) -> Option<Vec<ResolvedRequest>> {
     let group = {
         let mut registry = groups.lock().expect("group registry poisoned");
-        Arc::clone(registry.entry(info.id.clone()).or_insert_with(|| {
+        if registry.closed {
+            return None;
+        }
+        Arc::clone(registry.open.entry(info.id.clone()).or_insert_with(|| {
             Arc::new(Group {
                 size: info.size,
                 inner: Mutex::new(GroupInner::default()),
@@ -351,6 +375,9 @@ fn drain_grouped(
         group.cv.notify_all();
     }
     while inner.results.is_none() {
+        if inner.closed {
+            return None;
+        }
         inner = group.cv.wait(inner).expect("group poisoned");
     }
     let mine = inner
@@ -366,9 +393,10 @@ fn drain_grouped(
         groups
             .lock()
             .expect("group registry poisoned")
+            .open
             .remove(&info.id);
     }
-    mine
+    Some(mine)
 }
 
 /// Reads a client's next line into `line`. `Ok(false)` ends the

@@ -30,7 +30,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use alberta_core::json::Value;
-use alberta_core::log_info;
 use alberta_core::protocol::RemoteStatus;
 use alberta_core::telemetry::{COUNT_BUCKETS, NANOS_BUCKETS, TICK_BUCKETS};
 use alberta_core::{
@@ -184,14 +183,7 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine over a cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ALBERTA_LOG` is set to something that is not a log
-    /// level: the daemon must refuse it at start-up, not at its first
-    /// log call inside a connection handler.
     pub fn new(config: ServeConfig, cache: ResultCache) -> Self {
-        alberta_core::log::max_level();
         let hosts = config.hosts;
         let metrics = MetricsRegistry::new();
         // Roster gauges are configuration, not wall-clock — they live
@@ -525,15 +517,6 @@ impl Engine {
                 placement.unplaced
             );
         }
-        log_info!(
-            "engine",
-            "batch resolved: {} request(s), {} computed, {} cached, {} coalesced, {} failed",
-            batch_requests,
-            computed_count,
-            hit_count,
-            total_coalesced,
-            placement.unplaced
-        );
 
         // Deterministic plane: every counter is touched every batch
         // (`by: 0` still registers it), so the snapshot's shape is

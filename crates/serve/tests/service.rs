@@ -6,6 +6,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 use alberta_core::telemetry::SPAN_LOG_CAPACITY;
@@ -409,12 +410,11 @@ fn overlong_line_is_refused_and_its_connection_closed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Shutdown closes the connections still open instead of waiting for
-/// their clients: `run` returns while a client idles without a hello,
-/// and that client reads end-of-file.
-#[test]
-fn shutdown_closes_idle_connections() {
-    let root = temp_root("idle");
+/// Starts a default daemon on an ephemeral port whose `run` reports its
+/// return on the returned channel, so a test can bound how long a
+/// shutdown takes.
+fn start_watched_daemon(tag: &str) -> (String, Receiver<()>, std::thread::JoinHandle<()>, PathBuf) {
+    let root = temp_root(tag);
     let engine = Engine::new(ServeConfig::default(), ResultCache::new(&root));
     let daemon = Daemon::bind("127.0.0.1:0", engine).expect("bind ephemeral port");
     let addr = daemon.local_addr().expect("bound address").to_string();
@@ -423,6 +423,15 @@ fn shutdown_closes_idle_connections() {
         daemon.run();
         let _ = returned.send(());
     });
+    (addr, run_returned, handle, root)
+}
+
+/// Shutdown closes the connections still open instead of waiting for
+/// their clients: `run` returns while a client idles without a hello,
+/// and that client reads end-of-file.
+#[test]
+fn shutdown_closes_idle_connections() {
+    let (addr, run_returned, handle, root) = start_watched_daemon("idle");
 
     // Connected before the shutdown client, so accepted before it.
     let mut idle = TcpStream::connect(&addr).expect("connect raw");
@@ -443,6 +452,42 @@ fn shutdown_closes_idle_connections() {
         Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
         other => panic!("the idle client must see its connection closed, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Shutdown wakes a member parked in a group rendezvous: `run` returns
+/// while member 0 of a two-member group waits for a member 1 that never
+/// drains, and member 0 gets its connection closed instead of a batch.
+#[test]
+fn shutdown_wakes_a_parked_group_member() {
+    let (addr, run_returned, handle, root) = start_watched_daemon("parked");
+    let group = GroupInfo {
+        id: "parked".to_owned(),
+        size: 2,
+        member: 0,
+    };
+    let mut member = Client::connect(&addr, Some(group)).expect("connect member 0");
+    member
+        .request(&RequestSpec::new("mcf", Some("train"), Scale::Test))
+        .expect("send");
+    let parked = std::thread::spawn(move || member.drain());
+
+    // Time for member 0's drain to reach the rendezvous and wait there.
+    // Should it not have yet, shutdown closes its connection first and
+    // every assertion below holds all the same: the sleep can only make
+    // the test weaker, never flaky.
+    std::thread::sleep(Duration::from_millis(500));
+    Client::connect(&addr, None)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    run_returned
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run returns while a group member waits");
+    handle.join().expect("daemon thread exits");
+
+    let drained = parked.join().expect("member 0's thread");
+    assert!(drained.is_err(), "member 0 must get no batch: {drained:?}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -13,7 +13,7 @@
 //! | [`stats`] | `alberta-stats` | the paper's geometric summarization (Eq. 1–5) |
 //! | [`profile`] | `alberta-profile` | instrumentation substrate |
 //! | [`uarch`] | `alberta-uarch` | predictors, caches, Top-Down model |
-//! | [`workloads`] | `alberta-workloads` | the sixteen workload generators |
+//! | [`workloads`] | `alberta-workloads` | the fifteen workload generators |
 //! | [`benchmarks`] | `alberta-benchmarks` | the fifteen mini-benchmarks |
 //! | [`onefile`] | `alberta-onefile` | the OneFile multi-file merger |
 //! | [`fdo`] | `alberta-fdo` | the FDO methodology laboratory |
