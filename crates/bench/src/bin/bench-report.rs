@@ -37,12 +37,15 @@
 //! subprocesses (crash isolation, heartbeats, bounded redispatch); the
 //! canonical document stays byte-identical to a serial sweep. `--chaos N
 //! --chaos-seed S` scatters `N` seeded process faults (worker crashes,
-//! hangs, corrupt result lines) over the sweep to exercise the
+//! hangs, corrupt result lines) over `N` distinct runs to exercise the
 //! supervisor's recovery — single-shot faults are absorbed by
-//! redispatch, so the chaos report still matches the clean one.
+//! redispatch, so the chaos report still matches the clean one. Only
+//! worker processes fire these faults, so `--chaos` without `--exec
+//! processes`, or with more faults than the suite has runs, is a usage
+//! error.
 
-use alberta_bench::Args;
-use alberta_core::Suite;
+use alberta_bench::{usage_error, Args};
+use alberta_core::{ExecPolicy, Suite};
 use alberta_report::{trace_directory, SuiteReport};
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
@@ -79,10 +82,6 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", scale.name())));
     let telemetry = args.switch("--telemetry");
     let trace_dir = args.value("--trace-dir").map(Path::new);
-    // An unwritable trace directory fails before the sweep, not after.
-    if let Some(dir) = trace_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir.display(), e));
-    }
 
     let suite = Suite::new(scale)
         .with_exec(exec)
@@ -90,11 +89,31 @@ fn main() {
     let suite = match args.chaos() {
         None => suite,
         Some((count, seed)) => {
+            if !matches!(exec, ExecPolicy::Processes { .. }) {
+                usage_error(
+                    "--chaos injects process faults, which fire only under --exec processes",
+                );
+            }
+            let runs: usize = suite
+                .benchmarks()
+                .iter()
+                .map(|b| b.workload_names().len())
+                .sum();
+            if count > runs {
+                usage_error(&format!(
+                    "--chaos {count} exceeds the {runs} runs of the {} suite",
+                    scale.name()
+                ));
+            }
             let plan = suite.scattered_process_faults(seed, count);
             eprintln!("bench-report: chaos plan: {count} process fault(s), seed {seed}");
             suite.with_faults(plan)
         }
     };
+    // An unwritable trace directory fails before the sweep, not after.
+    if let Some(dir) = trace_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir.display(), e));
+    }
     let results = suite.characterize_all_resilient_metered();
     for (r, _) in &results {
         for incident in r.incidents() {

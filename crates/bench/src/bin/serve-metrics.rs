@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p alberta-bench --bin serve-metrics -- \
-//!     --addr HOST:PORT [--out PATH] [--json PATH] \
+//!     --addr HOST:PORT [--out PATH] \
 //!     [--deterministic-out PATH] [--volatile-out PATH] \
 //!     [--timeline PATH] [--shutdown]
 //! ```
@@ -11,7 +11,6 @@
 //! renders them every way the workspace consumes telemetry:
 //!
 //! * Prometheus text exposition to stdout, or to `--out`;
-//! * the full canonical-JSON document to `--json`;
 //! * the deterministic plane alone to `--deterministic-out` — the
 //!   bytes CI compares against the committed golden;
 //! * the volatile plane alone to `--volatile-out` — the artifact CI
@@ -43,7 +42,6 @@ fn main() {
         &[
             "--addr",
             "--out",
-            "--json",
             "--deterministic-out",
             "--volatile-out",
             "--timeline",
@@ -71,10 +69,6 @@ fn main() {
             println!("serve-metrics: Prometheus exposition -> {path}");
         }
         None => print!("{}", document.to_prometheus()),
-    }
-    if let Some(path) = args.value("--json") {
-        write_or_die(path, &document.to_json());
-        println!("serve-metrics: metrics document -> {path}");
     }
     if let Some(path) = args.value("--deterministic-out") {
         write_or_die(path, &document.deterministic_to_json());

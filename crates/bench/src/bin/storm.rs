@@ -191,7 +191,6 @@ fn main() {
                         totals.computed += counts.computed;
                         totals.cached += counts.cached;
                         totals.coalesced += counts.coalesced;
-                        totals.failed += counts.failed;
                         match bodies.get(&spec_index) {
                             None => {
                                 bodies.insert(spec_index, body);
@@ -211,11 +210,6 @@ fn main() {
             }
         }
     }
-    if totals.failed > 0 {
-        eprintln!("storm: {} key(s) failed on the daemon", totals.failed);
-        failures += 1;
-    }
-
     let after = metrics_client.metrics().unwrap_or_else(|e| usage_error(&e));
     // A counter no batch has touched yet reads zero.
     let delta = |name: &str| {

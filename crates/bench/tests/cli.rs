@@ -140,27 +140,53 @@ fn bench_report() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bench-report"))
 }
 
-/// Worker-count and executor flags are validated before any sweep
-/// starts: `--jobs 0` used to silently collapse to serial and must now
-/// be a usage error, in every binary that takes the flag.
+/// Worker-count, executor and chaos flags are validated before any
+/// sweep starts: `--jobs 0` used to silently collapse to serial, more
+/// chaos faults than runs panicked, and chaos without worker processes
+/// swept clean with nothing injected. Each is a usage error naming what
+/// was wrong; `--out` points into a temporary directory, so a check
+/// that ever lets the sweep run writes nothing into the tree.
 #[test]
 fn bench_report_rejects_bad_exec_flags_with_exit_2() {
-    let cases: &[&[&str]] = &[
-        &["test", "--jobs", "0"],
-        &["test", "--jobs", "many"],
-        &["test", "--exec", "fibers"],
-        &["test", "--exec", "serial", "--jobs", "4"],
-        &["test", "--chaos", "0"],
-        &["test", "--chaos", "some"],
-        &["test", "--chaos-seed", "7"],
+    let dir = std::env::temp_dir().join(format!("bench-report-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = dir.join("never.json");
+    let out = out.to_str().expect("utf-8 path");
+    let cases: &[(&[&str], &str)] = &[
+        (&["test", "--jobs", "0"], "--jobs"),
+        (&["test", "--jobs", "many"], "--jobs"),
+        (&["test", "--exec", "fibers"], "--exec"),
+        (&["test", "--exec", "serial", "--jobs", "4"], "conflicts"),
+        (&["test", "--chaos", "0"], "--chaos"),
+        (&["test", "--chaos", "some"], "--chaos"),
+        (&["test", "--chaos-seed", "7"], "--chaos"),
+        (
+            &[
+                "test",
+                "--exec",
+                "processes",
+                "--chaos",
+                "217",
+                "--out",
+                out,
+            ],
+            "216 runs",
+        ),
+        (&["test", "--chaos", "8", "--out", out], "--exec processes"),
     ];
-    for args in cases {
-        let status = bench_report()
+    for (args, named) in cases {
+        let output = bench_report()
             .args(*args)
-            .status()
+            .output()
             .expect("spawn bench-report");
-        assert_eq!(status.code(), Some(2), "args {args:?} must exit 2");
+        assert_eq!(output.status.code(), Some(2), "args {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The daemon reads `--host-exec` and `--host-jobs` with the parser
@@ -271,6 +297,10 @@ fn every_bin_rejects_a_flag_it_does_not_read() {
         (
             env!("CARGO_BIN_EXE_serve-metrics"),
             &["--addr", "127.0.0.1:1", "--shutdwon"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_serve-metrics"),
+            &["--addr", "127.0.0.1:1", "--json", "x"],
         ),
         (
             env!("CARGO_BIN_EXE_storm"),

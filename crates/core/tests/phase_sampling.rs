@@ -1,12 +1,35 @@
 //! Suite-level contract of phase-sampled characterization: estimates
 //! stay inside the committed error bound while saving a multiple of the
 //! detailed-measurement work, and sampled sweeps keep the repo's
-//! determinism guarantees (seed-fixed reruns and serial-vs-parallel
-//! byte-identity).
+//! serial-vs-parallel byte-identity.
+//!
+//! The three tests share three sweeps, each run once per harness run
+//! by whichever test asks first: the full and the sampled sweep on 4
+//! threads, and the sampled sweep on one.
+
+use std::sync::OnceLock;
 
 use alberta_core::{
     Characterization, ExecPolicy, SamplingPolicy, Scale, Suite, PHASE_ERROR_BOUND_PCT,
 };
+
+/// The full sweep on 4 threads: the ground truth.
+fn full() -> &'static [Characterization] {
+    static FULL: OnceLock<Vec<Characterization>> = OnceLock::new();
+    FULL.get_or_init(|| characterize(SamplingPolicy::Full, ExecPolicy::with_jobs(4)))
+}
+
+/// The sampled sweep on 4 threads.
+fn sampled() -> &'static [Characterization] {
+    static SAMPLED: OnceLock<Vec<Characterization>> = OnceLock::new();
+    SAMPLED.get_or_init(|| characterize(SamplingPolicy::phase(), ExecPolicy::with_jobs(4)))
+}
+
+/// The sampled sweep on the calling thread.
+fn sampled_serial() -> &'static [Characterization] {
+    static SERIAL: OnceLock<Vec<Characterization>> = OnceLock::new();
+    SERIAL.get_or_init(|| characterize(SamplingPolicy::phase(), ExecPolicy::Serial))
+}
 
 fn characterize(policy: SamplingPolicy, exec: ExecPolicy) -> Vec<Characterization> {
     Suite::new(Scale::Test)
@@ -28,15 +51,14 @@ fn characterize(policy: SamplingPolicy, exec: ExecPolicy) -> Vec<Characterizatio
 /// work drops at least 3×.
 #[test]
 fn sampled_estimates_whole_suite_within_committed_bound() {
-    let full = characterize(SamplingPolicy::Full, ExecPolicy::with_jobs(4));
-    let sampled = characterize(SamplingPolicy::phase(), ExecPolicy::with_jobs(4));
+    let (full, sampled) = (full(), sampled());
     assert_eq!(full.len(), sampled.len(), "same benchmark set");
 
     let bound = PHASE_ERROR_BOUND_PCT / 100.0;
     let mut total_ops = 0u64;
     let mut detailed_ops = 0u64;
     let mut windowed_runs = 0usize;
-    for (truth, est) in full.iter().zip(&sampled) {
+    for (truth, est) in full.iter().zip(sampled) {
         assert_eq!(truth.short_name, est.short_name);
         for (tr, er) in truth.runs.iter().zip(&est.runs) {
             assert_eq!(tr.workload, er.workload);
@@ -79,10 +101,8 @@ fn sampled_estimates_whole_suite_within_committed_bound() {
 /// analysis.
 #[test]
 fn fallback_runs_are_exact() {
-    let full = characterize(SamplingPolicy::Full, ExecPolicy::with_jobs(4));
-    let sampled = characterize(SamplingPolicy::phase(), ExecPolicy::with_jobs(4));
     let mut fallbacks = 0usize;
-    for (truth, est) in full.iter().zip(&sampled) {
+    for (truth, est) in full().iter().zip(sampled()) {
         for (tr, er) in truth.runs.iter().zip(&est.runs) {
             let stats = er.sampling.expect("phase policy annotates every run");
             if stats.clusters == stats.intervals {
@@ -101,33 +121,29 @@ fn fallback_runs_are_exact() {
     assert!(fallbacks > 0, "test scale has runs too small to sample");
 }
 
-/// A sampled sweep is a pure function of its inputs: repeating it with
-/// the same seed, and distributing it over worker threads, must produce
-/// bit-identical characterizations.
+/// A sampled sweep is a pure function of its inputs: distributing it
+/// over worker threads must produce bit-identical characterizations.
 #[test]
 fn sampled_sweep_is_deterministic_serial_and_parallel() {
-    let serial = characterize(SamplingPolicy::phase(), ExecPolicy::Serial);
-    let parallel = characterize(SamplingPolicy::phase(), ExecPolicy::with_jobs(4));
-    let rerun = characterize(SamplingPolicy::phase(), ExecPolicy::with_jobs(4));
-    for other in [&parallel, &rerun] {
-        for (a, b) in serial.iter().zip(other.iter()) {
-            assert_eq!(a.short_name, b.short_name);
-            assert_eq!(a.topdown.mu_g_v.to_bits(), b.topdown.mu_g_v.to_bits());
-            assert_eq!(a.coverage.mu_g_m.to_bits(), b.coverage.mu_g_m.to_bits());
-            for (ra, rb) in a.runs.iter().zip(&b.runs) {
-                assert_eq!(ra.workload, rb.workload);
-                assert_eq!(ra.checksum, rb.checksum);
-                assert_eq!(ra.sampling, rb.sampling);
-                assert_eq!(ra.report.cycles.to_bits(), rb.report.cycles.to_bits());
-                for (fa, fb) in ra
-                    .report
-                    .ratios
-                    .as_array()
-                    .iter()
-                    .zip(rb.report.ratios.as_array().iter())
-                {
-                    assert_eq!(fa.to_bits(), fb.to_bits());
-                }
+    let (serial, parallel) = (sampled_serial(), sampled());
+    assert_eq!(serial.len(), parallel.len(), "same benchmark set");
+    for (a, b) in serial.iter().zip(parallel) {
+        assert_eq!(a.short_name, b.short_name);
+        assert_eq!(a.topdown.mu_g_v.to_bits(), b.topdown.mu_g_v.to_bits());
+        assert_eq!(a.coverage.mu_g_m.to_bits(), b.coverage.mu_g_m.to_bits());
+        for (ra, rb) in a.runs.iter().zip(&b.runs) {
+            assert_eq!(ra.workload, rb.workload);
+            assert_eq!(ra.checksum, rb.checksum);
+            assert_eq!(ra.sampling, rb.sampling);
+            assert_eq!(ra.report.cycles.to_bits(), rb.report.cycles.to_bits());
+            for (fa, fb) in ra
+                .report
+                .ratios
+                .as_array()
+                .iter()
+                .zip(rb.report.ratios.as_array().iter())
+            {
+                assert_eq!(fa.to_bits(), fb.to_bits());
             }
         }
     }

@@ -78,8 +78,8 @@ fn assert_bit_identical(serial: &Characterization, other: &Characterization) {
 /// Chaos absorption: a sweep under seeded single-shot process faults
 /// (crash, hang, corrupt result, clean exit) writes the committed clean
 /// serial report, `BENCH_test.json`, byte for byte — the redispatches
-/// show up only in the stripped scheduling telemetry. CI's chaos job
-/// checks the same of `bench-report --chaos`.
+/// show up only in the stripped scheduling telemetry. CI's report job
+/// checks the same of `bench-report --exec processes --chaos`.
 fn chaos_process_sweep_matches_clean_serial() {
     let suite = Suite::new(Scale::Test)
         .with_exec(ExecPolicy::processes_with_jobs(4))

@@ -16,16 +16,17 @@
 //! once (the second reference coalesces), and when two storms race the
 //! same key set, the first batch computes and the second finds
 //! everything on disk. The engine alone decides what to persist: a
-//! `Failed` document is never stored. The lock also holds the per-scale
-//! name tables requests are validated against, each built once from the
-//! reference suite on first use.
+//! `Failed` document is never stored, so a run that failed is computed
+//! afresh by the next batch that asks for it. The lock also holds the
+//! per-scale name tables requests are validated against, each built
+//! once from the reference suite on first use.
 //!
 //! The two-plane [`MetricsRegistry`] is the one record of what the
-//! engine did: requests, hits, coalesced and failed keys, steals,
+//! engine did: requests, hits, computed and coalesced keys, steals,
 //! redispatches, evictions and each host's placement
 //! ([`host_counters`]) are deterministic counters, bumped every batch.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -52,13 +53,9 @@ pub struct ServeConfig {
     pub host_exec: ExecPolicy,
     /// Supervisor tuning for process-backed hosts.
     pub process: ProcessConfig,
-    /// Hosts that are down: they never execute, are never stolen from,
-    /// and tasks homed on them fail (but always complete).
-    pub dead_hosts: BTreeSet<usize>,
-    /// Per-host fault plans — injected into that host's suite runs, the
-    /// handle the scheduler tests use to shake one host without
-    /// touching the others.
-    pub host_faults: BTreeMap<usize, FaultPlan>,
+    /// Faults injected into every host's suite runs (none by default),
+    /// the handle the service tests shake the host pool with.
+    pub faults: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -67,8 +64,7 @@ impl Default for ServeConfig {
             hosts: 4,
             host_exec: ExecPolicy::serial(),
             process: ProcessConfig::default(),
-            dead_hosts: BTreeSet::new(),
-            host_faults: BTreeMap::new(),
+            faults: FaultPlan::default(),
         }
     }
 }
@@ -99,8 +95,6 @@ pub struct ResponseCounts {
     /// Keys another request in the batch computed; this one shares the
     /// result.
     pub coalesced: u64,
-    /// Keys that failed (dead home host).
-    pub failed: u64,
 }
 
 /// A resolved request: either a canonical response body or an error.
@@ -189,11 +183,6 @@ impl Engine {
         // Roster gauges are configuration, not wall-clock — they live
         // in the deterministic plane.
         metrics.set_gauge(Plane::Deterministic, "alberta_hosts", hosts as u64);
-        metrics.set_gauge(
-            Plane::Deterministic,
-            "alberta_dead_hosts",
-            config.dead_hosts.len() as u64,
-        );
         Engine {
             config,
             cache,
@@ -285,23 +274,16 @@ impl Engine {
             .collect();
 
         // Place the misses and execute each host's share.
-        let placement = sched::place(&missed, self.config.hosts, &self.config.dead_hosts);
+        let placement = sched::place(&missed, self.config.hosts);
         let (computed, redispatches, exec_info) =
             self.execute(&missed, &placement, &key_tasks, &key_labels);
         for (key, doc) in computed {
-            let failed = matches!(doc.status, RemoteStatus::Failed { .. });
-            if !failed {
+            if !matches!(doc.status, RemoteStatus::Failed { .. }) {
                 // Persistence is best-effort: an unwritable cache
                 // degrades to recomputation on the next batch.
                 let _ = self.cache.store(&doc);
             }
-            let fate = if failed && doc.run.is_none() && placement_failed(&placement, &missed, &key)
-            {
-                KeyFate::Unplaced
-            } else {
-                KeyFate::Computed
-            };
-            docs.insert(key, (doc, fate));
+            docs.insert(key, (doc, KeyFate::Computed));
         }
 
         // Reassemble responses in token order, narrating each request's
@@ -364,112 +346,81 @@ impl Engine {
                                 counts.cached += 1;
                                 spans.push(label, "cache_hit", vec![key_attr(key)]);
                             }
-                            KeyFate::Unplaced => {
-                                counts.failed += 1;
-                                spans.push(label, "cache_miss", vec![key_attr(key)]);
-                                let error = match &doc.status {
-                                    RemoteStatus::Failed { error, .. } => error.clone(),
-                                    _ => "unplaced".to_owned(),
-                                };
-                                spans.push(
-                                    label,
-                                    "failed",
-                                    vec![key_attr(key), ("error".to_owned(), Value::Str(error))],
-                                );
-                            }
                             KeyFate::Computed if first_owner[key] == idx => {
                                 counts.computed += 1;
                                 spans.push(label, "cache_miss", vec![key_attr(key)]);
-                                let placed = missed
-                                    .iter()
-                                    .position(|k| k == key)
-                                    .map(|i| placement.tasks[i]);
-                                if let Some(task) = placed {
-                                    if let Some(host) = task.host {
-                                        spans.push(
-                                            label,
-                                            "placed",
-                                            vec![
-                                                key_attr(key),
-                                                ("host".to_owned(), Value::UInt(host as u64)),
-                                                ("stolen".to_owned(), Value::Bool(task.stolen)),
-                                                (
-                                                    "start_ticks".to_owned(),
-                                                    Value::UInt(task.start_ticks),
-                                                ),
-                                                (
-                                                    "end_ticks".to_owned(),
-                                                    Value::UInt(task.end_ticks),
-                                                ),
-                                                (
-                                                    "benchmark".to_owned(),
-                                                    Value::Str(expansion.short_name.to_owned()),
-                                                ),
-                                                (
-                                                    "workload".to_owned(),
-                                                    Value::Str(workload.clone()),
-                                                ),
-                                            ],
-                                        );
-                                        if let Some(exec) = exec_info.get(key) {
-                                            // These spans carry the label as it came
-                                            // BACK through the execution layer — for
-                                            // process hosts, across the worker pipe —
-                                            // which is what proves end-to-end
-                                            // propagation.
-                                            let echo = exec.request.clone().unwrap_or_default();
-                                            spans.push(
-                                                &echo,
-                                                "dispatched",
-                                                vec![
-                                                    key_attr(key),
-                                                    ("host".to_owned(), Value::UInt(host as u64)),
-                                                    ("attempt".to_owned(), Value::UInt(1)),
-                                                ],
-                                            );
-                                            for attempt in 2..=u64::from(exec.dispatches.max(1)) {
-                                                spans.push(
-                                                    &echo,
-                                                    "redispatched",
-                                                    vec![
-                                                        key_attr(key),
-                                                        (
-                                                            "attempt".to_owned(),
-                                                            Value::UInt(attempt),
-                                                        ),
-                                                    ],
-                                                );
-                                            }
-                                            for retry in 1..=u64::from(exec.retries) {
-                                                spans.push(
-                                                    &echo,
-                                                    "retried",
-                                                    vec![
-                                                        key_attr(key),
-                                                        ("retry".to_owned(), Value::UInt(retry)),
-                                                    ],
-                                                );
-                                            }
-                                            retries_total += u64::from(exec.retries);
-                                            let status = match &doc.status {
-                                                RemoteStatus::Ok => "ok",
-                                                RemoteStatus::Degraded { .. } => "degraded",
-                                                RemoteStatus::Failed { .. } => "failed",
-                                            };
-                                            spans.push(
-                                                &echo,
-                                                "executed",
-                                                vec![
-                                                    key_attr(key),
-                                                    (
-                                                        "status".to_owned(),
-                                                        Value::Str(status.to_owned()),
-                                                    ),
-                                                ],
-                                            );
-                                        }
-                                    }
+                                // `missed` is in key order.
+                                let slot = missed
+                                    .binary_search(key)
+                                    .expect("every computed key was missed");
+                                let task = placement.tasks[slot];
+                                let host = ("host".to_owned(), Value::UInt(task.host as u64));
+                                spans.push(
+                                    label,
+                                    "placed",
+                                    vec![
+                                        key_attr(key),
+                                        host.clone(),
+                                        ("stolen".to_owned(), Value::Bool(task.stolen)),
+                                        ("start_ticks".to_owned(), Value::UInt(task.start_ticks)),
+                                        ("end_ticks".to_owned(), Value::UInt(task.end_ticks)),
+                                        (
+                                            "benchmark".to_owned(),
+                                            Value::Str(expansion.short_name.to_owned()),
+                                        ),
+                                        ("workload".to_owned(), Value::Str(workload.clone())),
+                                    ],
+                                );
+                                // These spans carry the label as it came
+                                // BACK through the execution layer — for
+                                // process hosts, across the worker pipe —
+                                // which is what proves end-to-end
+                                // propagation.
+                                let exec = &exec_info[key];
+                                let echo = exec.request.clone().unwrap_or_default();
+                                spans.push(
+                                    &echo,
+                                    "dispatched",
+                                    vec![
+                                        key_attr(key),
+                                        host,
+                                        ("attempt".to_owned(), Value::UInt(1)),
+                                    ],
+                                );
+                                for attempt in 2..=u64::from(exec.dispatches.max(1)) {
+                                    spans.push(
+                                        &echo,
+                                        "redispatched",
+                                        vec![
+                                            key_attr(key),
+                                            ("attempt".to_owned(), Value::UInt(attempt)),
+                                        ],
+                                    );
                                 }
+                                for retry in 1..=u64::from(exec.retries) {
+                                    spans.push(
+                                        &echo,
+                                        "retried",
+                                        vec![
+                                            key_attr(key),
+                                            ("retry".to_owned(), Value::UInt(retry)),
+                                        ],
+                                    );
+                                }
+                                retries_total += u64::from(exec.retries);
+                                let status = match &doc.status {
+                                    RemoteStatus::Ok => "ok",
+                                    RemoteStatus::Degraded { .. } => "degraded",
+                                    RemoteStatus::Failed { .. } => "failed",
+                                };
+                                spans.push(
+                                    &echo,
+                                    "executed",
+                                    vec![
+                                        key_attr(key),
+                                        ("status".to_owned(), Value::Str(status.to_owned())),
+                                    ],
+                                );
                             }
                             KeyFate::Computed => {
                                 counts.coalesced += 1;
@@ -495,7 +446,6 @@ impl Engine {
                             ("computed".to_owned(), Value::UInt(counts.computed)),
                             ("cached".to_owned(), Value::UInt(counts.cached)),
                             ("coalesced".to_owned(), Value::UInt(counts.coalesced)),
-                            ("failed".to_owned(), Value::UInt(counts.failed)),
                         ],
                     );
                     let body = assemble(expansion, &docs);
@@ -509,14 +459,7 @@ impl Engine {
         }
         drop(spans);
 
-        let computed_count = (missed.len() as u64) - placement.unplaced;
-        if placement.unplaced > 0 {
-            alberta_core::log_warn!(
-                "engine",
-                "batch degraded: {} key(s) homed on dead host(s) failed deterministically",
-                placement.unplaced
-            );
-        }
+        let computed_count = missed.len() as u64;
 
         // Deterministic plane: every counter is touched every batch
         // (`by: 0` still registers it), so the snapshot's shape is
@@ -529,7 +472,6 @@ impl Engine {
         m.inc(det, "alberta_keys_computed_total", computed_count);
         m.inc(det, "alberta_cache_hits_total", hit_count as u64);
         m.inc(det, "alberta_coalesced_total", total_coalesced);
-        m.inc(det, "alberta_keys_failed_total", placement.unplaced);
         m.inc(det, "alberta_steals_total", placement.steals);
         m.inc(
             det,
@@ -553,15 +495,13 @@ impl Engine {
             COUNT_BUCKETS,
             key_tasks.len() as u64,
         );
-        for (i, key) in missed.iter().enumerate() {
-            if placement.tasks[i].host.is_some() {
-                m.observe(
-                    det,
-                    "alberta_task_cost_ticks",
-                    TICK_BUCKETS,
-                    sched::task_cost(key),
-                );
-            }
+        for key in &missed {
+            m.observe(
+                det,
+                "alberta_task_cost_ticks",
+                TICK_BUCKETS,
+                sched::task_cost(key),
+            );
         }
 
         // Volatile plane: wall-clock and queue depths — artifact-only.
@@ -601,37 +541,13 @@ impl Engine {
         // suite.
         let mut host_shares: Vec<Vec<usize>> = vec![Vec::new(); self.config.hosts];
         for (i, task) in placement.tasks.iter().enumerate() {
-            if let Some(host) = task.host {
-                host_shares[host].push(i);
-            }
+            host_shares[task.host].push(i);
         }
 
         let mut out: Vec<(String, CacheDocument)> = Vec::with_capacity(missed.len());
         let mut redispatches = 0u64;
 
-        // Dead-homed tasks fail deterministically — the request always
-        // completes, degraded to its survivors.
-        for (i, task) in placement.tasks.iter().enumerate() {
-            if task.host.is_none() {
-                let key = &missed[i];
-                let home = sched::home_host(key, self.config.hosts);
-                out.push((
-                    key.clone(),
-                    CacheDocument {
-                        key: key.clone(),
-                        status: RemoteStatus::Failed {
-                            error: format!("characterization host {home} is down"),
-                            retryable: true,
-                        },
-                        run: None,
-                        retries: 0,
-                        budget_consumed: 0,
-                    },
-                ));
-            }
-        }
-
-        // One OS thread per live host with work: hosts execute
+        // One OS thread per host with work: hosts execute
         // concurrently (that is the point of the pool), and because
         // each task's result depends only on its inputs, the assembled
         // documents are identical to a serial execution.
@@ -639,12 +555,10 @@ impl Engine {
         let results: Vec<HostResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = host_shares
                 .iter()
-                .enumerate()
-                .filter(|(_, share)| !share.is_empty())
-                .map(|(host, share)| {
+                .filter(|share| !share.is_empty())
+                .map(|share| {
                     let config = &self.config;
-                    scope
-                        .spawn(move || run_host(host, share, missed, key_tasks, key_labels, config))
+                    scope.spawn(move || run_host(share, missed, key_tasks, key_labels, config))
                 })
                 .collect();
             handles
@@ -682,22 +596,12 @@ struct KeyExec {
 enum KeyFate {
     Cached,
     Computed,
-    Unplaced,
-}
-
-/// True when `key` was left unplaced by the scheduler (dead home host).
-fn placement_failed(placement: &Placement, missed: &[String], key: &str) -> bool {
-    missed
-        .iter()
-        .position(|k| k == key)
-        .is_some_and(|i| placement.tasks[i].host.is_none())
 }
 
 /// Executes one host's share of the missed keys and returns the
 /// resulting documents (with per-key execution info) plus the host's
 /// redispatch count.
 fn run_host(
-    host: usize,
     share: &[usize],
     missed: &[String],
     key_tasks: &BTreeMap<String, KeyTask>,
@@ -720,17 +624,15 @@ fn run_host(
     let mut redispatches = 0u64;
     for (config_fp, tasks) in &groups {
         let spec = &tasks[0].spec;
-        let mut suite = Suite::new(spec.scale)
+        let suite = Suite::new(spec.scale)
             .with_model(alberta_core::TopDownModel::new(
                 spec.machine,
                 spec.predictor,
             ))
             .with_sampling_policy(spec.policy)
             .with_exec(config.host_exec)
-            .with_process_config(config.process);
-        if let Some(plan) = config.host_faults.get(&host) {
-            suite = suite.with_faults(plan.clone());
-        }
+            .with_process_config(config.process)
+            .with_faults(config.faults.clone());
         let task_list: Vec<LabeledTask> = tasks
             .iter()
             .zip(&group_keys[config_fp])

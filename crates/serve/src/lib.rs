@@ -15,7 +15,8 @@
 //!   hash-verified [`CacheDocument`](alberta_report::CacheDocument)s,
 //!   with atomic writes and corrupt-entry eviction;
 //! * [`sched`] — the deterministic virtual-time work-stealing placement
-//!   of cache misses over mock hosts;
+//!   of cache misses over mock hosts, threads of the daemon's own
+//!   process that cannot go down, so every miss is placed;
 //! * `engine` — [`Engine`], batch resolution: cache pass, placement,
 //!   per-host execution through
 //!   [`Suite::characterize_tasks_labeled`](alberta_core::Suite::characterize_tasks_labeled),

@@ -10,29 +10,26 @@
 //!
 //! Each task is homed on `hash(key) % hosts` and charged a synthetic
 //! cost derived from the same hash (1–8 virtual ticks), so queues drain
-//! at uneven rates and stealing actually happens. Dead hosts never
-//! execute and are never stolen from: a task homed on a dead host is
-//! reported unplaced, which the engine turns into a failed (but
-//! complete — never hung) response, preserving the "n of m survivors"
-//! degradation the resilient pipeline already uses.
+//! at uneven rates and stealing actually happens. The hosts are threads
+//! of the daemon's own process and cannot go down, so every task is
+//! placed.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use alberta_core::json;
 
 /// Where one task landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPlacement {
-    /// The executing host, or `None` when the task's home host is dead.
-    pub host: Option<usize>,
+    /// The executing host.
+    pub host: usize,
     /// True when a host other than the home host executed it.
     pub stolen: bool,
-    /// Virtual tick the executing host started this task at (0 for
-    /// unplaced tasks). With `end_ticks` this is the task's slot on the
-    /// service timeline — deterministic, unlike wall-clock.
+    /// Virtual tick the executing host started this task at. With
+    /// `end_ticks` this is the task's slot on the service timeline —
+    /// deterministic, unlike wall-clock.
     pub start_ticks: u64,
-    /// Virtual tick the task finishes at (`start + cost`; 0 when
-    /// unplaced).
+    /// Virtual tick the task finishes at (`start + cost`).
     pub end_ticks: u64,
 }
 
@@ -51,12 +48,10 @@ pub struct HostLoad {
 pub struct Placement {
     /// Parallel to the input keys.
     pub tasks: Vec<TaskPlacement>,
-    /// One entry per host (dead hosts keep zeroed entries).
+    /// One entry per host.
     pub per_host: Vec<HostLoad>,
     /// Total steals.
     pub steals: u64,
-    /// Tasks left unplaced because their home host is dead.
-    pub unplaced: u64,
 }
 
 /// The stable hash a key's home host and synthetic cost derive from.
@@ -76,13 +71,17 @@ pub(crate) fn task_cost(key: &str) -> u64 {
 }
 
 /// Places `keys` (already in canonical order) onto `hosts` mock hosts
-/// with work stealing, excluding `dead` hosts entirely.
-pub fn place(keys: &[String], hosts: usize, dead: &BTreeSet<usize>) -> Placement {
+/// with work stealing.
+pub fn place(keys: &[String], hosts: usize) -> Placement {
     assert!(hosts > 0, "a service needs at least one configured host");
-    let live: Vec<usize> = (0..hosts).filter(|h| !dead.contains(h)).collect();
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); hosts];
+    for (i, key) in keys.iter().enumerate() {
+        queues[home_host(key, hosts)].push_back(i);
+    }
+    // Each slot is overwritten once, when its task is placed.
     let mut tasks = vec![
         TaskPlacement {
-            host: None,
+            host: 0,
             stolen: false,
             start_ticks: 0,
             end_ticks: 0,
@@ -90,55 +89,32 @@ pub fn place(keys: &[String], hosts: usize, dead: &BTreeSet<usize>) -> Placement
         keys.len()
     ];
     let mut per_host = vec![HostLoad::default(); hosts];
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); hosts];
-    let mut remaining = 0usize;
-    for (i, key) in keys.iter().enumerate() {
-        let home = home_host(key, hosts);
-        if !dead.contains(&home) {
-            queues[home].push_back(i);
-            remaining += 1;
-        }
-    }
-    let unplaced = (keys.len() - remaining) as u64;
-    if live.is_empty() {
-        return Placement {
-            tasks,
-            per_host,
-            steals: 0,
-            unplaced,
-        };
-    }
-
     let mut clock = vec![0u64; hosts];
     let mut steals = 0u64;
-    while remaining > 0 {
+    for _ in 0..keys.len() {
         // The next host to go idle in virtual time; ties break toward
         // the lowest index so the schedule is total-ordered.
-        let h = *live
-            .iter()
-            .min_by_key(|&&h| (clock[h], h))
-            .expect("at least one live host");
+        let h = (0..hosts)
+            .min_by_key(|&h| (clock[h], h))
+            .expect("at least one host");
         let (task, stolen) = match queues[h].pop_front() {
             Some(task) => (task, false),
             None => {
-                // Steal from the tail of the most-loaded live queue.
-                let donor = *live
-                    .iter()
-                    .max_by_key(|&&d| (queues[d].len(), usize::MAX - d))
-                    .expect("at least one live host");
-                match queues[donor].pop_back() {
-                    Some(task) => {
-                        steals += 1;
-                        (task, true)
-                    }
-                    None => unreachable!("remaining > 0 implies a non-empty queue"),
-                }
+                // Steal from the tail of the most-loaded queue.
+                let donor = (0..hosts)
+                    .max_by_key(|&d| (queues[d].len(), usize::MAX - d))
+                    .expect("at least one host");
+                let task = queues[donor]
+                    .pop_back()
+                    .expect("a task not yet placed is still queued");
+                steals += 1;
+                (task, true)
             }
         };
         let start_ticks = clock[h];
         clock[h] += task_cost(&keys[task]);
         tasks[task] = TaskPlacement {
-            host: Some(h),
+            host: h,
             stolen,
             start_ticks,
             end_ticks: clock[h],
@@ -147,14 +123,12 @@ pub fn place(keys: &[String], hosts: usize, dead: &BTreeSet<usize>) -> Placement
         if stolen {
             per_host[h].stolen += 1;
         }
-        remaining -= 1;
     }
 
     Placement {
         tasks,
         per_host,
         steals,
-        unplaced,
     }
 }
 
@@ -169,12 +143,10 @@ mod tests {
     #[test]
     fn placement_is_deterministic_and_complete() {
         let keys = keys(64);
-        let dead = BTreeSet::new();
-        let a = place(&keys, 4, &dead);
-        let b = place(&keys, 4, &dead);
+        let a = place(&keys, 4);
+        let b = place(&keys, 4);
         assert_eq!(a, b, "same inputs, same placement");
-        assert!(a.tasks.iter().all(|t| t.host.is_some()));
-        assert_eq!(a.unplaced, 0);
+        assert!(a.tasks.iter().all(|t| t.host < 4));
         let total: u64 = a.per_host.iter().map(|h| h.tasks).sum();
         assert_eq!(total, 64);
     }
@@ -182,7 +154,7 @@ mod tests {
     #[test]
     fn uneven_costs_produce_steals() {
         let keys = keys(96);
-        let placement = place(&keys, 4, &BTreeSet::new());
+        let placement = place(&keys, 4);
         assert!(
             placement.steals > 0,
             "synthetic costs must drain queues unevenly enough to steal"
@@ -192,30 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn dead_hosts_neither_execute_nor_donate() {
-        let keys = keys(64);
-        let dead: BTreeSet<usize> = [1].into_iter().collect();
-        let placement = place(&keys, 4, &dead);
-        assert_eq!(placement.per_host[1], HostLoad::default());
-        assert!(placement.unplaced > 0, "host 1 homed at least one key");
-        for (i, t) in placement.tasks.iter().enumerate() {
-            match t.host {
-                Some(h) => assert_ne!(h, 1),
-                None => assert_eq!(home_host(&keys[i], 4), 1),
-            }
-        }
-    }
-
-    #[test]
     fn virtual_ticks_tile_each_host_without_overlap() {
         let keys = keys(96);
-        let placement = place(&keys, 4, &BTreeSet::new());
+        let placement = place(&keys, 4);
         for h in 0..4 {
             let mut slots: Vec<(u64, u64)> = placement
                 .tasks
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| t.host == Some(h))
+                .filter(|(_, t)| t.host == h)
                 .map(|(i, t)| {
                     assert_eq!(t.end_ticks - t.start_ticks, task_cost(&keys[i]));
                     (t.start_ticks, t.end_ticks)
@@ -226,14 +183,5 @@ mod tests {
                 assert!(pair[0].1 <= pair[1].0, "slots on one host must not overlap");
             }
         }
-    }
-
-    #[test]
-    fn all_dead_leaves_everything_unplaced() {
-        let keys = keys(8);
-        let dead: BTreeSet<usize> = (0..2).collect();
-        let placement = place(&keys, 2, &dead);
-        assert_eq!(placement.unplaced, 8);
-        assert!(placement.tasks.iter().all(|t| t.host.is_none()));
     }
 }

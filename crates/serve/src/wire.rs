@@ -31,8 +31,9 @@ use crate::spec::RequestSpec;
 /// v2 added the optional `client` name in the hello (the first half of
 /// every request label) and the `metrics`/`spans` telemetry commands;
 /// v3 retired the `stats` command, whose counters the `metrics`
-/// document holds.
-pub const WIRE_VERSION: u64 = 3;
+/// document holds; v4 dropped the response's `failed` count, which only
+/// a key homed on a simulated dead host could raise.
+pub const WIRE_VERSION: u64 = 4;
 
 /// Prepares a connected stream for the line protocol: sets
 /// `TCP_NODELAY` and splits the stream into a buffered line reader and
@@ -279,7 +280,6 @@ impl ServerMsg {
                         ("computed".to_owned(), Value::UInt(counts.computed)),
                         ("cached".to_owned(), Value::UInt(counts.cached)),
                         ("coalesced".to_owned(), Value::UInt(counts.coalesced)),
-                        ("failed".to_owned(), Value::UInt(counts.failed)),
                     ]),
                 ),
                 ("body".to_owned(), body.clone()),
@@ -327,7 +327,6 @@ impl ServerMsg {
                         computed: req(counts, "computed")?,
                         cached: req(counts, "cached")?,
                         coalesced: req(counts, "coalesced")?,
-                        failed: req(counts, "failed")?,
                     },
                     body: req::<&Value>(&value, "body")?.clone(),
                 })

@@ -1,14 +1,13 @@
 //! Cache concurrency and integrity: the engine's single-flight and
 //! what it persists, corrupt-entry eviction, and version-keyed misses.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Barrier;
 
+use alberta_core::json::Value;
 use alberta_core::protocol::RemoteStatus;
-use alberta_core::Scale;
+use alberta_core::{benchmark_suite, FaultKind, FaultPlan, Scale};
 use alberta_report::{CacheDocument, SCHEMA_VERSION};
-use alberta_serve::sched::home_host;
 use alberta_serve::{
     request_label, BatchRequest, Engine, RequestSpec, ResponseCounts, ResultCache, ServeConfig,
 };
@@ -73,7 +72,6 @@ fn simultaneous_misses_compute_exactly_once() {
                 sum.computed += r.counts.computed;
                 sum.cached += r.counts.cached;
                 sum.coalesced += r.counts.coalesced;
-                sum.failed += r.counts.failed;
                 sum
             })
     };
@@ -196,59 +194,86 @@ fn bumped_schema_version_misses_the_cache() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A key that failed on a dead host is not persisted: an engine with
-/// every host alive, over the same cache root, computes it again
-/// instead of finding it cached.
+/// A failed run is answered, counted as computed and never persisted.
+/// A benchmark with one failed run still gets a summary over its
+/// survivors, and one whose runs all failed gets none; an engine
+/// without the faults, over the same cache root, computes exactly the
+/// failed keys again and finds the survivors cached.
 #[test]
 fn failed_documents_are_not_persisted() {
     let root = temp_root("failed");
-    let hosts = 3;
-    let spec = RequestSpec::new("mcf", None, Scale::Test);
-    let batch = vec![BatchRequest {
-        token: (0, 0),
-        request: request_label("cache", 0),
-        spec: spec.clone(),
-    }];
-    // Kill the home host of the first workload's key, so at least one
-    // key fails.
-    let first = alberta_core::benchmark_suite(Scale::Test)
+    let workloads = |name: &str| {
+        benchmark_suite(Scale::Test)
+            .iter()
+            .find(|b| b.short_name() == name)
+            .expect("benchmark in the suite")
+            .workload_names()
+    };
+    let (mcf, xalan) = (workloads("mcf"), workloads("xalancbmk"));
+    // Corrupted event counters fail validation, which no retry
+    // salvages: mcf loses its first run, xalancbmk every run.
+    let corrupt = FaultKind::CorruptEvents { at: 1 };
+    let faults = xalan.iter().fold(
+        FaultPlan::new(0).inject("mcf", mcf[0].as_str(), corrupt),
+        |plan, workload| plan.inject("xalancbmk", workload.as_str(), corrupt),
+    );
+    let batch: Vec<BatchRequest> = ["mcf", "xalancbmk"]
         .iter()
-        .find(|b| b.short_name() == "mcf")
-        .expect("mcf in the suite")
-        .workload_names()
-        .remove(0);
-    let dead: BTreeSet<usize> = [home_host(&spec.run_key(&first), hosts)].into();
+        .enumerate()
+        .map(|(i, name)| BatchRequest {
+            token: (0, i as u64),
+            request: request_label("cache", i as u64),
+            spec: RequestSpec::new(name, None, Scale::Test),
+        })
+        .collect();
+    let counts = |computed: usize, cached: usize| ResponseCounts {
+        computed: computed as u64,
+        cached: cached as u64,
+        ..ResponseCounts::default()
+    };
 
-    let degraded = Engine::new(
-        ServeConfig {
-            hosts,
-            dead_hosts: dead,
-            ..ServeConfig::default()
-        },
-        ResultCache::new(&root),
-    )
-    .resolve_batch(&batch);
-    let failed = degraded[0].counts.failed;
-    let survived = degraded[0].counts.computed;
-    assert!(failed > 0, "the dead host's keys failed");
-    assert!(survived > 0, "the live hosts' keys computed");
-
-    let healed = Engine::new(
-        ServeConfig {
-            hosts,
-            ..ServeConfig::default()
-        },
-        ResultCache::new(&root),
-    )
-    .resolve_batch(&batch);
+    let config = ServeConfig {
+        faults,
+        ..ServeConfig::default()
+    };
+    let faulty = Engine::new(config, ResultCache::new(&root)).resolve_batch(&batch);
+    // Each response's failed workloads, and whether it has a summary.
+    let outcome: Vec<(Vec<&str>, bool)> = faulty
+        .iter()
+        .map(|r| {
+            let body = r.result.as_ref().expect("a response, not an error");
+            let runs = body.get("runs").and_then(Value::as_array).expect("runs");
+            let failed = runs
+                .iter()
+                .filter(|run| run.get("status").and_then(Value::as_str) == Some("failed"))
+                .map(|run| {
+                    run.get("workload")
+                        .and_then(Value::as_str)
+                        .expect("workload")
+                })
+                .collect();
+            (failed, body.get("summary").is_some())
+        })
+        .collect();
     assert_eq!(
-        healed[0].counts,
-        ResponseCounts {
-            computed: failed,
-            cached: survived,
-            ..ResponseCounts::default()
-        },
-        "environmental failures must not poison the cache"
+        outcome,
+        [
+            (vec![mcf[0].as_str()], true),
+            (xalan.iter().map(String::as_str).collect(), false),
+        ],
+        "a summary over the survivors, and none without any"
+    );
+    assert_eq!(
+        faulty.iter().map(|r| r.counts).collect::<Vec<_>>(),
+        [counts(mcf.len(), 0), counts(xalan.len(), 0)],
+        "a failed run counts as computed"
+    );
+
+    let healed = Engine::new(ServeConfig::default(), ResultCache::new(&root)).resolve_batch(&batch);
+    assert_eq!(
+        healed.iter().map(|r| r.counts).collect::<Vec<_>>(),
+        [counts(1, mcf.len() - 1), counts(xalan.len(), 0)],
+        "failed runs must not poison the cache"
     );
     let _ = std::fs::remove_dir_all(&root);
 }

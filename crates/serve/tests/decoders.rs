@@ -182,7 +182,7 @@ fn encodings_are_pinned() {
 /// report the hosts' tasks sum to `computed` and their steals to
 /// `steals`. In the metrics plane each configured host has one task
 /// and one stolen counter, and they sum to the computed keys and the
-/// steals (a key a dead host left unplaced counts in neither).
+/// steals.
 #[test]
 fn service_goldens_agree_with_themselves() {
     let storm = StormReport::parse(STORM_GOLDEN).expect("STORM golden parses");
@@ -478,7 +478,6 @@ fn decoders() -> Vec<Decoder> {
                         computed: 1,
                         cached: 2,
                         coalesced: 0,
-                        failed: 0,
                     },
                     body: run_value(&sample_run()),
                 }

@@ -1,11 +1,10 @@
-//! Scheduler and engine determinism under faults and dead hosts.
+//! Scheduler and engine determinism under faults.
 //!
 //! Custom harness: the process-backed host pools re-execute this test
 //! binary in the hidden worker mode, so `main` must intercept the
 //! worker flag before any test runs (the same idiom as the core
 //! crate's `process_exec` tests).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use alberta_core::{benchmark_suite, ExecPolicy, FaultKind, FaultPlan, ProcessConfig, Scale};
@@ -42,12 +41,11 @@ fn render_responses(responses: Vec<alberta_serve::ResolvedRequest>) -> Vec<Strin
         .into_iter()
         .map(|r| match r.result {
             Ok(body) => format!(
-                "{:?} c{}h{}o{}f{} {}",
+                "{:?} c{}h{}o{} {}",
                 r.token,
                 r.counts.computed,
                 r.counts.cached,
                 r.counts.coalesced,
-                r.counts.failed,
                 body.render_compact()
             ),
             Err(e) => format!("{:?} error {e}", r.token),
@@ -59,38 +57,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Placement invariants over arbitrary key sets and host rosters:
-    /// every key is either placed on a live host or unplaced with a
-    /// dead home, per-host totals account for every placed task, and
-    /// the whole placement is reproducible.
+    /// every key is placed on a configured host, on its home host
+    /// unless stolen, per-host totals account for every task, and the
+    /// whole placement is reproducible.
     fn placement_invariants(
         seed in 0u64..1_000_000,
         keys in 1usize..80,
         hosts in 1usize..6,
-        dead_mask in 0u64..64,
     ) {
         let keys: Vec<String> = (0..keys).map(|i| format!("key-{seed}-{i}")).collect();
-        let dead: BTreeSet<usize> = (0..hosts).filter(|h| dead_mask & (1 << h) != 0).collect();
-        let placement = place(&keys, hosts, &dead);
-        prop_assert_eq!(place(&keys, hosts, &dead), placement.clone());
+        let placement = place(&keys, hosts);
+        prop_assert_eq!(place(&keys, hosts), placement.clone());
 
         let placed: u64 = placement.per_host.iter().map(|h| h.tasks).sum();
-        prop_assert_eq!(placed + placement.unplaced, keys.len() as u64);
+        prop_assert_eq!(placed, keys.len() as u64);
         let stolen: u64 = placement.per_host.iter().map(|h| h.stolen).sum();
         prop_assert_eq!(stolen, placement.steals);
         for (i, task) in placement.tasks.iter().enumerate() {
-            match task.host {
-                Some(h) => {
-                    prop_assert!(!dead.contains(&h), "placed on a live host");
-                    prop_assert!(h < hosts);
-                    if !task.stolen {
-                        prop_assert_eq!(h, home_host(&keys[i], hosts));
-                    }
-                }
-                None => prop_assert!(dead.contains(&home_host(&keys[i], hosts))),
+            prop_assert!(task.host < hosts);
+            if !task.stolen {
+                prop_assert_eq!(task.host, home_host(&keys[i], hosts));
             }
-        }
-        for &h in &dead {
-            prop_assert_eq!(placement.per_host[h].tasks, 0, "dead hosts never execute");
         }
     }
 }
@@ -108,7 +95,7 @@ fn batch_of(names: &[&str], scale: Scale) -> Vec<BatchRequest> {
         .collect()
 }
 
-/// Seeded recoverable process faults on one host leave every response
+/// Seeded recoverable process faults on the hosts leave every response
 /// byte-identical to a clean engine's: single-shot crashes, hangs, and
 /// corrupt result lines are absorbed by the host pool's redispatch, and
 /// placement does not depend on execution at all.
@@ -124,8 +111,8 @@ fn faulty_host_is_byte_identical_to_clean() {
     };
 
     // Every (benchmark, workload) in the batch gets a single-shot
-    // process fault on every host — whichever host a task lands on,
-    // its first dispatch dies and the redispatch succeeds.
+    // process fault, handed to every host — whichever host a task
+    // lands on, its first dispatch dies and the redispatch succeeds.
     let mut plan = FaultPlan::new(0x5eed);
     let kinds = [
         FaultKind::WorkerCrash {
@@ -152,14 +139,13 @@ fn faulty_host_is_byte_identical_to_clean() {
             kind_index += 1;
         }
     }
-    let host_faults: BTreeMap<usize, FaultPlan> = (0..3).map(|h| (h, plan.clone())).collect();
 
     let clean_root = temp_root("fault-clean");
     let faulty_root = temp_root("fault-faulty");
     let clean = Engine::new(config.clone(), ResultCache::new(&clean_root));
     let faulty = Engine::new(
         ServeConfig {
-            host_faults,
+            faults: plan,
             ..config
         },
         ResultCache::new(&faulty_root),
@@ -201,111 +187,6 @@ fn faulty_host_is_byte_identical_to_clean() {
 
     let _ = std::fs::remove_dir_all(&clean_root);
     let _ = std::fs::remove_dir_all(&faulty_root);
-}
-
-/// A dead host degrades its share to failed records — "n of m
-/// survivors", summaries over the survivors — and the batch still
-/// completes and reproduces byte for byte.
-fn dead_host_degrades_to_failed_survivors() {
-    let scale = Scale::Test;
-    let suite = benchmark_suite(scale);
-    let names: Vec<&str> = suite.iter().take(3).map(|b| b.short_name()).collect();
-    let batch = batch_of(&names, scale);
-
-    // Kill the home host of the first workload's key so at least one
-    // task is guaranteed to be dead-homed.
-    let hosts = 3;
-    let first = &batch[0].spec;
-    let first_workload = suite[0].workload_names().remove(0);
-    let dead_host = home_host(&first.run_key(&first_workload), hosts);
-    let dead: BTreeSet<usize> = [dead_host].into_iter().collect();
-
-    let make_engine = |tag: &str| {
-        let root = temp_root(tag);
-        let engine = Engine::new(
-            ServeConfig {
-                hosts,
-                dead_hosts: dead.clone(),
-                ..ServeConfig::default()
-            },
-            ResultCache::new(&root),
-        );
-        (engine, root)
-    };
-    let (engine, root) = make_engine("dead-a");
-    let responses = engine.resolve_batch(&batch);
-    assert_eq!(responses.len(), batch.len(), "every request completes");
-    let first_rendering = render_responses(responses.clone());
-
-    let mut failed = 0u64;
-    let mut survivors = 0u64;
-    for response in &responses {
-        let body = response.result.as_ref().expect("resolution, not an error");
-        failed += response.counts.failed;
-        survivors += response.counts.computed + response.counts.coalesced;
-        let runs = body.get("runs").and_then(|v| v.as_array()).expect("runs");
-        let failed_runs = runs
-            .iter()
-            .filter(|r| r.get("status").and_then(|s| s.as_str()) == Some("failed"))
-            .count() as u64;
-        assert_eq!(failed_runs, response.counts.failed, "counts match the body");
-        if failed_runs > 0 {
-            let error = runs
-                .iter()
-                .find_map(|r| r.get("error").and_then(|e| e.as_str()))
-                .expect("failed runs carry the error");
-            assert_eq!(error, format!("characterization host {dead_host} is down"));
-            if failed_runs < runs.len() as u64 {
-                assert!(
-                    body.get("summary").is_some(),
-                    "survivors still get a summary"
-                );
-            }
-        }
-    }
-    assert!(failed > 0, "the dead host's share actually failed");
-    assert!(survivors > 0, "the live hosts' share actually survived");
-    let metrics = engine.metrics_document();
-    assert_eq!(metrics.counter("alberta_keys_failed_total"), Some(failed));
-    assert_eq!(metrics.counter(&host_counters(dead_host).0), Some(0));
-
-    // Reproducibility: a second engine over a fresh cache resolves the
-    // same batch to the same bytes and the same counters.
-    let (again, root2) = make_engine("dead-b");
-    assert_eq!(first_rendering, rendered(&again, &batch));
-
-    let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_dir_all(&root2);
-}
-
-/// Every host dead: everything fails, nothing hangs, summaries vanish.
-fn all_hosts_dead_still_completes() {
-    let scale = Scale::Test;
-    let batch = batch_of(&["mcf"], scale);
-    let root = temp_root("all-dead");
-    let engine = Engine::new(
-        ServeConfig {
-            hosts: 2,
-            dead_hosts: (0..2).collect(),
-            ..ServeConfig::default()
-        },
-        ResultCache::new(&root),
-    );
-    let responses = engine.resolve_batch(&batch);
-    assert_eq!(responses.len(), 1);
-    let response = &responses[0];
-    let body = response.result.as_ref().expect("resolution, not an error");
-    let runs = body.get("runs").and_then(|v| v.as_array()).expect("runs");
-    assert!(!runs.is_empty());
-    assert_eq!(response.counts.failed, runs.len() as u64);
-    assert_eq!(response.counts.computed + response.counts.cached, 0);
-    assert!(
-        runs.iter()
-            .all(|r| r.get("status").and_then(|s| s.as_str()) == Some("failed")),
-        "no host, no survivors"
-    );
-    assert!(body.get("summary").is_none(), "nothing to summarize");
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Serial hosts and crash-isolated process hosts assemble the same
@@ -374,14 +255,6 @@ fn main() {
         (
             "faulty_host_is_byte_identical_to_clean",
             faulty_host_is_byte_identical_to_clean,
-        ),
-        (
-            "dead_host_degrades_to_failed_survivors",
-            dead_host_degrades_to_failed_survivors,
-        ),
-        (
-            "all_hosts_dead_still_completes",
-            all_hosts_dead_still_completes,
         ),
         (
             "process_hosts_match_serial_hosts",

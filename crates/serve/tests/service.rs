@@ -305,13 +305,14 @@ fn stats_report_per_shard_cache_state() {
 }
 
 /// A hello of another wire revision is refused with both revisions
-/// named; here the revision before the `stats` command was retired.
+/// named; here the revision before the `failed` response count was
+/// retired.
 #[test]
 fn hello_of_another_wire_revision_is_refused() {
     let (addr, daemon, root) = start_daemon("revision");
     let mut stream = TcpStream::connect(&addr).expect("connect raw");
     let mut hello = ClientMsg::Hello {
-        protocol: 2,
+        protocol: 3,
         client: None,
         group: None,
     }
@@ -323,7 +324,7 @@ fn hello_of_another_wire_revision_is_refused() {
         .read_line(&mut reply)
         .expect("read the reply");
     assert!(
-        reply.contains("protocol mismatch: client speaks 2, daemon speaks 3"),
+        reply.contains("protocol mismatch: client speaks 3, daemon speaks 4"),
         "{reply}"
     );
     drop(stream);
