@@ -41,7 +41,6 @@ use alberta_bench::{usage_error, Args};
 use alberta_core::benchmark_suite;
 use alberta_report::{
     BenchmarkReport, HostRecord, LatencyReport, MetricsDocument, StormReport, SuiteReport,
-    SCHEMA_VERSION,
 };
 use alberta_serve::{host_counters, Client, GroupInfo, RequestSpec, ResponseCounts};
 use alberta_workloads::Scale;
@@ -218,7 +217,6 @@ fn main() {
     };
     let hosts = after.gauge("alberta_hosts").unwrap_or(0);
     let report = StormReport {
-        schema_version: SCHEMA_VERSION,
         requests: 2 * requests,
         unique_keys,
         hits: totals.cached + totals.coalesced,

@@ -400,8 +400,9 @@ fn renderers_project_a_saved_report() {
         .expect("spawn");
     assert_eq!(output.status.code(), Some(0), "table-mem");
     let text = std::fs::read_to_string(&out).expect("memory document written");
-    let document = MemoryDocument::parse(&text).expect("memory document parses");
     let saved = alberta_report::load(&report).expect("fixture loads");
+    let document = MemoryDocument::from_report(&saved);
+    assert_eq!(text, document.to_json(), "table-mem writes the projection");
     let survived: usize = saved.benchmarks.iter().map(|b| b.survived()).sum();
     let attempted: usize = saved.benchmarks.iter().map(|b| b.attempted()).sum();
     assert!(survived < attempted, "the fixture lost a run");

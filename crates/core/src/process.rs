@@ -34,7 +34,14 @@
 //! through the lossless codec in [`crate::protocol`].
 //!
 //! The supervisor never orphans children: every live worker is killed
-//! and reaped when its slot is dropped, including on unwind.
+//! and reaped when its slot is dropped, including on unwind. A
+//! supervisor killed by a signal drops nothing, so each worker also
+//! watches its parent and exits within one beat interval of losing it,
+//! whatever it is doing.
+//!
+//! A "hang" here is a silent process: a frozen worker sends no beats.
+//! A run that loops forever on a live worker keeps beating, and only
+//! the work budget bounds it.
 
 use crate::characterize::{RunStatus, WorkloadRun};
 use crate::exec::RunMetrics;
@@ -619,6 +626,9 @@ fn worker_send(gate: &Mutex<()>, line: &str) {
 
 /// The worker protocol loop. Returns the exit code.
 fn worker_main() -> i32 {
+    // Taken first, while the supervisor that spawned this process is
+    // certainly its parent: the beat thread exits once it is not.
+    let supervisor = std::os::unix::process::parent_id();
     let stdin = std::io::stdin();
     let mut lines = stdin.lock().lines();
     let Some(Ok(first)) = lines.next() else {
@@ -647,7 +657,7 @@ fn worker_main() -> i32 {
         .encode(),
     );
     let current: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
-    spawn_beat_thread(config.beat_ms, &gate, &current);
+    spawn_beat_thread(config.beat_ms, supervisor, &gate, &current);
     let mut suite: Option<Suite> = None;
     for line in lines {
         let Ok(line) = line else {
@@ -674,14 +684,26 @@ fn worker_main() -> i32 {
     0 // stdin reached EOF: orderly enough
 }
 
-/// Emits a heartbeat for the in-flight task every `beat_ms`. The thread
-/// never terminates on its own; it dies with the process.
-fn spawn_beat_thread(beat_ms: u64, gate: &Arc<Mutex<()>>, current: &Arc<Mutex<Option<u64>>>) {
+/// Emits a heartbeat for the in-flight task every `beat_ms`, and ends
+/// the process on the first tick, busy or idle, at which its parent is
+/// no longer `supervisor`. A supervisor killed by a signal closes its
+/// pipes, which an idle worker reads and a busy one writes, but a worker
+/// stalled in an injected hang does neither; reparenting is the one
+/// sign it still sees.
+fn spawn_beat_thread(
+    beat_ms: u64,
+    supervisor: u32,
+    gate: &Arc<Mutex<()>>,
+    current: &Arc<Mutex<Option<u64>>>,
+) {
     let beat = Duration::from_millis(beat_ms.max(1));
     let gate = Arc::clone(gate);
     let current = Arc::clone(current);
     std::thread::spawn(move || loop {
         std::thread::sleep(beat);
+        if std::os::unix::process::parent_id() != supervisor {
+            std::process::exit(0);
+        }
         let id = *current.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(id) = id {
             worker_send(&gate, &WorkerMsg::Beat { id }.encode());
@@ -716,7 +738,8 @@ fn inject_process_fault(
         FaultKind::WorkerCrash { .. } => std::process::abort(),
         FaultKind::WorkerHang { .. } => {
             // Stop heartbeating and stall: the supervisor's hang
-            // detector has to collect this process.
+            // detector has to collect this process, or, once the
+            // supervisor is gone, the beat thread's parent check.
             *current.lock().unwrap_or_else(|p| p.into_inner()) = None;
             loop {
                 std::thread::sleep(Duration::from_secs(3600));

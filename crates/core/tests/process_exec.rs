@@ -8,9 +8,12 @@
 //! Custom harness (`harness = false` in `Cargo.toml`): the supervisor
 //! re-executes this very binary as its workers, so `main` must
 //! intercept the hidden worker flag before any test runs — libtest's
-//! generated `main` cannot.
+//! generated `main` cannot. The orphan test re-executes it once more, as
+//! a supervisor it can kill (`HUNG_SUPERVISOR_FLAG`).
 
+use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use alberta_core::{
     BenchError, Characterization, ExecPolicy, FaultKind, FaultPlan, ProcessConfig,
@@ -361,10 +364,126 @@ fn in_process_faults_match_serial_under_processes() {
     assert_matches_faulty_serial(&faulty_sweep(ExecPolicy::processes_with_jobs(2)));
 }
 
+/// The hidden argv flag that makes this binary the supervisor of
+/// `supervise_a_hung_worker`.
+const HUNG_SUPERVISOR_FLAG: &str = "--hung-supervisor";
+
+/// The argv flag a worker process carries (`alberta_core`'s hidden
+/// worker flag).
+const WORKER_FLAG: &[u8] = b"--alberta-worker";
+
+/// Supervisor mode: one worker process, whose first task stalls in an
+/// injected hang, under a heartbeat timeout of ten minutes, so that
+/// only a kill ends this process. The beat interval still clamps to
+/// 500 ms.
+fn supervise_a_hung_worker() {
+    let suite = Suite::new(Scale::Test)
+        .with_exec(ExecPolicy::processes_with_jobs(1))
+        .with_process_config(ProcessConfig {
+            heartbeat_timeout_ms: 600_000,
+            ..ProcessConfig::default()
+        });
+    let first = suite.benchmark("mcf").expect("mcf exists").workload_names()[0].clone();
+    let plan = FaultPlan::new(1).inject("mcf", first, FaultKind::WorkerHang { attempts: 1 });
+    let _ = suite
+        .with_faults(plan)
+        .characterize_resilient_metered("mcf");
+}
+
+/// Whether `pid` is a live worker process. A zombie's command line
+/// reads empty, so an exited worker that nobody reaped is not live.
+fn is_live_worker(pid: u32) -> bool {
+    std::fs::read(format!("/proc/{pid}/cmdline"))
+        .is_ok_and(|cmdline| cmdline.split(|&b| b == 0).any(|arg| arg == WORKER_FLAG))
+}
+
+/// A live worker process that `parent` spawned, read from
+/// `/proc/<parent>/task/<tid>/children`.
+fn live_worker_of(parent: u32) -> Option<u32> {
+    std::fs::read_dir(format!("/proc/{parent}/task"))
+        .ok()?
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("children")).ok())
+        .flat_map(|text| {
+            text.split_whitespace()
+                .filter_map(|pid| pid.parse().ok())
+                .collect::<Vec<u32>>()
+        })
+        .find(|&pid| is_live_worker(pid))
+}
+
+/// The orphan test's two processes, killed on every way out of it, so
+/// that neither outlives the test.
+struct HungPair {
+    supervisor: Child,
+    worker: Option<u32>,
+}
+
+impl Drop for HungPair {
+    fn drop(&mut self) {
+        let _ = self.supervisor.kill();
+        let _ = self.supervisor.wait();
+        if let Some(pid) = self.worker.filter(|&pid| is_live_worker(pid)) {
+            let _ = Command::new("kill")
+                .arg("-KILL")
+                .arg(pid.to_string())
+                .status();
+        }
+    }
+}
+
+/// A worker does not outlive its supervisor. A supervisor killed by a
+/// signal runs no cleanup, and a worker stalled in a hang neither reads
+/// its closed stdin nor writes a beat; it still exits within a beat
+/// interval, because its parent changed. The worker is reparented to an
+/// ancestor that may never reap it, so a zombie counts as gone.
+fn hung_worker_exits_when_its_supervisor_is_killed() {
+    let mut pair = HungPair {
+        supervisor: Command::new(std::env::current_exe().expect("test binary path"))
+            .arg(HUNG_SUPERVISOR_FLAG)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn the supervisor"),
+        worker: None,
+    };
+    let started = Instant::now();
+    while pair.worker.is_none() {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the supervisor spawned no worker"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        pair.worker = live_worker_of(pair.supervisor.id());
+    }
+    // The worker must exit whatever it is doing; this wait only makes
+    // the hang the state under test. The task line follows the worker's
+    // handshake within milliseconds, so a second later the worker has
+    // read it and stalled, and no longer reads its stdin: a worker that
+    // has not read its task yet would exit on the closed pipe alone.
+    std::thread::sleep(Duration::from_secs(1));
+    let worker = pair.worker.expect("found above");
+    assert!(is_live_worker(worker), "the hung worker exited on its own");
+    pair.supervisor.kill().expect("SIGKILL the supervisor");
+    pair.supervisor.wait().expect("reap the supervisor");
+    let killed = Instant::now();
+    while is_live_worker(worker) {
+        assert!(
+            killed.elapsed() < Duration::from_secs(5),
+            "worker {worker} outlived its supervisor by 5 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 fn main() {
     // Worker-mode hook first: the sweeps below re-execute this binary
     // with the hidden worker flag.
     alberta_core::maybe_worker();
+    if std::env::args().any(|a| a == HUNG_SUPERVISOR_FLAG) {
+        supervise_a_hung_worker();
+        return;
+    }
 
     let tests: &[(&str, fn())] = &[
         (
@@ -390,6 +509,10 @@ fn main() {
         (
             "in_process_faults_match_serial_under_processes",
             in_process_faults_match_serial_under_processes,
+        ),
+        (
+            "hung_worker_exits_when_its_supervisor_is_killed",
+            hung_worker_exits_when_its_supervisor_is_killed,
         ),
     ];
     // libtest-style filtering so `cargo test --test process_exec NAME`

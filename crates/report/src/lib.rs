@@ -23,6 +23,14 @@
 //!   (status flips, lost workloads) and numeric deltas (modelled
 //!   cycles, behaviour variation), the engine behind `bench-diff`.
 //!
+//! A document has a decoder only where its bytes come back in. Two are
+//! read back from disk: a saved [`SuiteReport`] ([`load`]) and a
+//! [`CacheDocument`], the daemon's result-cache entry; they share one
+//! version gate. The [`MetricsDocument`] is decoded from its service
+//! wire value ([`MetricsDocument::from_value`]). The memory, storm and
+//! latency documents are written for readers and compared by bytes, so
+//! they have no parser.
+//!
 //! [`Suite::characterize_all_resilient_metered`]: alberta_core::Suite::characterize_all_resilient_metered
 
 #![warn(unreachable_pub)]
@@ -114,14 +122,15 @@ impl From<json::DecodeError> for ReportError {
     }
 }
 
-/// The version gate every versioned document's `parse` goes through:
-/// parses `text` and checks `schema_version` against `version` before
-/// any other field is read, because field meanings are only defined per
+/// The version gate of the documents read back from disk
+/// ([`SuiteReport::parse`], [`CacheDocument::parse`]): parses `text`
+/// and checks `schema_version` against [`SCHEMA_VERSION`] before any
+/// other field is read, because field meanings are only defined per
 /// version.
-fn parse_versioned(text: &str, version: u64) -> Result<Value, ReportError> {
+fn parse_versioned(text: &str) -> Result<Value, ReportError> {
     let value = json::parse(text)?;
     let found = json::req(&value, "schema_version")?;
-    if found != version {
+    if found != SCHEMA_VERSION {
         return Err(ReportError::UnsupportedVersion { found });
     }
     Ok(value)

@@ -10,11 +10,14 @@
 //! determinism contract: the serialization is bit-identical across
 //! execution policies, and CI gates it byte-for-byte against a
 //! committed `MEM_test.json` golden.
+//!
+//! The document is written for readers and compared by bytes; nothing
+//! reads it back, so it has no parser. The saved [`SuiteReport`] it is
+//! projected from is the document that gets decoded.
 
-use crate::json::{req, DecodeError, Value};
+use crate::json::Value;
 use crate::schema::SuiteReport;
-use crate::ReportError;
-use alberta_core::protocol::{decode_memory_profile, memory_profile_value};
+use alberta_core::protocol::memory_profile_value;
 use alberta_core::MemoryProfile;
 use alberta_workloads::Scale;
 
@@ -33,12 +36,10 @@ pub struct MemoryRunRecord {
     pub memory: MemoryProfile,
 }
 
-/// The memory view of one full sweep.
+/// The memory view of one full sweep, written as schema version
+/// `MEM_SCHEMA_VERSION`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryDocument {
-    /// Schema version (`MEM_SCHEMA_VERSION` when built by this
-    /// crate).
-    pub schema_version: u64,
     /// The scale the sweep ran at.
     pub scale: Scale,
     /// One record per surviving run, in suite-report order.
@@ -63,7 +64,6 @@ impl MemoryDocument {
             })
             .collect();
         MemoryDocument {
-            schema_version: MEM_SCHEMA_VERSION,
             scale: report.scale,
             rows,
         }
@@ -72,10 +72,7 @@ impl MemoryDocument {
     /// Serializes to canonical JSON text (pretty, trailing newline).
     pub fn to_json(&self) -> String {
         Value::Object(vec![
-            (
-                "schema_version".to_owned(),
-                Value::UInt(self.schema_version),
-            ),
+            ("schema_version".to_owned(), Value::UInt(MEM_SCHEMA_VERSION)),
             ("scale".to_owned(), Value::Str(self.scale.name().to_owned())),
             (
                 "rows".to_owned(),
@@ -94,32 +91,5 @@ impl MemoryDocument {
             ),
         ])
         .render()
-    }
-
-    /// Parses a memory document, enforcing the schema version before
-    /// any other field is interpreted.
-    ///
-    /// # Errors
-    ///
-    /// [`ReportError::Json`] on malformed text,
-    /// [`ReportError::UnsupportedVersion`] on a version this build does
-    /// not emit, [`ReportError::Schema`] on structural problems.
-    pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = crate::parse_versioned(text, MEM_SCHEMA_VERSION)?;
-        let rows = req::<&[Value]>(&value, "rows")?
-            .iter()
-            .map(|row| {
-                Ok(MemoryRunRecord {
-                    benchmark: req(row, "benchmark")?,
-                    workload: req(row, "workload")?,
-                    memory: decode_memory_profile(req(row, "memory")?)?,
-                })
-            })
-            .collect::<Result<_, DecodeError>>()?;
-        Ok(MemoryDocument {
-            schema_version: MEM_SCHEMA_VERSION,
-            scale: req(&value, "scale")?,
-            rows,
-        })
     }
 }

@@ -13,13 +13,17 @@
 //!  {"name": {"edges": [..], "buckets": [..], "count": n, "sum": n}}}
 //! ```
 //!
-//! Besides canonical JSON the document renders to Prometheus text
-//! exposition format ([`MetricsDocument::to_prometheus`]) so the
-//! `serve-metrics` bin can feed a scraper without any new dependency.
+//! The document crosses the service wire as a value
+//! ([`MetricsDocument::to_value`], [`MetricsDocument::from_value`]);
+//! that decoder is the only one it has, because the files the
+//! `serve-metrics` bin writes from it are never read back. Besides the
+//! two planes' canonical JSON the document renders to Prometheus text
+//! exposition format ([`MetricsDocument::to_prometheus`]) so the bin
+//! can feed a scraper without any new dependency. Both run on bytes a
+//! daemon sent, so neither panics on any value `from_value` accepts.
 
 use crate::json::{req, DecodeError, Value};
 use crate::schema::SCHEMA_VERSION;
-use crate::ReportError;
 
 /// Both telemetry planes of a serving engine, snapshotted.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,11 +85,6 @@ impl MetricsDocument {
         scalar(&self.deterministic, "gauges", name)
     }
 
-    /// Serializes to canonical JSON text (pretty, trailing newline).
-    pub fn to_json(&self) -> String {
-        self.to_value().render()
-    }
-
     /// The deterministic plane alone, as a versioned document — the
     /// exact bytes CI compares against the committed golden. The
     /// volatile plane is deliberately absent so the gate can never trip
@@ -114,21 +113,10 @@ impl MetricsDocument {
         .render()
     }
 
-    /// Parses a serialized document, enforcing the schema version.
-    ///
-    /// # Errors
-    ///
-    /// [`ReportError::Json`] for malformed text,
-    /// [`ReportError::UnsupportedVersion`] for a version this build
-    /// cannot read, [`ReportError::Schema`] otherwise.
-    pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = crate::parse_versioned(text, SCHEMA_VERSION)?;
-        Ok(MetricsDocument::from_value(&value)?)
-    }
-
     /// Renders both planes in Prometheus text exposition format. Every
     /// sample carries a `plane` label; histogram buckets are cumulative
-    /// with a closing `+Inf` bucket, the way scrapers expect them.
+    /// with a closing `+Inf` bucket, the way scrapers expect them. A
+    /// cumulative count past `u64::MAX` saturates there.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         render_plane(&mut out, "deterministic", &self.deterministic);
@@ -178,7 +166,7 @@ fn render_plane(out: &mut String, plane: &str, value: &Value) {
         out.push_str(&format!("# TYPE {name} histogram\n"));
         let mut cumulative = 0u64;
         for (i, bucket) in buckets.iter().enumerate() {
-            cumulative += bucket;
+            cumulative = cumulative.saturating_add(*bucket);
             let le = match edges.get(i) {
                 Some(edge) => edge.to_string(),
                 None => "+Inf".to_owned(),
@@ -212,12 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn document_round_trips_byte_identically() {
+    fn document_round_trips_through_its_wire_value() {
         let doc = sample();
-        let text = doc.to_json();
-        let parsed = MetricsDocument::parse(&text).expect("round trip");
-        assert_eq!(parsed, doc);
-        assert_eq!(parsed.to_json(), text);
+        let value = doc.to_value();
+        let decoded = MetricsDocument::from_value(&value).expect("round trip");
+        assert_eq!(decoded, doc);
+        assert_eq!(decoded.to_value(), value);
     }
 
     #[test]
@@ -245,16 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_version_is_rejected() {
-        let mut doc = sample();
-        doc.schema_version = 99;
-        assert!(matches!(
-            MetricsDocument::parse(&doc.to_json()),
-            Err(ReportError::UnsupportedVersion { found: 99 })
-        ));
-    }
-
-    #[test]
     fn prometheus_rendering_is_cumulative_with_inf_bucket() {
         let text = sample().to_prometheus();
         assert!(text.contains("# TYPE alberta_requests_total counter"));
@@ -276,5 +254,17 @@ mod tests {
         assert!(text.contains("alberta_keys_per_request_sum{plane=\"deterministic\"} 31"));
         assert!(text.contains("alberta_keys_per_request_count{plane=\"deterministic\"} 6"));
         assert!(text.contains("alberta_connections_total{plane=\"volatile\"} 5"));
+    }
+
+    #[test]
+    fn overflowing_buckets_saturate_instead_of_panicking() {
+        let deterministic = json::parse(
+            r#"{"histograms":{"h":{"edges":[1],"buckets":[18446744073709551615,1],
+                "count":0,"sum":0}}}"#,
+        )
+        .unwrap();
+        let text = MetricsDocument::new(deterministic, Value::Null).to_prometheus();
+        assert!(text.contains("h_bucket{plane=\"deterministic\",le=\"1\"} 18446744073709551615"));
+        assert!(text.contains("h_bucket{plane=\"deterministic\",le=\"+Inf\"} 18446744073709551615"));
     }
 }

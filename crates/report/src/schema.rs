@@ -488,7 +488,7 @@ impl SuiteReport {
     /// one this build understands (checked before any other field is
     /// touched), and [`ReportError::Schema`] on structural problems.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = crate::parse_versioned(text, SCHEMA_VERSION)?;
+        let value = crate::parse_versioned(text)?;
         Ok(SuiteReport {
             schema_version: SCHEMA_VERSION,
             scale: req(&value, "scale")?,

@@ -304,7 +304,8 @@ struct Slot {
 /// # Errors
 ///
 /// [`ReportError::Schema`] when `spans` is not an array of well-formed
-/// span events.
+/// span events, or when a host index leaves no lane after it for the
+/// service.
 pub fn render_service_timeline(spans: &Value) -> Result<String, ReportError> {
     let raw = spans.as_array().ok_or_else(|| ReportError::Schema {
         message: "span log must be an array".to_owned(),
@@ -328,30 +329,30 @@ pub fn render_service_timeline(spans: &Value) -> Result<String, ReportError> {
             .map(str::to_owned)
     };
 
-    // First pass: where every placed key landed, so annotation instants
-    // can be pinned to the right slot.
+    // First pass: every host a placed span names gets a lane, and every
+    // placed key its slot, so annotation instants can be pinned to it.
     let mut slots: Vec<(String, Slot)> = Vec::new();
     let mut hosts: Vec<u64> = Vec::new();
-    for e in &events {
-        if e.stage != "placed" {
-            continue;
-        }
-        let (Some(key), Some(host), Some(start_ticks)) = (
-            attr_str(e, "key"),
-            attr_u64(e, "host"),
-            attr_u64(e, "start_ticks"),
-        ) else {
+    for e in events.iter().filter(|e| e.stage == "placed") {
+        let Some(host) = attr_u64(e, "host") else {
             continue;
         };
         hosts.push(host);
-        slots.push((key, Slot { host, start_ticks }));
+        if let (Some(key), Some(start_ticks)) = (attr_str(e, "key"), attr_u64(e, "start_ticks")) {
+            slots.push((key, Slot { host, start_ticks }));
+        }
     }
     hosts.sort_unstable();
     hosts.dedup();
     let slot_of = |key: &str| slots.iter().find(|(k, _)| k == key).map(|(_, s)| s);
     // Events with no host lane (cache hits, failures) park on a trailing
-    // service lane.
-    let service_lane = hosts.last().map_or(0, |h| h + 1);
+    // service lane, past every host lane.
+    let service_lane = match hosts.last() {
+        None => 0,
+        Some(&last) => last.checked_add(1).ok_or_else(|| ReportError::Schema {
+            message: format!("host {last} leaves no lane for the service"),
+        })?,
+    };
 
     let mut out: Vec<Value> = Vec::new();
     out.push(metadata("process_name", 0, "alberta service"));
@@ -733,6 +734,38 @@ mod tests {
             .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
             .expect("one placed span");
         assert_eq!(span.get("dur").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn the_service_lane_never_shares_a_host_lane() {
+        let placed = |host: u64, key: Option<&str>| -> Vec<(String, Value)> {
+            let mut attrs = vec![
+                ("host".to_owned(), Value::UInt(host)),
+                ("start_ticks".to_owned(), Value::UInt(0)),
+                ("end_ticks".to_owned(), Value::UInt(1)),
+            ];
+            attrs.extend(key.map(|k| ("key".to_owned(), Value::Str(k.to_owned()))));
+            attrs
+        };
+        // The last host index leaves no lane after it.
+        let mut log = SpanLog::new();
+        log.push("r", "placed", placed(u64::MAX, Some("k")));
+        assert!(matches!(
+            render_service_timeline(&log.to_value()),
+            Err(ReportError::Schema { .. })
+        ));
+        // A keyless span is still drawn on its host's lane.
+        let mut log = SpanLog::new();
+        log.push("r", "placed", placed(3, None));
+        log.push("r", "cache_hit", Vec::new());
+        let text = render_service_timeline(&log.to_value()).unwrap();
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let hit = events
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("i"))
+            .unwrap();
+        assert_eq!(hit.get("tid").unwrap().as_u64(), Some(4));
     }
 
     #[test]

@@ -1,7 +1,20 @@
-//! Byte-level guards on every decoder that reads a canonical-JSON
-//! document from a pipe, a socket or the disk: the emitted bytes are
-//! pinned, and seeded mutations of valid documents must never panic a
-//! decoder, while every mutation a decoder accepts must reach an
+//! Byte-level guards on the decoders that run on bytes coming back into
+//! a process, all of them over `json::parse`:
+//!
+//! * the worker pipe: `SupervisorMsg`, `WorkerMsg` and the run codec
+//!   (`decode_run`) inside both;
+//! * the service wire: `ClientMsg`, `ServerMsg` and the request spec
+//!   (`parse_spec`), plus what `serve-metrics` does with a response —
+//!   `MetricsDocument::from_value` then `to_prometheus`, and
+//!   `render_service_timeline` on the span log;
+//! * the disk: the result cache's `CacheDocument` and a saved
+//!   `SuiteReport`.
+//!
+//! A document that is only written (the memory, storm and latency
+//! documents) has no decoder and no case here; a new decoder on a pipe,
+//! a socket or the disk joins the list in the same change. The emitted
+//! bytes are pinned, and seeded mutations of valid documents must never
+//! panic a decoder, while every mutation a decoder accepts must reach an
 //! emit → parse → emit fixed point.
 
 use std::panic::catch_unwind;
@@ -18,7 +31,7 @@ use alberta_core::{
     WorkloadRun,
 };
 use alberta_profile::ProfilerFault;
-use alberta_report::{CacheDocument, MemoryDocument, MetricsDocument, StormReport, SuiteReport};
+use alberta_report::{render_service_timeline, CacheDocument, MetricsDocument, SuiteReport};
 use alberta_serve::spec::parse_spec;
 use alberta_serve::{
     host_counters, ClientMsg, GroupInfo, RequestSpec, ResponseCounts, ServerMsg, WIRE_VERSION,
@@ -27,7 +40,6 @@ use alberta_stats::variation::TopDownRatios;
 use proptest::TestRng;
 
 const BENCH_GOLDEN: &str = include_str!("../../../BENCH_test.json");
-const MEM_GOLDEN: &str = include_str!("../../../MEM_test.json");
 const STORM_GOLDEN: &str = include_str!("../../../STORM_test.json");
 const METRICS_GOLDEN: &str = include_str!("../../../METRICS_test.json");
 
@@ -185,11 +197,13 @@ fn encodings_are_pinned() {
 /// steals.
 #[test]
 fn service_goldens_agree_with_themselves() {
-    let storm = StormReport::parse(STORM_GOLDEN).expect("STORM golden parses");
-    let storm_tasks: u64 = storm.hosts.iter().map(|h| h.tasks).sum();
-    let storm_stolen: u64 = storm.hosts.iter().map(|h| h.stolen).sum();
-    assert_eq!(storm_tasks, storm.computed);
-    assert_eq!(storm_stolen, storm.steals);
+    let storm = json::parse(STORM_GOLDEN).expect("STORM golden parses");
+    let count = |value: &Value, name: &str| json::req::<u64>(value, name).expect(name);
+    let hosts: &[Value] = json::req(&storm, "hosts").expect("hosts");
+    let storm_tasks: u64 = hosts.iter().map(|h| count(h, "tasks")).sum();
+    let storm_stolen: u64 = hosts.iter().map(|h| count(h, "stolen")).sum();
+    assert_eq!(storm_tasks, count(&storm, "computed"));
+    assert_eq!(storm_stolen, count(&storm, "steals"));
 
     let golden = json::parse(METRICS_GOLDEN).expect("METRICS golden parses");
     let plane = golden.get("deterministic").expect("deterministic plane");
@@ -378,10 +392,8 @@ fn decoders() -> Vec<Decoder> {
     let run = run_value(&sample_run()).render_compact();
     let mut report = SuiteReport::parse(BENCH_GOLDEN).expect("BENCH golden parses");
     report.benchmarks.retain(|b| b.short_name == "mcf");
-    let mut memory = MemoryDocument::parse(MEM_GOLDEN).expect("MEM golden parses");
-    memory.rows.truncate(3);
     // The metrics golden holds the deterministic plane alone, which the
-    // document parser rejects; the seed adds a volatile plane.
+    // wire decoder rejects; the seed adds a volatile plane.
     let golden = json::parse(METRICS_GOLDEN).expect("METRICS golden parses");
     let volatile = MetricsRegistry::new();
     volatile.inc(Plane::Volatile, "alberta_connections_total", 5);
@@ -403,6 +415,22 @@ fn decoders() -> Vec<Decoder> {
         "storm-m0#1",
         "received",
         vec![("keys".to_owned(), Value::UInt(2))],
+    );
+    spans.push(
+        "storm-m0#1",
+        "placed",
+        vec![
+            (
+                "key".to_owned(),
+                Value::Str(sample_spec().run_key("alberta.1")),
+            ),
+            ("host".to_owned(), Value::UInt(1)),
+            ("stolen".to_owned(), Value::Bool(true)),
+            ("start_ticks".to_owned(), Value::UInt(40)),
+            ("end_ticks".to_owned(), Value::UInt(4136)),
+            ("benchmark".to_owned(), Value::Str("mcf".to_owned())),
+            ("workload".to_owned(), Value::Str("alberta.1".to_owned())),
+        ],
     );
     spans.push("storm-m0#1", "completed", Vec::new());
     let failed_entry = CacheDocument {
@@ -506,9 +534,6 @@ fn decoders() -> Vec<Decoder> {
         decoder("SuiteReport", vec![report.to_json()], |text| {
             SuiteReport::parse(text).ok().map(|r| r.to_json())
         }),
-        decoder("MemoryDocument", vec![memory.to_json()], |text| {
-            MemoryDocument::parse(text).ok().map(|d| d.to_json())
-        }),
         Decoder {
             reseal: true,
             ..decoder(
@@ -517,12 +542,27 @@ fn decoders() -> Vec<Decoder> {
                 |text| CacheDocument::parse(text).ok().map(|d| d.to_json()),
             )
         },
-        decoder("StormReport", vec![STORM_GOLDEN.to_owned()], |text| {
-            StormReport::parse(text).ok().map(|r| r.to_json())
-        }),
-        decoder("MetricsDocument", vec![metrics.to_json()], |text| {
-            MetricsDocument::parse(text).ok().map(|d| d.to_json())
-        }),
+        // `serve-metrics` renders what these two decode, so the
+        // rendering runs inside the codec; the re-emitted value is the
+        // decoded input.
+        decoder(
+            "MetricsDocument::from_value",
+            vec![metrics.to_value().render_compact()],
+            |text| {
+                let document = MetricsDocument::from_value(&json::parse(text).ok()?).ok()?;
+                document.to_prometheus();
+                Some(document.to_value().render_compact())
+            },
+        ),
+        decoder(
+            "render_service_timeline",
+            vec![spans.to_value().render_compact()],
+            |text| {
+                let spans = json::parse(text).ok()?;
+                render_service_timeline(&spans).ok()?;
+                Some(spans.render_compact())
+            },
+        ),
     ];
     let every_seed = all.iter().flat_map(|d| d.seeds.clone()).collect();
     all.push(decoder("json::parse", every_seed, |text| {
@@ -532,7 +572,13 @@ fn decoders() -> Vec<Decoder> {
 }
 
 /// Numbers at the edges of the decoders' integer and float handling.
-const EDGE_NUMBERS: [&str; 4] = ["18446744073709551616", "-1", "1e400", "4294967296"];
+const EDGE_NUMBERS: [&str; 5] = [
+    "18446744073709551616",
+    "18446744073709551615",
+    "-1",
+    "1e400",
+    "4294967296",
+];
 
 /// Characters a replacement draws from: JSON structure, number syntax,
 /// escapes, control and multi-byte text.
